@@ -25,13 +25,12 @@ def main() -> None:
         print(f"  mode {k}: lambda = {lam:.6f}  r = {r:.6f}  {pf.squeezing_db(r):.4f} dB")
 
     filt = pf.make_rect_filter(0.0, 4.0, grid)
-    kernels = pf.build_uv_kernels(schmidt)
 
     for label, basis in (
         ("original broadband basis", pf.MeasurementBasis.from_schmidt(schmidt, 5)),
         ("effective (filter-adapted) basis", _effective_basis(jsa, gain, filt, grid)),
     ):
-        proj = pf.filtered_projections(schmidt, filt, filt, basis, kernels=kernels)
+        proj = pf.filtered_projections(schmidt, filt, filt, basis)
         cov = pf.assemble_covariance(proj)
         report = pf.squeezing_report(cov)
         print(f"\nfiltered state, {label}:")

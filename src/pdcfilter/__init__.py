@@ -29,11 +29,9 @@ from .covariance import (
 )
 from .errors import ConfigurationError, GridTruncationError, NumericsError, PhysicalityError
 from .filters import (
-    BroadbandKernels,
     Filter,
     MeasurementBasis,
     ProjectionSet,
-    build_uv_kernels,
     commutator_defects,
     filtered_projections,
     make_blocking_filter,
@@ -85,7 +83,6 @@ from .cli import (
 __all__ = [
     "__version__",
     "BasisCandidate",
-    "BroadbandKernels",
     "ConfigurationError",
     "CovarianceMatrix",
     "EffectiveSchmidt",
@@ -112,7 +109,6 @@ __all__ = [
     "assemble_covariance",
     "build_frequency_grid",
     "build_gaussian_jsa",
-    "build_uv_kernels",
     "check_physicality",
     "commutator_defects",
     "epr_variances",

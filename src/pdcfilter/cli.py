@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,7 +27,6 @@ from .errors import ConfigurationError, NumericsError
 from .filters import (
     Filter,
     MeasurementBasis,
-    build_uv_kernels,
     commutator_defects,
     filtered_projections,
     make_blocking_filter,
@@ -83,9 +81,13 @@ class RunConfig:
     parent_fraction: float = 0.5
     mass_tolerance: float = 1e-2
     rng_seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            items = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(x, float) and not math.isfinite(x) for x in items):
+                raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
         if self.basis not in _BASIS_CHOICES:
             raise ConfigurationError(f"basis must be one of {_BASIS_CHOICES}, got {self.basis!r}")
         if self.filter_kind not in _FILTER_CHOICES:
@@ -102,8 +104,6 @@ class RunConfig:
                 raise ConfigurationError(f"{name} must be non-empty")
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ConfigurationError(f"{name} must be strictly increasing")
-        if self.threads < 1:
-            raise ConfigurationError("threads must be >= 1")
         if self.n_retained < 1 or self.ga_modes < 1:
             raise ConfigurationError("n_retained and ga_modes must be >= 1")
 
@@ -147,7 +147,6 @@ _CONFIG_TYPES = {
     "parent_fraction": float,
     "mass_tolerance": float,
     "rng_seed": int,
-    "threads": int,
 }
 
 
@@ -231,7 +230,6 @@ def run_single(config: RunConfig) -> RunReport:
     gain = config.gain_b if config.gain_b is not None else gain_for_target_db(schmidt, config.target_db)
     schmidt = apply_gain(schmidt, gain)
     filt = _make_filter(config, grid)
-    kernels = build_uv_kernels(schmidt)
 
     effective = None
     ga_result = None
@@ -245,11 +243,11 @@ def run_single(config: RunConfig) -> RunReport:
             grid,
         )
     else:
-        ctx = make_state_context(schmidt, filt, filt, kernels=kernels)
+        ctx = make_state_context(schmidt, filt, filt)
         ga_result = ga_optimize_basis(ctx, config.ga_modes, config.ga_params())
         basis = MeasurementBasis.from_shared(ga_result.modes, grid)
 
-    proj = filtered_projections(schmidt, filt, filt, basis, kernels=kernels)
+    proj = filtered_projections(schmidt, filt, filt, basis)
     cov = assemble_covariance(proj)
     entries = squeezing_report(cov)
     return RunReport(
@@ -287,25 +285,16 @@ def sweep_tradeoff(config: RunConfig) -> list[TradeoffRecord]:
     """Trade-off records over sweep_widths x sweep_target_dbs, sorted by (gain, width).
 
     A failing point is recorded with its error message and the sweep
-    continues.  Points are independent; ``config.threads`` > 1 evaluates them
-    in a thread pool (the record list is assembled sequentially afterwards).
+    continues.
     """
     grid = build_frequency_grid(config.n_points, config.omega_min, config.omega_max)
     params = GaussianJsaParams(config.sigma_a, config.sigma_b, config.theta)
     jsa = build_gaussian_jsa(params, grid, max_truncated_mass=config.mass_tolerance)
     schmidt0 = schmidt_decompose(jsa, n_retained=config.n_retained)
 
-    points = []
-    for target in config.sweep_target_dbs:
-        gain = gain_for_target_db(schmidt0, target)
-        schmidt = apply_gain(schmidt0, gain)
-        kernels = build_uv_kernels(schmidt)
-        for width in config.sweep_widths:
-            points.append((gain, width, schmidt, kernels))
-
-    def evaluate(point) -> TradeoffRecord:
-        gain, width, schmidt, kernels = point
+    def evaluate(gain, width) -> TradeoffRecord:
         try:
+            schmidt = apply_gain(schmidt0, gain)
             run_cfg = dataclasses.replace(
                 config, filter_kind=config.filter_kind, filter_width=width
             )
@@ -320,10 +309,10 @@ def sweep_tradeoff(config: RunConfig) -> list[TradeoffRecord]:
                     grid,
                 )
             else:
-                ctx = make_state_context(schmidt, filt, filt, kernels=kernels)
+                ctx = make_state_context(schmidt, filt, filt)
                 ga = ga_optimize_basis(ctx, config.ga_modes, config.ga_params())
                 basis = MeasurementBasis.from_shared(ga.modes, grid)
-            proj = filtered_projections(schmidt, filt, filt, basis, kernels=kernels)
+            proj = filtered_projections(schmidt, filt, filt, basis)
             cov = assemble_covariance(proj)
             entries = squeezing_report(cov)
             return TradeoffRecord(
@@ -342,16 +331,16 @@ def sweep_tradeoff(config: RunConfig) -> list[TradeoffRecord]:
                 first_mode_squeezing_db=math.nan,
                 single_mode_character=math.nan,
                 purity=math.nan,
-                tail_weight=schmidt.tail_weight,
+                tail_weight=schmidt0.tail_weight,
                 basis_method=config.basis,
                 error=f"{type(exc).__name__}: {exc}",
             )
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            records = list(pool.map(evaluate, points))
-    else:
-        records = [evaluate(p) for p in points]
+    records = [
+        evaluate(gain_for_target_db(schmidt0, target), width)
+        for target in config.sweep_target_dbs
+        for width in config.sweep_widths
+    ]
     records.sort(key=lambda rec: (rec.gain_b, rec.filter_width))
     return records
 
@@ -504,7 +493,9 @@ def validate(config: RunConfig, stream=None) -> bool:
     report = run_single(config)
     proj = filtered_projections(schmidt, filt, filt, _report_basis(report, grid))
     defect = float(np.max(np.abs(commutator_defects(proj))))
-    results.append(("commutator_preservation", defect <= 1e-8, f"max defect {defect:.2e}"))
+    results.append(
+        ("commutator_preservation", defect <= 1e-8, f"max defect {defect:.2e} over both arms")
+    )
 
     passed_phys, lowest = check_physicality(report.covariance, tol=1e-9)
     results.append(("physicality", passed_phys, f"min nu = {lowest!r}"))
@@ -555,7 +546,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override rng_seed")
         p.add_argument("--basis", choices=_BASIS_CHOICES, default=None, help="override basis method")
-        p.add_argument("--threads", type=int, default=None, help="parallel sweep evaluation")
 
     args = parser.parse_args(argv)
     try:
@@ -563,7 +553,6 @@ def main(argv=None) -> int:
             config_path=args.config,
             rng_seed=args.seed,
             basis=args.basis,
-            threads=args.threads,
         )
         if args.verb == "run":
             report = run_single(config)

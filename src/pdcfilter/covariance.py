@@ -97,14 +97,21 @@ def symplectic_eigenvalues(sigma) -> np.ndarray:
     """Williamson eigenvalues, descending (one per bosonic mode).
 
     Computed as the magnitudes of the (paired, purely imaginary) spectrum of
-    Omega @ sigma.  Vacuum gives 1/2 for every mode.
+    Omega @ sigma.  Vacuum gives 1/2 for every mode.  A failed eigensolver
+    (for example on non-finite entries) raises ``NumericsError``.
     """
     s = _as_sigma(sigma)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
         raise ConfigurationError(f"covariance must be square with even size, got {s.shape}")
     if np.max(np.abs(s - s.T)) > 1e-10:
         raise ConfigurationError("symplectic spectrum requires a symmetric matrix")
-    ev = np.linalg.eigvals(symplectic_form(s.shape[0] // 2) @ s)
+    try:
+        ev = np.linalg.eigvals(symplectic_form(s.shape[0] // 2) @ s)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(
+            f"symplectic spectrum failed to converge (matrix {s.shape}, "
+            f"finite: {bool(np.all(np.isfinite(s)))})"
+        ) from exc
     nu = np.sort(np.abs(ev))[::-1]
     return nu[::2]
 

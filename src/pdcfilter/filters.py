@@ -4,11 +4,19 @@ of the filtered squeezer onto an arbitrary measurement basis.
 A filter transmits amplitude T(w) and couples in vacuum with amplitude
 R(w) = sqrt(1 - |T(w)|^2).  The squeezer itself is the pair of Bogoliubov
 kernels U (beam-splitter part, cosh weights) and V (squeezing part, sinh
-weights) built from the broadband modes.  Projecting the filtered output onto
-measurement modes f_k / g_k yields, per mode, six one-frequency kernels: the
-U, V contractions against T_a f_k (resp. T_b g_k) plus the reflected-vacuum
-amplitudes f_k R_a and g_k R_b.  Those six families are all the covariance
-assembly needs.
+weights) of the broadband modes Psi (signal) and Phi (idler):
+
+    U_a = 1 / d_omega + Psi^H diag(cosh r - 1) Psi,   V_a = Psi^H diag(sinh r) Phi^*
+
+and the idler kernels with Psi and Phi exchanged.  They are never formed as
+n x n matrices: the identity part is applied exactly and the rest through
+the k Schmidt factors, so the cost is O(n k) per measured mode and the
+commutators hold exactly for any number k of decomposed modes.
+
+Projecting the filtered output onto measurement modes f_k / g_k yields, per
+mode, six one-frequency kernels: the U, V contractions against T_a f_k
+(resp. T_b g_k) plus the reflected-vacuum amplitudes f_k R_a and g_k R_b.
+Those six families are all the covariance assembly needs.
 """
 
 from __future__ import annotations
@@ -116,59 +124,6 @@ class MeasurementBasis:
 
 
 @dataclass(frozen=True)
-class BroadbandKernels:
-    """Dense two-frequency Bogoliubov kernels of the (unfiltered) squeezer.
-
-    u_* carry the cosh weights, v_* the sinh weights.  Built from
-    ``n_kernel_modes`` broadband modes; when that is the complete discrete
-    spectrum the kernels satisfy the bosonic commutation relations exactly on
-    the grid, otherwise ``truncation_bound`` reports the omitted spectral
-    weight sum_{k > m} lambda_k^2.
-    """
-
-    u_signal: np.ndarray
-    u_idler: np.ndarray
-    v_signal: np.ndarray
-    v_idler: np.ndarray
-    grid: FrequencyGrid
-    n_kernel_modes: int
-    truncation_bound: float
-
-
-def build_uv_kernels(schmidt: SchmidtData, n_modes: int | None = None) -> BroadbandKernels:
-    """Assemble the squeezer's Bogoliubov kernels from its broadband modes.
-
-    By default every decomposed mode enters the sums (modes beyond the excited
-    ones carry cosh(r) ~ 1 and complete the beam-splitter part to the identity
-    on the grid, which keeps commutators and covariances exact).  Passing
-    ``n_modes`` truncates the sums instead; the omitted weight is then
-    reported as ``truncation_bound``.
-    """
-    r = schmidt.require_gain()
-    m = schmidt.n_modes if n_modes is None else int(n_modes)
-    if not 1 <= m <= schmidt.n_modes:
-        raise ConfigurationError(f"kernel mode count must lie in [1, {schmidt.n_modes}]")
-    psi = schmidt.signal_modes[:m]
-    phi = schmidt.idler_modes[:m]
-    ch = np.cosh(r[:m])
-    sh = np.sinh(r[:m])
-    u_signal = (psi.conj().T * ch) @ psi
-    v_signal = (psi.conj().T * sh) @ phi.conj()
-    u_idler = (phi.conj().T * ch) @ phi
-    v_idler = (phi.conj().T * sh) @ psi.conj()
-    bound = float(np.sum(schmidt.lambdas[m:] ** 2))
-    return BroadbandKernels(
-        u_signal=u_signal,
-        u_idler=u_idler,
-        v_signal=v_signal,
-        v_idler=v_idler,
-        grid=schmidt.grid,
-        n_kernel_modes=m,
-        truncation_bound=bound,
-    )
-
-
-@dataclass(frozen=True)
 class ProjectionSet:
     """Per-measurement-mode kernels of the filtered squeezer.
 
@@ -200,34 +155,37 @@ def filtered_projections(
     filter_signal: Filter,
     filter_idler: Filter,
     basis: MeasurementBasis,
-    kernels: BroadbandKernels | None = None,
 ) -> ProjectionSet:
     """Project the filtered squeezer output onto a measurement basis.
 
-    The contraction integrals use the measurement modes as written (not
-    conjugated); for the real-valued reference scenario the distinction is
-    immaterial.  ``kernels`` may be passed to reuse a previous
-    :func:`build_uv_kernels` result.
+    With c = d_omega (T f) Psi^H the overlaps of the filtered measurement
+    modes with the signal Schmidt modes, the signal arm is
+
+        u = T f + (c * (cosh r - 1)) Psi,    v = (c * sinh r) Phi^*
+
+    and the idler arm mirrors it with g, Phi and Psi^*.  The contraction
+    integrals use the measurement modes as written (not conjugated); for the
+    real-valued reference scenario the distinction is immaterial.
     """
     grid = schmidt.grid
     for obj, name in ((filter_signal, "signal filter"), (filter_idler, "idler filter"), (basis, "basis")):
         if obj.grid != grid:
             raise ConfigurationError(f"{name} grid does not match the decomposition grid")
-    if kernels is None:
-        kernels = build_uv_kernels(schmidt)
-    elif kernels.grid != grid:
-        raise ConfigurationError("kernel grid does not match the decomposition grid")
+    r = schmidt.require_gain()
+    ch1 = 2.0 * np.sinh(r / 2) ** 2  # cosh(r) - 1 without cancellation
+    sh = np.sinh(r)
+    psi, phi = schmidt.signal_modes, schmidt.idler_modes
 
     dw = grid.d_omega
-    ta = filter_signal.transmission
-    tb = filter_idler.transmission
-    fa = basis.signal_fns * ta
-    gb = basis.idler_fns * tb
+    fa = basis.signal_fns * filter_signal.transmission
+    gb = basis.idler_fns * filter_idler.transmission
+    ca = dw * (fa @ psi.conj().T)
+    cb = dw * (gb @ phi.conj().T)
     return ProjectionSet(
-        u_signal=dw * (fa @ kernels.u_signal),
-        v_signal=dw * (fa @ kernels.v_signal),
-        u_idler=dw * (gb @ kernels.u_idler),
-        v_idler=dw * (gb @ kernels.v_idler),
+        u_signal=fa + (ca * ch1) @ psi,
+        v_signal=(ca * sh) @ phi.conj(),
+        u_idler=gb + (cb * ch1) @ phi,
+        v_idler=(cb * sh) @ psi.conj(),
         r_signal=basis.signal_fns * filter_signal.reflection,
         r_idler=basis.idler_fns * filter_idler.reflection,
         grid=grid,
@@ -239,14 +197,24 @@ def filtered_projections(
 
 
 def commutator_defects(projections: ProjectionSet) -> np.ndarray:
-    """Per-mode deviation of the signal-arm bosonic commutator from one.
+    """Per-mode deviation of the bosonic commutators from one, on both arms.
 
     For each measured mode the combination
-    integral |u|^2 - integral |v|^2 + integral |r|^2 must equal 1; the return
-    value is that expression minus 1, mode by mode.
+    integral |u|^2 - integral |v|^2 + integral |r|^2 must equal 1.  Returns a
+    (2, N) array of that expression minus 1: row 0 the signal arm, row 1 the
+    idler arm.
     """
-    dw = projections.grid.d_omega
-    u2 = np.sum(np.abs(projections.u_signal) ** 2, axis=1)
-    v2 = np.sum(np.abs(projections.v_signal) ** 2, axis=1)
-    r2 = np.sum(np.abs(projections.r_signal) ** 2, axis=1)
-    return dw * (u2 - v2 + r2) - 1.0
+    p = projections
+
+    def defect(u, v, r):
+        u2 = np.sum(np.abs(u) ** 2, axis=1)
+        v2 = np.sum(np.abs(v) ** 2, axis=1)
+        r2 = np.sum(np.abs(r) ** 2, axis=1)
+        return p.grid.d_omega * (u2 - v2 + r2) - 1.0
+
+    return np.stack(
+        [
+            defect(p.u_signal, p.v_signal, p.r_signal),
+            defect(p.u_idler, p.v_idler, p.r_idler),
+        ]
+    )

@@ -25,13 +25,7 @@ import numpy as np
 
 from .covariance import assemble_covariance
 from .errors import ConfigurationError, NumericsError
-from .filters import (
-    BroadbandKernels,
-    Filter,
-    MeasurementBasis,
-    build_uv_kernels,
-    filtered_projections,
-)
+from .filters import Filter, MeasurementBasis, filtered_projections
 from .metrics import mode_squeezing_db
 from .spectral import SchmidtData
 
@@ -123,7 +117,6 @@ class StateContext:
     schmidt: SchmidtData = field(repr=False)
     filter_signal: Filter = field(repr=False)
     filter_idler: Filter = field(repr=False)
-    kernels: BroadbandKernels = field(repr=False)
     form_minus: np.ndarray = field(repr=False)
     form_plus: np.ndarray = field(repr=False)
 
@@ -144,27 +137,36 @@ def make_state_context(
     schmidt: SchmidtData,
     filter_signal: Filter,
     filter_idler: Filter,
-    kernels: BroadbandKernels | None = None,
 ) -> StateContext:
+    """Joint-quadrature forms of the filtered squeezer for a shared mode.
+
+    With P_a = Psi conj(T_a) and P_b = Phi conj(T_b) (the filtered Schmidt
+    factors), the orthonormality of the mode rows reduces the kernel
+    products to
+
+        S_a = d_omega diag(|T_a|^2 + R_a^2) + 2 d_omega^2 Re(P_a^H sinh^2 r P_a)
+        E   = 2 d_omega^2 Re(P_a^H (cosh r sinh r) conj(P_b))
+
+    (S_b mirrors S_a), and form_-/+ = (S_a + S_b -/+ (E + E^T)) / 2.
+    """
     grid = schmidt.grid
     if filter_signal.grid != grid or filter_idler.grid != grid:
         raise ConfigurationError("filter grids do not match the decomposition grid")
-    if kernels is None:
-        kernels = build_uv_kernels(schmidt)
+    r = schmidt.require_gain()
+    sh2 = np.sinh(r) ** 2
+    chsh = np.cosh(r) * np.sinh(r)
     dw = grid.d_omega
     ta = filter_signal.transmission
     tb = filter_idler.transmission
-    ga = ta[:, None] * kernels.u_signal
-    gva = ta[:, None] * kernels.v_signal
-    gb = tb[:, None] * kernels.u_idler
-    gvb = tb[:, None] * kernels.v_idler
-    sa = dw**3 * np.real(ga @ ga.conj().T + gva @ gva.conj().T) + dw * np.diag(
-        filter_signal.reflection**2
+    pa = schmidt.signal_modes * ta.conj()
+    pb = schmidt.idler_modes * tb.conj()
+    sa = 2 * dw**2 * np.real(pa.conj().T @ (sh2[:, None] * pa)) + dw * np.diag(
+        np.abs(ta) ** 2 + filter_signal.reflection**2
     )
-    sb = dw**3 * np.real(gb @ gb.conj().T + gvb @ gvb.conj().T) + dw * np.diag(
-        filter_idler.reflection**2
+    sb = 2 * dw**2 * np.real(pb.conj().T @ (sh2[:, None] * pb)) + dw * np.diag(
+        np.abs(tb) ** 2 + filter_idler.reflection**2
     )
-    se = dw**3 * np.real(ga @ gvb.T + gva @ gb.T)
+    se = 2 * dw**2 * np.real(pa.conj().T @ (chsh[:, None] * pb.conj()))
     se = se + se.T
     form_minus = (sa + sb - se) / 2
     form_plus = (sa + sb + se) / 2
@@ -174,7 +176,6 @@ def make_state_context(
         schmidt=schmidt,
         filter_signal=filter_signal,
         filter_idler=filter_idler,
-        kernels=kernels,
         form_minus=form_minus,
         form_plus=form_plus,
     )
@@ -200,9 +201,7 @@ def objective_squeezing(ctx: StateContext, phi_columns: np.ndarray, k_prime: int
     grid = ctx.schmidt.grid
     mode = cols[:, k_prime - 1] / np.sqrt(grid.d_omega)
     basis = MeasurementBasis.from_shared(mode[None, :], grid)
-    proj = filtered_projections(
-        ctx.schmidt, ctx.filter_signal, ctx.filter_idler, basis, kernels=ctx.kernels
-    )
+    proj = filtered_projections(ctx.schmidt, ctx.filter_signal, ctx.filter_idler, basis)
     cov = assemble_covariance(proj)
     return mode_squeezing_db(cov, 1).squeezing_db
 

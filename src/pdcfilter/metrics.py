@@ -56,6 +56,10 @@ def mode_squeezing_db(sigma, k: int) -> SqueezingEntry:
     Negative values (no squeezing in either combination) are reported as-is.
     """
     d2m, d2p = epr_variances(sigma, k)
+    if not (d2m > 0 and d2p > 0):
+        raise NumericsError(
+            f"mode {k}: joint-quadrature variances ({d2m:.3e}, {d2p:.3e}) are not positive"
+        )
     db_minus = -10.0 * math.log10(d2m)
     db_plus = -10.0 * math.log10(d2p)
     if db_minus >= db_plus:

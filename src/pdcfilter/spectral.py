@@ -10,6 +10,14 @@ squeezing[dB] = -10 log10(exp(-2 r)).
 Everything here is discretized on a uniform frequency grid with rectangle-rule
 quadrature weight d_omega; mode functions are normalized so that
 sum |psi|^2 d_omega = 1.
+
+Only the leading Schmidt triples are computed, by randomized subspace
+iteration (Halko, Martinsson & Tropp, SIAM Rev. 53, 217 (2011)): a Gaussian
+sketch of at least ``_SKETCH_MIN`` columns from a fixed seed, so reruns are
+byte-identical, is doubled until its smallest amplitude reaches the noise
+floor, or replaced by the dense SVD once it would span more than a sixteenth
+of the grid.  Every mode beyond the sketch has r ~ 0 and enters the squeezer
+only through the exact identity part of its Bogoliubov transformation.
 """
 
 from __future__ import annotations
@@ -23,6 +31,20 @@ from .errors import ConfigurationError, GridTruncationError, NumericsError
 
 _LOG10_E = float(np.log10(np.e))
 _LN10 = float(np.log(10.0))
+
+_SKETCH_MIN = 48
+_SKETCH_SEED = 20110531
+_POWER_STEPS = 2
+# an amplitude at or below this fraction of lambda_1 is round-off of the SVD
+_NOISE_FLOOR = 1e-14
+# a sketch of k columns costs about 2k/n of the dense SVD; past this share of
+# the grid the rungs a high-rank amplitude fails on cost more than they save
+_SKETCH_MAX_SHARE = 0.0625
+# relative magnitude gap below which two samples tie for a mode's peak
+_PEAK_TIE = 1e-8
+# the first mode's squeezed variance e^(-2r) is a difference of terms of size
+# cosh(2r); beyond this r it falls below their round-off eps * cosh(2r)
+_R_MAX = 0.25 * float(np.log(2.0 / np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -115,12 +137,12 @@ class SchmidtData:
     """Broadband-mode decomposition of a joint spectral amplitude.
 
     ``signal_modes`` / ``idler_modes`` hold one mode function per row for the
-    complete discrete spectrum (all singular triples of the sampled
-    amplitude); ``n_retained`` marks how many leading modes the analysis
-    reports on and ``tail_weight`` is the spectral weight
-    sum_{k > n_retained} lambda_k^2 beyond them.  ``r_values`` are the
-    gain-scaled squeezing parameters r_k = B * lambda_k, present only after
-    :func:`apply_gain`.
+    leading singular triples of the sampled amplitude, down to the noise
+    floor (amplitudes below it are dropped: their r is zero to round-off);
+    ``n_retained`` marks how many leading modes the analysis reports on and
+    ``tail_weight`` is the spectral weight sum_{k > n_retained} lambda_k^2
+    beyond them.  ``r_values`` are the gain-scaled squeezing parameters
+    r_k = B * lambda_k, present only after :func:`apply_gain`.
     """
 
     grid: FrequencyGrid
@@ -133,7 +155,7 @@ class SchmidtData:
 
     @property
     def n_modes(self) -> int:
-        """Total number of decomposed modes (the full discrete spectrum)."""
+        """Number of decomposed modes (the rows of the mode arrays)."""
         return len(self.lambdas)
 
     def require_gain(self) -> np.ndarray:
@@ -184,12 +206,34 @@ def build_gaussian_jsa(
 
 def _fix_phases(signal: np.ndarray, idler: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Rotate each signal mode so its largest-magnitude sample is real positive;
-    # the paired idler mode absorbs the compensating phase.
-    idx = np.argmax(np.abs(signal), axis=1)
+    # the paired idler mode absorbs the compensating phase.  Samples within
+    # _PEAK_TIE of the peak count as ties and the highest-frequency one wins,
+    # so the two mirror peaks of an odd mode on a symmetric grid fix the same
+    # sign whichever SVD routine produced the mode.
+    mag = np.abs(signal)[:, ::-1]
+    peak = np.max(mag, axis=1, keepdims=True)
+    idx = signal.shape[1] - 1 - np.argmax(mag >= peak * (1.0 - _PEAK_TIE), axis=1)
     lead = signal[np.arange(signal.shape[0]), idx]
     mag = np.abs(lead)
     phase = np.where(mag > 0, lead / np.where(mag > 0, mag, 1.0), 1.0)
     return signal / phase[:, None], idler * phase[:, None]
+
+
+def _svd_failure(values: np.ndarray) -> NumericsError:
+    v = np.asarray(values)
+    return NumericsError(
+        f"SVD failed to converge (matrix {v.shape}, max|f|={np.max(np.abs(v)):.3e}, "
+        f"any NaN: {bool(np.any(np.isnan(v)))})"
+    )
+
+
+def _quadrature_modes(
+    u: np.ndarray, s: np.ndarray, vh: np.ndarray, dw: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    signal = u.T / np.sqrt(dw)
+    idler = vh.conj() / np.sqrt(dw)
+    signal, idler = _fix_phases(signal, idler)
+    return s, signal, idler
 
 
 def quadrature_svd(
@@ -206,32 +250,61 @@ def quadrature_svd(
     try:
         u, s, vh = np.linalg.svd(np.asarray(values) * dw)
     except np.linalg.LinAlgError as exc:
-        v = np.asarray(values)
-        raise NumericsError(
-            f"SVD failed to converge (matrix {v.shape}, max|f|={np.max(np.abs(v)):.3e}, "
-            f"any NaN: {bool(np.any(np.isnan(v)))})"
-        ) from exc
-    signal = u.T / np.sqrt(dw)
-    idler = vh.conj() / np.sqrt(dw)
-    signal, idler = _fix_phases(signal, idler)
-    return s, signal, idler
+        raise _svd_failure(values) from exc
+    return _quadrature_modes(u, s, vh, dw)
+
+
+def _orthonormal_range(m: np.ndarray) -> np.ndarray:
+    q, _ = np.linalg.qr(m)
+    return q
+
+
+def _sketched_svd(
+    a: np.ndarray, k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leading ``k`` singular triples of ``a`` by randomized subspace iteration.
+
+    Every multiply by ``a`` or its adjoint is followed by a QR
+    re-orthonormalization; without it the power steps collapse the sketch
+    onto the first few modes and the weaker ones lose all precision.
+    """
+    q = _orthonormal_range(a @ rng.standard_normal((a.shape[1], k)))
+    for _ in range(_POWER_STEPS):
+        q = _orthonormal_range(a @ _orthonormal_range(a.conj().T @ q))
+    ub, s, vh = np.linalg.svd(q.conj().T @ a, full_matrices=False)
+    return q @ ub, s, vh
 
 
 def schmidt_decompose(jsa: JsaMatrix, n_retained: int = 10) -> SchmidtData:
-    """Decompose a normalized amplitude into broadband mode pairs.
+    """Decompose a normalized amplitude into its leading broadband mode pairs.
 
-    The complete discrete spectrum is kept (it is needed to represent the
-    squeezer exactly on the grid); ``n_retained`` only marks the modes the
-    analysis reports on.  Amplitudes are descending and satisfy
+    The sketch starts at max(48, n_retained) modes and doubles until its
+    smallest amplitude is at the noise floor (<= 1e-14 lambda_1); once it
+    would exceed n/16 modes the exact dense SVD is taken instead, so small
+    grids and high-rank amplitudes keep all n modes.  ``n_retained`` marks
+    the modes the analysis reports on.  Amplitudes are descending and satisfy
     sum lambda^2 = 1 to 1e-10.
     """
-    if not 1 <= n_retained <= jsa.grid.n_points:
-        raise ConfigurationError(
-            f"n_retained must lie in [1, {jsa.grid.n_points}], got {n_retained}"
-        )
-    lambdas, signal, idler = quadrature_svd(jsa.values, jsa.grid)
+    n = jsa.grid.n_points
+    if not 1 <= n_retained <= n:
+        raise ConfigurationError(f"n_retained must lie in [1, {n}], got {n_retained}")
+    dw = jsa.grid.d_omega
+    a = np.asarray(jsa.values) * dw
+    rng = np.random.default_rng(_SKETCH_SEED)
+    k = max(_SKETCH_MIN, n_retained)
+    try:
+        while k <= _SKETCH_MAX_SHARE * n:
+            u, s, vh = _sketched_svd(a, k, rng)
+            if s[-1] <= _NOISE_FLOOR * s[0]:
+                break
+            k *= 2
+        else:
+            u, s, vh = np.linalg.svd(a)
+    except np.linalg.LinAlgError as exc:
+        raise _svd_failure(jsa.values) from exc
+    lambdas, signal, idler = _quadrature_modes(u, s, vh, dw)
     total = float(np.sum(lambdas**2))
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:
         raise NumericsError(f"Schmidt amplitudes violate Parseval: sum lambda^2 = {total!r}")
     tail = float(np.sum(lambdas[n_retained:] ** 2))
     return SchmidtData(
@@ -245,10 +318,20 @@ def schmidt_decompose(jsa: JsaMatrix, n_retained: int = 10) -> SchmidtData:
 
 
 def apply_gain(schmidt: SchmidtData, gain_b: float) -> SchmidtData:
-    """Scale the mode amplitudes by the optical gain: r_k = B * lambda_k."""
-    if gain_b < 0:
+    """Scale the mode amplitudes by the optical gain: r_k = B * lambda_k.
+
+    Raises ``NumericsError`` when r_1 is so large (about 80 dB) that the
+    squeezed variance e^(-2 r_1) is lost in the round-off of the covariance.
+    """
+    if not gain_b >= 0:
         raise ConfigurationError(f"gain must be >= 0, got {gain_b}")
-    return replace(schmidt, r_values=gain_b * schmidt.lambdas)
+    r = gain_b * schmidt.lambdas
+    if r[0] > _R_MAX:
+        raise NumericsError(
+            f"squeezing parameter r_1 = {r[0]:.4g} exceeds {_R_MAX:.4g}: "
+            "the squeezed variance is below double-precision round-off"
+        )
+    return replace(schmidt, r_values=r)
 
 
 def squeezing_db(r) -> float | np.ndarray:

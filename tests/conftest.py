@@ -3,6 +3,8 @@ import pytest
 
 import pdcfilter as pf
 
+from oracles import dense_uv_kernels, full_schmidt
+
 
 @pytest.fixture(scope="session")
 def grid100():
@@ -43,16 +45,21 @@ def reference_wide(wide_grid):
     return _reference_state(wide_grid)
 
 
+def _dense_kernels(reference):
+    jsa, _, gain = reference
+    lambdas, signal, idler = full_schmidt(jsa)
+    return dense_uv_kernels(signal, idler, gain * lambdas)
+
+
 @pytest.fixture(scope="session")
 def kernels_200(reference_200):
-    _, schmidt, _ = reference_200
-    return pf.build_uv_kernels(schmidt)
+    """Dense oracle kernels of the 200-point reference state at 6 dB."""
+    return _dense_kernels(reference_200)
 
 
 @pytest.fixture(scope="session")
 def kernels_100(reference_100):
-    _, schmidt, _ = reference_100
-    return pf.build_uv_kernels(schmidt)
+    return _dense_kernels(reference_100)
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,9 @@ recurrences, Wick contractions) rather than through the library's own code
 paths, so that agreement is meaningful.
 """
 
+import dataclasses
+from dataclasses import dataclass
+
 import numpy as np
 
 # closed-form constants for the reference double Gaussian (widths 6 and 2)
@@ -50,6 +53,57 @@ def lossy_epr_block(eta: float, r: float) -> np.ndarray:
             [off, 0.0, diag, 0.0],
             [0.0, -off, 0.0, diag],
         ]
+    )
+
+
+def full_schmidt(jsa):
+    """Complete discrete Schmidt family (lambdas, signal, idler) by a dense SVD.
+
+    Modes are rows, normalized under the d_omega quadrature; no phase
+    convention is applied (the dense kernels below do not depend on it).
+    """
+    dw = jsa.grid.d_omega
+    u, s, vh = np.linalg.svd(np.asarray(jsa.values) * dw)
+    return s, u.T / np.sqrt(dw), vh.conj() / np.sqrt(dw)
+
+
+@dataclass(frozen=True)
+class DenseKernels:
+    """Two-frequency Bogoliubov kernels of the squeezer as n x n matrices."""
+
+    u_signal: np.ndarray
+    u_idler: np.ndarray
+    v_signal: np.ndarray
+    v_idler: np.ndarray
+
+
+def dense_uv_kernels(signal_modes, idler_modes, r_values) -> DenseKernels:
+    """Kernels summed over a mode family: U = Psi^H cosh(r) Psi, V = Psi^H sinh(r) Phi^*.
+
+    Over the complete family of :func:`full_schmidt` the cosh sums complete
+    the beam-splitter part to the grid identity, so the kernels are exact.
+    """
+    psi, phi = np.asarray(signal_modes), np.asarray(idler_modes)
+    ch, sh = np.cosh(r_values), np.sinh(r_values)
+    return DenseKernels(
+        u_signal=(psi.conj().T * ch) @ psi,
+        u_idler=(phi.conj().T * ch) @ phi,
+        v_signal=(psi.conj().T * sh) @ phi.conj(),
+        v_idler=(phi.conj().T * sh) @ psi.conj(),
+    )
+
+
+def dense_projections(proj, kernels: DenseKernels):
+    """``proj`` with its u/v rows recomputed by contraction with dense kernels."""
+    dw = proj.grid.d_omega
+    fa = proj.basis.signal_fns * proj.filter_signal.transmission
+    gb = proj.basis.idler_fns * proj.filter_idler.transmission
+    return dataclasses.replace(
+        proj,
+        u_signal=dw * (fa @ kernels.u_signal),
+        v_signal=dw * (fa @ kernels.v_signal),
+        u_idler=dw * (gb @ kernels.u_idler),
+        v_idler=dw * (gb @ kernels.v_idler),
     )
 
 

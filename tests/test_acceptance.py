@@ -37,7 +37,7 @@ def state_200(grid200):
     schmidt = pf.schmidt_decompose(jsa, n_retained=10)
     gain = pf.gain_for_target_db(schmidt, 6.0)
     schmidt = pf.apply_gain(schmidt, gain)
-    return jsa, schmidt, gain, pf.build_uv_kernels(schmidt)
+    return jsa, schmidt, gain
 
 
 def test_criterion_1_unfiltered_analytic_limit():
@@ -79,7 +79,7 @@ def test_criterion_1_unfiltered_analytic_limit():
     "passes on a window that holds the modes (companion test below)",
 )
 def test_criterion_1_geometric_db_stated_bounds(state_200):
-    _, schmidt, _, _ = state_200
+    _, schmidt, _ = state_200
     dbs = pf.squeezing_db(schmidt.r_values[:5])
     expected = np.array([6.0, 3.0, 1.5, 0.75, 0.375])
     assert np.max(np.abs(dbs - expected)) < 0.01
@@ -107,10 +107,10 @@ def test_criterion_1_geometric_db_wide_window():
 
 
 def test_criterion_2_vacuum_limit(state_200):
-    _, schmidt, _, kernels = state_200
+    _, schmidt, _ = state_200
     block = pf.make_blocking_filter(schmidt.grid)
     basis = pf.MeasurementBasis.from_schmidt(schmidt, 5)
-    proj = pf.filtered_projections(schmidt, block, block, basis, kernels=kernels)
+    proj = pf.filtered_projections(schmidt, block, block, basis)
     cov = pf.assemble_covariance(proj)
     _register("criterion2_vacuum", cov)
     dev = float(np.max(np.abs(cov.sigma - 0.5 * np.eye(20))))
@@ -122,10 +122,10 @@ def test_criterion_2_vacuum_limit(state_200):
 
 @pytest.mark.parametrize("eta", [0.25, 0.5, 0.9])
 def test_criterion_3_flat_loss_equivalence(state_200, eta):
-    _, schmidt, _, kernels = state_200
+    _, schmidt, _ = state_200
     flat = pf.make_flat_filter(math.sqrt(eta), schmidt.grid)
     basis = pf.MeasurementBasis.from_schmidt(schmidt, 5)
-    proj = pf.filtered_projections(schmidt, flat, flat, basis, kernels=kernels)
+    proj = pf.filtered_projections(schmidt, flat, flat, basis)
     cov = pf.assemble_covariance(proj)
     _register(f"criterion3_flat_{eta}", cov)
     err = 0.0
@@ -140,10 +140,10 @@ def test_criterion_3_flat_loss_equivalence(state_200, eta):
 
 
 def test_criterion_4_parity_decoupling(state_200):
-    _, schmidt, _, kernels = state_200
+    _, schmidt, _ = state_200
     rect = pf.make_rect_filter(0.0, 4.0, schmidt.grid)
     basis = pf.MeasurementBasis.from_schmidt(schmidt, 5)
-    proj = pf.filtered_projections(schmidt, rect, rect, basis, kernels=kernels)
+    proj = pf.filtered_projections(schmidt, rect, rect, basis)
     cov = pf.assemble_covariance(proj)
     _register("criterion4_parity", cov)
     odd_even = 0.0
@@ -161,7 +161,7 @@ def test_criterion_4_parity_decoupling(state_200):
 
 
 def test_criterion_5_uniform_gain_loss_basis(state_200):
-    _, schmidt, _, _ = state_200
+    _, schmidt, _ = state_200
     uniform = dataclasses.replace(
         schmidt,
         idler_modes=schmidt.signal_modes,
@@ -193,22 +193,22 @@ def test_criterion_5_uniform_gain_loss_basis(state_200):
     )
 
 
-def test_criterion_6_optimizer_agreement(reference_100, kernels_100, rect4_100):
+def test_criterion_6_optimizer_agreement(reference_100, rect4_100):
     start = time.perf_counter()
     jsa, schmidt, gain = reference_100
     grid = schmidt.grid
 
     eff = pf.svd_effective_basis(jsa, gain, rect4_100, rect4_100, n_retained=3)
     eff_basis = pf.MeasurementBasis(eff.signal_modes[:3], eff.idler_modes[:3], grid)
-    proj = pf.filtered_projections(schmidt, rect4_100, rect4_100, eff_basis, kernels=kernels_100)
+    proj = pf.filtered_projections(schmidt, rect4_100, rect4_100, eff_basis)
     svd_cov = pf.assemble_covariance(proj)
     _register("criterion6_svd_basis", svd_cov)
     svd_dbs = np.array([e.squeezing_db for e in pf.squeezing_report(svd_cov)])
 
-    ctx = pf.make_state_context(schmidt, rect4_100, rect4_100, kernels=kernels_100)
+    ctx = pf.make_state_context(schmidt, rect4_100, rect4_100)
     result = pf.ga_optimize_basis(ctx, 3, pf.GaParams(rng_seed=2024))
     ga_basis = pf.MeasurementBasis.from_shared(result.modes, grid)
-    ga_proj = pf.filtered_projections(schmidt, rect4_100, rect4_100, ga_basis, kernels=kernels_100)
+    ga_proj = pf.filtered_projections(schmidt, rect4_100, rect4_100, ga_basis)
     ga_cov = pf.assemble_covariance(ga_proj)
     _register("criterion6_ga_basis", ga_cov)
     ga_dbs = np.array([e.squeezing_db for e in pf.squeezing_report(ga_cov)])

@@ -6,7 +6,7 @@ import pytest
 import pdcfilter as pf
 from pdcfilter.errors import ConfigurationError
 
-from oracles import lossy_epr_block
+from oracles import full_schmidt, lossy_epr_block
 
 
 def _basis_from_effective(eff, n):
@@ -19,8 +19,9 @@ class TestSvdEffectiveBasis:
         ident = pf.make_identity_filter(schmidt.grid)
         eff = pf.svd_effective_basis(jsa, gain, ident, ident, n_retained=8)
         assert np.max(np.abs(eff.r_primes[:8] - schmidt.r_values[:8])) < 1e-12
-        # same routine, same phase convention: modes must coincide exactly
+        # same amplitudes, same phase convention: modes must coincide exactly
         assert np.max(np.abs(eff.signal_modes[:8] - schmidt.signal_modes[:8])) < 1e-9
+        assert np.max(np.abs(eff.idler_modes[:8] - schmidt.idler_modes[:8])) < 1e-9
 
     def test_modes_confined_to_passband(self, reference_200, rect4_200):
         jsa, schmidt, gain = reference_200
@@ -47,29 +48,28 @@ class TestSvdEffectiveBasis:
             eff = pf.svd_effective_basis(jsa, gain, filt_a, filt_b, n_retained=10)
             assert np.all(eff.r_primes[:10] <= schmidt.r_values[:10] + 1e-12)
 
-    def test_squeezing_concentrates_in_first_mode(self, reference_200, kernels_200, rect4_200):
+    def test_squeezing_concentrates_in_first_mode(self, reference_200, rect4_200):
         jsa, schmidt, gain = reference_200
         eff = pf.svd_effective_basis(jsa, gain, rect4_200, rect4_200, n_retained=5)
         proj_eff = pf.filtered_projections(
-            schmidt, rect4_200, rect4_200, _basis_from_effective(eff, 5), kernels=kernels_200
+            schmidt, rect4_200, rect4_200, _basis_from_effective(eff, 5)
         )
         proj_orig = pf.filtered_projections(
             schmidt,
             rect4_200,
             rect4_200,
             pf.MeasurementBasis.from_schmidt(schmidt, 5),
-            kernels=kernels_200,
         )
         rep_eff = pf.squeezing_report(pf.assemble_covariance(proj_eff))
         rep_orig = pf.squeezing_report(pf.assemble_covariance(proj_orig))
         assert rep_eff[0].squeezing_db > rep_orig[0].squeezing_db
         assert pf.single_mode_character(rep_eff) > pf.single_mode_character(rep_orig)
 
-    def test_cross_correlations_suppressed(self, reference_200, kernels_200, rect4_200):
+    def test_cross_correlations_suppressed(self, reference_200, rect4_200):
         jsa, schmidt, gain = reference_200
         eff = pf.svd_effective_basis(jsa, gain, rect4_200, rect4_200, n_retained=5)
         proj = pf.filtered_projections(
-            schmidt, rect4_200, rect4_200, _basis_from_effective(eff, 5), kernels=kernels_200
+            schmidt, rect4_200, rect4_200, _basis_from_effective(eff, 5)
         )
         cov = pf.assemble_covariance(proj)
         off_norm = 0.0
@@ -80,17 +80,20 @@ class TestSvdEffectiveBasis:
         # residual couplings are small against the first-mode squeezing scale
         assert off_norm < 0.05 * float(np.max(np.abs(cov.block(1))))
 
-    def test_purity_agrees_under_full_completion(self, reference_100, kernels_100, rect4_100):
-        # purity is basis independent once both bases span the whole grid
+    def test_purity_agrees_under_full_completion(self, reference_100, rect4_100):
+        # purity is basis independent once both bases span the whole grid;
+        # the decomposition keeps only the excited modes, so the complete
+        # Schmidt family comes from the dense oracle
         jsa, schmidt, gain = reference_100
         n = schmidt.grid.n_points
         eff = pf.svd_effective_basis(jsa, gain, rect4_100, rect4_100, n_retained=n)
+        _, signal, idler = full_schmidt(jsa)
         p = {}
         for label, basis in (
-            ("schmidt", pf.MeasurementBasis.from_schmidt(schmidt, n)),
+            ("schmidt", pf.MeasurementBasis(signal, idler, schmidt.grid)),
             ("effective", _basis_from_effective(eff, n)),
         ):
-            proj = pf.filtered_projections(schmidt, rect4_100, rect4_100, basis, kernels=kernels_100)
+            proj = pf.filtered_projections(schmidt, rect4_100, rect4_100, basis)
             p[label] = pf.purity(pf.assemble_covariance(proj))
         assert p["schmidt"] == pytest.approx(p["effective"], abs=1e-8)
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,9 @@ from pdcfilter.cli import (
     validate,
 )
 from pdcfilter.errors import ConfigurationError
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+_MAIN = "import sys; from pdcfilter.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 class TestConfigParsing:
@@ -71,6 +78,25 @@ class TestConfigParsing:
         path.write_text("gain_b = 0.5\n")
         config = build_config(path)
         assert config.gain_b == 0.5 and config.target_db is None
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"filter_width": math.nan},
+            {"omega_max": math.inf},
+            {"target_db": -math.inf},
+            {"sweep_widths": (1.0, math.nan)},
+        ],
+    )
+    def test_non_finite_floats_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError, match="finite"):
+            RunConfig(**kwargs)
+
+    def test_threads_key_removed(self, tmp_path):
+        path = tmp_path / "old.cfg"
+        path.write_text("threads = 2\n")
+        with pytest.raises(ConfigurationError):
+            parse_config_file(path)
 
     def test_sweep_lists_must_increase(self):
         with pytest.raises(ConfigurationError):
@@ -227,10 +253,6 @@ class TestSweep:
             smc = [r.single_mode_character for r in curve]
             assert all(a >= b for a, b in zip(smc, smc[1:]))
 
-    def test_threads_match_serial(self, records):
-        parallel = sweep_tradeoff(RunConfig(n_retained=8, threads=4))
-        assert parallel == records
-
     def test_failed_point_recorded_and_sweep_continues(self, monkeypatch):
         import pdcfilter.cli as cli
 
@@ -248,6 +270,14 @@ class TestSweep:
         assert "synthetic failure" in failed[0].error
         assert math.isnan(failed[0].purity)
         assert len(records) == 8
+
+    def test_refused_gain_fails_only_its_points(self):
+        records = sweep_tradeoff(
+            RunConfig(n_points=50, sweep_widths=(2.0, 4.0), sweep_target_dbs=(6.0, 1e6))
+        )
+        failed = [r for r in records if r.error]
+        assert len(records) == 4 and len(failed) == 2
+        assert all(r.error.startswith("NumericsError") for r in failed)
 
     def test_tradeoff_csv(self, tmp_path, records):
         config = RunConfig(n_retained=8)
@@ -271,7 +301,7 @@ class TestMainEntry:
     def test_sweep_verb(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("n_retained = 4\nsweep_widths = 4, 20\nsweep_target_dbs = 6\n")
-        code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"), "--threads", "2"])
+        code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 0
         assert (tmp_path / "out" / "tradeoff.csv").exists()
 
@@ -299,6 +329,33 @@ class TestMainEntry:
 
         monkeypatch.setattr(cli, "run_single", boom)
         assert main(["run", "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize(
+        "line, code",
+        [
+            ("target_db = nan", 1),
+            ("target_db = 1e6", 2),
+            ("target_db = 200", 2),
+            ("filter_width = nan", 1),
+        ],
+    )
+    def test_bad_float_exits_with_one_line(self, tmp_path, line, code):
+        # a real process, so stderr is exactly what a user sees
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"n_points = 50\n{line}\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(_SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _MAIN, "run", "--config", str(cfg), "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(("configuration error:", "numerical error:"))
+        assert "run complete" not in proc.stdout
 
     def test_io_error_exit_code(self, tmp_path):
         target = tmp_path / "blocked"

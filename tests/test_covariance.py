@@ -4,9 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdcfilter as pf
-from pdcfilter.errors import ConfigurationError, PhysicalityError
+from pdcfilter.errors import ConfigurationError, NumericsError, PhysicalityError
 
-from oracles import lossy_epr_block, wick_covariance
+from oracles import (
+    dense_projections,
+    dense_uv_kernels,
+    full_schmidt,
+    lossy_epr_block,
+    wick_covariance,
+)
 
 
 class TestAnalyticBlock:
@@ -54,6 +60,10 @@ class TestSymplectics:
         with pytest.raises(ConfigurationError):
             pf.symplectic_eigenvalues(bad)
 
+    def test_non_finite_raises_numerics_error(self):
+        with pytest.raises(NumericsError):
+            pf.symplectic_eigenvalues(np.full((4, 4), np.nan))
+
     def test_symplectic_form_structure(self):
         omega = pf.symplectic_form(2)
         assert np.array_equal(omega[:2, :2], [[0, 1], [-1, 0]])
@@ -61,11 +71,11 @@ class TestSymplectics:
 
 
 class TestAssembleCovariance:
-    def test_unfiltered_blocks_match_analytic(self, reference_200, kernels_200):
+    def test_unfiltered_blocks_match_analytic(self, reference_200):
         _, schmidt, _ = reference_200
         ident = pf.make_identity_filter(schmidt.grid)
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 5)
-        proj = pf.filtered_projections(schmidt, ident, ident, basis, kernels=kernels_200)
+        proj = pf.filtered_projections(schmidt, ident, ident, basis)
         cov = pf.assemble_covariance(proj)
         for k in range(1, 6):
             expected = pf.analytic_epr_block(schmidt.r_values[k - 1])
@@ -74,31 +84,31 @@ class TestAssembleCovariance:
                 if l != k:
                     assert np.max(np.abs(cov.block(k, l))) < 1e-9
 
-    def test_blocking_gives_vacuum(self, reference_200, kernels_200):
+    def test_blocking_gives_vacuum(self, reference_200):
         _, schmidt, _ = reference_200
         block = pf.make_blocking_filter(schmidt.grid)
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 5)
-        proj = pf.filtered_projections(schmidt, block, block, basis, kernels=kernels_200)
+        proj = pf.filtered_projections(schmidt, block, block, basis)
         cov = pf.assemble_covariance(proj)
         assert np.max(np.abs(cov.sigma - 0.5 * np.eye(20))) < 1e-12
 
     @pytest.mark.parametrize("eta", [0.25, 0.5, 0.9])
-    def test_flat_loss_equals_beam_splitter(self, reference_200, kernels_200, eta):
+    def test_flat_loss_equals_beam_splitter(self, reference_200, eta):
         # flat filtering must reduce to ordinary loss, mode structure untouched
         _, schmidt, _ = reference_200
         flat = pf.make_flat_filter(np.sqrt(eta), schmidt.grid)
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 5)
-        proj = pf.filtered_projections(schmidt, flat, flat, basis, kernels=kernels_200)
+        proj = pf.filtered_projections(schmidt, flat, flat, basis)
         cov = pf.assemble_covariance(proj)
         for k in range(1, 6):
             expected = lossy_epr_block(eta, schmidt.r_values[k - 1])
             assert np.max(np.abs(cov.block(k) - expected)) < 1e-9
 
-    def test_parity_selection_of_cross_blocks(self, reference_200, kernels_200, rect4_200):
+    def test_parity_selection_of_cross_blocks(self, reference_200, rect4_200):
         # symmetric filter couples only equal-parity modes: 1-3 yes, 1-2/2-3 no
         _, schmidt, _ = reference_200
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 3)
-        proj = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis, kernels=kernels_200)
+        proj = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis)
         cov = pf.assemble_covariance(proj)
         assert np.max(np.abs(cov.block(1, 2))) < 1e-9
         assert np.max(np.abs(cov.block(2, 3))) < 1e-9
@@ -124,19 +134,19 @@ class TestAssembleCovariance:
         assert passed, lowest
         assert np.max(np.abs(cov.sigma - wick_covariance(proj))) < 1e-12
 
-    def test_against_wick_oracle(self, reference_200, kernels_200, rect4_200):
+    def test_against_wick_oracle(self, reference_200, rect4_200):
         _, schmidt, _ = reference_200
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 4)
-        proj = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis, kernels=kernels_200)
+        proj = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis)
         cov = pf.assemble_covariance(proj)
         oracle = wick_covariance(proj)
         assert np.max(np.abs(cov.sigma - oracle)) < 1e-12
 
-    def test_wick_oracle_on_gauss_filter(self, reference_200, kernels_200):
+    def test_wick_oracle_on_gauss_filter(self, reference_200):
         _, schmidt, _ = reference_200
         gauss = pf.make_gauss_filter(0.5, 3.0, schmidt.grid)
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 3)
-        proj = pf.filtered_projections(schmidt, gauss, gauss, basis, kernels=kernels_200)
+        proj = pf.filtered_projections(schmidt, gauss, gauss, basis)
         cov = pf.assemble_covariance(proj)
         assert np.max(np.abs(cov.sigma - wick_covariance(proj))) < 1e-12
 
@@ -158,20 +168,23 @@ class TestAssembleCovariance:
         assert np.max(np.abs(pf.commutator_defects(proj))) < 1e-12
         assert 0 < pf.purity(cov) <= 1 + 1e-12
 
-    def test_symmetry_and_asymmetry_diagnostic(self, reference_200, kernels_200, rect4_200):
+    def test_symmetry_and_asymmetry_diagnostic(self, reference_200, rect4_200):
         _, schmidt, _ = reference_200
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 4)
-        proj = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis, kernels=kernels_200)
+        proj = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis)
         cov = pf.assemble_covariance(proj)
         assert np.array_equal(cov.sigma, cov.sigma.T)
         assert cov.asymmetry < 1e-12
 
     def test_truncated_kernels_raise_physicality(self, reference_200, rect4_200):
         # dropping the identity completion starves the measured modes of vacuum
-        _, schmidt, _ = reference_200
-        kernels = pf.build_uv_kernels(schmidt, n_modes=10)
+        jsa, schmidt, gain = reference_200
+        lambdas, signal, idler = full_schmidt(jsa)
+        kernels = dense_uv_kernels(signal[:10], idler[:10], gain * lambdas[:10])
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 5)
-        proj = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis, kernels=kernels)
+        proj = dense_projections(
+            pf.filtered_projections(schmidt, rect4_200, rect4_200, basis), kernels
+        )
         with pytest.raises(PhysicalityError) as err:
             pf.assemble_covariance(proj)
         assert err.value.min_symplectic_eigenvalue < 0.5 - 1e-6
@@ -185,20 +198,20 @@ class TestAssembleCovariance:
         cov = pf.assemble_covariance(proj)
         assert pf.purity(cov) == pytest.approx(1.0, abs=1e-9)
 
-    def test_n_modes_subselection(self, reference_200, kernels_200):
+    def test_n_modes_subselection(self, reference_200):
         _, schmidt, _ = reference_200
         ident = pf.make_identity_filter(schmidt.grid)
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 5)
-        proj = pf.filtered_projections(schmidt, ident, ident, basis, kernels=kernels_200)
+        proj = pf.filtered_projections(schmidt, ident, ident, basis)
         cov = pf.assemble_covariance(proj, n_modes=2)
         assert cov.sigma.shape == (8, 8)
 
 
 class TestCsvRoundTrip:
-    def test_exact_roundtrip(self, tmp_path, reference_200, kernels_200, rect4_200):
+    def test_exact_roundtrip(self, tmp_path, reference_200, rect4_200):
         _, schmidt, _ = reference_200
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 3)
-        proj = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis, kernels=kernels_200)
+        proj = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis)
         cov = pf.assemble_covariance(proj)
         path = tmp_path / "cov.csv"
         pf.write_covariance_csv(cov, path)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 import pdcfilter as pf
 from pdcfilter.errors import ConfigurationError
+
+from oracles import dense_projections, dense_uv_kernels, full_schmidt
 
 
 class TestFilterFactories:
@@ -92,35 +96,24 @@ class TestMeasurementBasis:
 
 
 class TestUvKernels:
+    """The dense oracle kernels, which the factored projections are checked against."""
+
     def test_zero_gain_full_kernel_is_identity(self, reference_200):
         # all cosh(r)=1 terms over the complete mode family sum to the grid delta
-        _, schmidt, _ = reference_200
-        zero = pf.apply_gain(schmidt, 0.0)
-        kernels = pf.build_uv_kernels(zero)
+        jsa, schmidt, _ = reference_200
+        lambdas, signal, idler = full_schmidt(jsa)
+        kernels = dense_uv_kernels(signal, idler, 0.0 * lambdas)
         dw = schmidt.grid.d_omega
         n = schmidt.grid.n_points
         assert np.max(np.abs(kernels.u_signal - np.eye(n) / dw)) < 1e-9 / dw
         assert np.max(np.abs(kernels.v_signal)) < 1e-12
-        assert kernels.truncation_bound == 0.0
-
-    def test_zero_gain_truncated_kernel_is_projector(self, reference_200):
-        _, schmidt, _ = reference_200
-        zero = pf.apply_gain(schmidt, 0.0)
-        kernels = pf.build_uv_kernels(zero, n_modes=5)
-        psi = schmidt.signal_modes[:5]
-        assert np.max(np.abs(kernels.u_signal - psi.conj().T @ psi)) < 1e-12
-        assert kernels.truncation_bound == pytest.approx(
-            float(np.sum(schmidt.lambdas[5:] ** 2)), abs=0
-        )
 
     def test_single_mode_gain(self, reference_200):
-        _, schmidt, _ = reference_200
-        import dataclasses
-
-        r = np.zeros_like(schmidt.lambdas)
+        jsa, schmidt, _ = reference_200
+        lambdas, signal, idler = full_schmidt(jsa)
+        r = np.zeros_like(lambdas)
         r[0] = 0.9
-        single = dataclasses.replace(schmidt, r_values=r)
-        kernels = pf.build_uv_kernels(single)
+        kernels = dense_uv_kernels(signal, idler, r)
         psi0, phi0 = schmidt.signal_modes[0], schmidt.idler_modes[0]
         expected_v = np.sinh(0.9) * np.outer(psi0.conj(), phi0.conj())
         assert np.max(np.abs(kernels.v_signal - expected_v)) < 1e-10
@@ -135,12 +128,55 @@ class TestUvKernels:
             assert abs(val - np.cosh(schmidt.r_values[k])) < 1e-10
 
 
+def _complex_basis(grid, n_modes, seed=5):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((grid.n_points, n_modes)) + 1j * rng.standard_normal(
+        (grid.n_points, n_modes)
+    )
+    q, _ = np.linalg.qr(z)
+    return pf.MeasurementBasis(q.T / np.sqrt(grid.d_omega), q.T[::-1] / np.sqrt(grid.d_omega), grid)
+
+
+_FILTERS = {
+    "identity": lambda g: pf.make_identity_filter(g),
+    "rect": lambda g: pf.make_rect_filter(0.0, 4.0, g),
+    "gauss": lambda g: pf.make_gauss_filter(0.5, 3.0, g),
+    "flat": lambda g: pf.make_flat_filter(0.6, g),
+}
+
+
+class TestFactoredAgainstDense:
+    @pytest.mark.parametrize("kind", sorted(_FILTERS))
+    @pytest.mark.parametrize("target_db", [0.0, 6.0])
+    @pytest.mark.parametrize("basis_kind", ["schmidt", "complex"])
+    def test_projections_and_covariance_match(self, reference_200, kind, target_db, basis_kind):
+        # factored identity-plus-rank-k kernels against dense n x n kernels
+        # summed over the complete mode family
+        jsa, schmidt0, _ = reference_200
+        grid = schmidt0.grid
+        gain = pf.gain_for_target_db(schmidt0, target_db)
+        schmidt = pf.apply_gain(schmidt0, gain)
+        lambdas, signal, idler = full_schmidt(jsa)
+        kernels = dense_uv_kernels(signal, idler, gain * lambdas)
+        filt = _FILTERS[kind](grid)
+        if basis_kind == "schmidt":
+            basis = pf.MeasurementBasis.from_schmidt(schmidt, 5)
+        else:
+            basis = _complex_basis(grid, 5)
+        proj = pf.filtered_projections(schmidt, filt, filt, basis)
+        dense = dense_projections(proj, kernels)
+        for name in ("u_signal", "v_signal", "u_idler", "v_idler"):
+            assert np.max(np.abs(getattr(proj, name) - getattr(dense, name))) < 1e-12
+        sigma = pf.assemble_covariance(proj).sigma
+        assert np.max(np.abs(sigma - pf.assemble_covariance(dense).sigma)) <= 1e-12
+
+
 class TestFilteredProjections:
-    def test_identity_filter_schmidt_basis(self, reference_200, kernels_200):
+    def test_identity_filter_schmidt_basis(self, reference_200):
         _, schmidt, _ = reference_200
         ident = pf.make_identity_filter(schmidt.grid)
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 4)
-        proj = pf.filtered_projections(schmidt, ident, ident, basis, kernels=kernels_200)
+        proj = pf.filtered_projections(schmidt, ident, ident, basis)
         for k in range(4):
             r = schmidt.r_values[k]
             assert np.max(np.abs(proj.u_signal[k] - np.cosh(r) * schmidt.signal_modes[k])) < 1e-10
@@ -149,19 +185,19 @@ class TestFilteredProjections:
             ) < 1e-10
             assert np.max(np.abs(proj.r_signal[k])) == 0.0
 
-    def test_blocking_filter(self, reference_200, kernels_200):
+    def test_blocking_filter(self, reference_200):
         _, schmidt, _ = reference_200
         block = pf.make_blocking_filter(schmidt.grid)
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 3)
-        proj = pf.filtered_projections(schmidt, block, block, basis, kernels=kernels_200)
+        proj = pf.filtered_projections(schmidt, block, block, basis)
         assert np.max(np.abs(proj.u_signal)) == 0.0
         assert np.max(np.abs(proj.v_idler)) == 0.0
         assert np.max(np.abs(proj.r_signal - basis.signal_fns)) == 0.0
 
-    def test_reflected_amplitude_pointwise(self, reference_200, kernels_200, rect4_200):
+    def test_reflected_amplitude_pointwise(self, reference_200, rect4_200):
         _, schmidt, _ = reference_200
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 3)
-        proj = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis, kernels=kernels_200)
+        proj = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis)
         expected = basis.signal_fns * rect4_200.reflection
         assert np.array_equal(proj.r_signal, expected)
 
@@ -177,7 +213,7 @@ class TestFilteredProjections:
         # vectorized contraction against transcription slips
         _, schmidt, _ = reference_200
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 3)
-        proj = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis, kernels=kernels_200)
+        proj = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis)
         dw = schmidt.grid.d_omega
         n = schmidt.grid.n_points
         for k in range(3):
@@ -189,20 +225,30 @@ class TestFilteredProjections:
                 reference[j] = acc * dw
             assert np.max(np.abs(proj.u_signal[k] - reference)) < 1e-12
 
-    def test_commutators_exact_with_full_kernels(self, reference_200, kernels_200, rect4_200):
+    def test_commutators_exact_with_full_kernels(self, reference_200, rect4_200):
         # bosonic commutation constraint: int|u|^2 - int|v|^2 + int|r|^2 = 1
         _, schmidt, _ = reference_200
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 5)
-        proj = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis, kernels=kernels_200)
+        proj = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis)
         assert np.max(np.abs(pf.commutator_defects(proj))) < 1e-12
 
-    def test_contraction_bounds(self, reference_200, kernels_200, rect4_200):
+    def test_commutator_defect_on_idler_arm_caught(self, reference_200, rect4_200):
+        _, schmidt, _ = reference_200
+        basis = pf.MeasurementBasis.from_schmidt(schmidt, 3)
+        proj = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis)
+        bad = dataclasses.replace(proj, u_idler=1.01 * proj.u_idler)
+        defects = pf.commutator_defects(bad)
+        assert defects.shape == (2, 3)
+        assert np.max(np.abs(defects[0])) < 1e-12
+        assert np.min(np.abs(defects[1])) > 1e-3
+
+    def test_contraction_bounds(self, reference_200, rect4_200):
         _, schmidt, _ = reference_200
         dw = schmidt.grid.d_omega
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 5)
         ident = pf.make_identity_filter(schmidt.grid)
-        filtered = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis, kernels=kernels_200)
-        unfiltered = pf.filtered_projections(schmidt, ident, ident, basis, kernels=kernels_200)
+        filtered = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis)
+        unfiltered = pf.filtered_projections(schmidt, ident, ident, basis)
         r_max = float(np.max(schmidt.r_values))
         for k in range(5):
             norm_f = np.sum(np.abs(filtered.u_signal[k]) ** 2) * dw

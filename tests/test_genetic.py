@@ -8,16 +8,16 @@ from pdcfilter.errors import ConfigurationError, NumericsError
 
 
 @pytest.fixture(scope="module")
-def ctx_rect4(reference_100, kernels_100, rect4_100):
+def ctx_rect4(reference_100, rect4_100):
     _, schmidt, _ = reference_100
-    return pf.make_state_context(schmidt, rect4_100, rect4_100, kernels=kernels_100)
+    return pf.make_state_context(schmidt, rect4_100, rect4_100)
 
 
 @pytest.fixture(scope="module")
-def ctx_identity(reference_100, kernels_100):
+def ctx_identity(reference_100):
     _, schmidt, _ = reference_100
     ident = pf.make_identity_filter(schmidt.grid)
-    return pf.make_state_context(schmidt, ident, ident, kernels=kernels_100)
+    return pf.make_state_context(schmidt, ident, ident)
 
 
 def _unit_cols(rng, n, k):
@@ -72,13 +72,13 @@ class TestObjective:
         value = pf.objective_squeezing(ctx_identity, np.real(col)[:, None], 1)
         assert abs(value) < 0.01
 
-    def test_svd_mode_matches_pipeline(self, ctx_rect4, reference_100, kernels_100, rect4_100):
+    def test_svd_mode_matches_pipeline(self, ctx_rect4, reference_100, rect4_100):
         jsa, schmidt, gain = reference_100
         eff = pf.svd_effective_basis(jsa, gain, rect4_100, rect4_100, n_retained=1)
         col = np.real(eff.signal_modes[0]) * np.sqrt(schmidt.grid.d_omega)
         value = pf.objective_squeezing(ctx_rect4, col[:, None], 1)
         basis = pf.MeasurementBasis.from_shared(eff.signal_modes[:1], schmidt.grid)
-        proj = pf.filtered_projections(schmidt, rect4_100, rect4_100, basis, kernels=kernels_100)
+        proj = pf.filtered_projections(schmidt, rect4_100, rect4_100, basis)
         entry = pf.mode_squeezing_db(pf.assemble_covariance(proj), 1)
         assert value == pytest.approx(entry.squeezing_db, abs=1e-10)
 

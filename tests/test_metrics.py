@@ -12,9 +12,9 @@ from pdcfilter.metrics import SqueezingEntry, write_squeezing_csv
 from oracles import R_6DB, lossy_epr_block
 
 
-def _filtered_cov(schmidt, kernels, filt, n_modes):
+def _filtered_cov(schmidt, filt, n_modes):
     basis = pf.MeasurementBasis.from_schmidt(schmidt, n_modes)
-    proj = pf.filtered_projections(schmidt, filt, filt, basis, kernels=kernels)
+    proj = pf.filtered_projections(schmidt, filt, filt, basis)
     return pf.assemble_covariance(proj)
 
 
@@ -54,7 +54,7 @@ class TestModeSqueezing:
         assert entry.squeezing_db == pytest.approx(6.0, abs=1e-9)
         assert entry.combination == "minus"
 
-    def test_sign_flipped_idler_moves_to_plus(self, reference_200, kernels_200):
+    def test_sign_flipped_idler_moves_to_plus(self, reference_200):
         # measuring with an idler mode of opposite sign lands the squeezing in
         # the plus combination; the report must follow it there
         _, schmidt, _ = reference_200
@@ -62,27 +62,27 @@ class TestModeSqueezing:
         flipped = pf.MeasurementBasis(
             schmidt.signal_modes[:1], -schmidt.idler_modes[:1], schmidt.grid
         )
-        proj = pf.filtered_projections(schmidt, ident, ident, flipped, kernels=kernels_200)
+        proj = pf.filtered_projections(schmidt, ident, ident, flipped)
         entry = pf.mode_squeezing_db(pf.assemble_covariance(proj), 1)
         assert entry.combination == "plus"
         assert entry.squeezing_db == pytest.approx(6.0, abs=1e-9)
 
-    def test_own_basis_always_minus(self, reference_200, kernels_200):
+    def test_own_basis_always_minus(self, reference_200):
         # measuring signal and idler in their own decomposition modes cancels
         # the idler sign flips: every pair is a plain minus-squeezed EPR block
         _, schmidt, _ = reference_200
         ident = pf.make_identity_filter(schmidt.grid)
-        cov = _filtered_cov(schmidt, kernels_200, ident, 4)
+        cov = _filtered_cov(schmidt, ident, 4)
         combos = [pf.mode_squeezing_db(cov, k).combination for k in range(1, 5)]
         assert combos == ["minus"] * 4
 
-    def test_shared_basis_alternates_with_idler_parity(self, reference_200, kernels_200):
+    def test_shared_basis_alternates_with_idler_parity(self, reference_200):
         # one common mode set for both arms exposes the idler sign flips:
         # antisymmetric modes squeeze in the plus combination
         _, schmidt, _ = reference_200
         ident = pf.make_identity_filter(schmidt.grid)
         shared = pf.MeasurementBasis.from_shared(schmidt.signal_modes[:4], schmidt.grid)
-        proj = pf.filtered_projections(schmidt, ident, ident, shared, kernels=kernels_200)
+        proj = pf.filtered_projections(schmidt, ident, ident, shared)
         cov = pf.assemble_covariance(proj)
         combos = [pf.mode_squeezing_db(cov, k).combination for k in range(1, 5)]
         assert combos == ["minus", "plus", "minus", "plus"]
@@ -114,9 +114,9 @@ class TestPurity:
     def test_lossy_frozen_values(self, eta, expected):
         assert pf.purity(lossy_epr_block(eta, R_6DB)) == pytest.approx(expected, abs=1e-12)
 
-    def test_det_and_symplectic_routes_agree(self, reference_200, kernels_200, rect4_200):
+    def test_det_and_symplectic_routes_agree(self, reference_200, rect4_200):
         _, schmidt, _ = reference_200
-        cov = _filtered_cov(schmidt, kernels_200, rect4_200, 6)
+        cov = _filtered_cov(schmidt, rect4_200, 6)
         p = pf.purity(cov)
         nu = pf.symplectic_eigenvalues(cov)
         assert p == pytest.approx(float(np.prod(1.0 / (2 * nu))), abs=1e-9)
@@ -153,7 +153,7 @@ class TestSingleModeCharacter:
         # 6 / (3 + 1.5 + 0.75 + 0.375) = 16/15 on a window holding the modes
         _, schmidt, _ = reference_wide
         ident = pf.make_identity_filter(schmidt.grid)
-        cov = _filtered_cov(schmidt, pf.build_uv_kernels(schmidt), ident, 5)
+        cov = _filtered_cov(schmidt, ident, 5)
         smc = pf.single_mode_character(pf.squeezing_report(cov))
         assert smc == pytest.approx(16.0 / 15.0, abs=2e-6)
 
@@ -163,30 +163,30 @@ class TestSingleModeCharacter:
 
 
 class TestInvariants:
-    def test_uncertainty_product(self, reference_200, kernels_200):
+    def test_uncertainty_product(self, reference_200):
         _, schmidt, _ = reference_200
         for width in (2.0, 4.0, 8.0):
             filt = pf.make_rect_filter(0.0, width, schmidt.grid)
-            cov = _filtered_cov(schmidt, kernels_200, filt, 5)
+            cov = _filtered_cov(schmidt, filt, 5)
             for entry in pf.squeezing_report(cov):
                 assert entry.delta2_minus * entry.delta2_plus >= 1 - 1e-9
 
-    def test_first_mode_db_monotone_under_nested_filters(self, reference_200, kernels_200):
+    def test_first_mode_db_monotone_under_nested_filters(self, reference_200):
         _, schmidt, _ = reference_200
         previous = math.inf
         for width in (20.0, 12.0, 8.0, 6.0, 4.0, 3.0, 2.0, 1.0):
             filt = pf.make_rect_filter(0.0, width, schmidt.grid)
-            cov = _filtered_cov(schmidt, kernels_200, filt, 5)
+            cov = _filtered_cov(schmidt, filt, 5)
             first = pf.mode_squeezing_db(cov, 1).squeezing_db
             assert first <= previous + 1e-6
             previous = first
 
-    def test_filtered_never_beats_unfiltered_per_mode(self, reference_200, kernels_200):
+    def test_filtered_never_beats_unfiltered_per_mode(self, reference_200):
         _, schmidt, _ = reference_200
         unfiltered_db = pf.squeezing_db(schmidt.r_values[:5])
         for width in (12.0, 8.0, 6.0, 4.0, 2.0):
             filt = pf.make_rect_filter(0.0, width, schmidt.grid)
-            cov = _filtered_cov(schmidt, kernels_200, filt, 5)
+            cov = _filtered_cov(schmidt, filt, 5)
             dbs = np.array([e.squeezing_db for e in pf.squeezing_report(cov)])
             assert np.all(dbs <= unfiltered_db + 1e-6)
 
@@ -196,17 +196,17 @@ class TestInvariants:
         "higher mode as the passband narrows (mode 3, widths 8 -> 6); "
         "per-mode monotonicity only holds for mode 1",
     )
-    def test_all_modes_monotone_under_nested_filters(self, reference_200, kernels_200):
+    def test_all_modes_monotone_under_nested_filters(self, reference_200):
         _, schmidt, _ = reference_200
         previous = np.full(5, math.inf)
         for width in (20.0, 12.0, 8.0, 6.0, 4.0, 3.0, 2.0, 1.0):
             filt = pf.make_rect_filter(0.0, width, schmidt.grid)
-            cov = _filtered_cov(schmidt, kernels_200, filt, 5)
+            cov = _filtered_cov(schmidt, filt, 5)
             dbs = np.array([e.squeezing_db for e in pf.squeezing_report(cov)])
             assert np.all(dbs <= previous + 1e-6)
             previous = dbs
 
-    def test_variance_bounds_identical_filters(self, reference_200, kernels_200):
+    def test_variance_bounds_identical_filters(self, reference_200):
         # squeezed variance interpolates between exp(-2r) and vacuum
         _, schmidt, _ = reference_200
         rng = np.random.default_rng(7)
@@ -215,7 +215,7 @@ class TestInvariants:
             width = rng.uniform(0.5, 25.0)
             center = rng.uniform(-1.0, 1.0)
             filt = pf.make_rect_filter(center, width, schmidt.grid)
-            cov = _filtered_cov(schmidt, kernels_200, filt, 5)
+            cov = _filtered_cov(schmidt, filt, 5)
             d2m = np.array([min(pf.epr_variances(cov, k)) for k in range(1, 6)])
             assert np.all(d2m >= floor)
             assert np.all(d2m <= 1 + 1e-9)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdcfilter as pf
-from pdcfilter.errors import ConfigurationError, GridTruncationError
+from pdcfilter.errors import ConfigurationError, GridTruncationError, NumericsError
+from pdcfilter.spectral import _fix_phases, quadrature_svd
 
 from oracles import (
     GAIN_6DB,
@@ -137,10 +138,23 @@ class TestSchmidtDecompose:
         a = pf.schmidt_decompose(jsa, 5)
         b = pf.schmidt_decompose(jsa, 5)
         assert np.array_equal(a.signal_modes, b.signal_modes)
-        lead = np.max(np.abs(a.signal_modes[:5]), axis=1)
-        idx = np.argmax(np.abs(a.signal_modes[:5]), axis=1)
+        # the highest-frequency sample within 1e-8 of the peak is real positive
+        mag = np.abs(a.signal_modes[:5])
+        lead = np.max(mag, axis=1)
+        idx = [np.flatnonzero(m >= p * (1 - 1e-8))[-1] for m, p in zip(mag, lead)]
         picked = a.signal_modes[np.arange(5), idx]
         assert np.allclose(np.real(picked), lead) and np.all(np.real(picked) > 0)
+
+    @pytest.mark.parametrize("skew", [1e-13, -1e-13])
+    def test_odd_mode_sign_ignores_round_off(self, grid100, skew):
+        # the mirror peaks of an odd mode tie; which one round-off makes
+        # larger must not decide the sign
+        w = grid100.points
+        odd = w * np.exp(-(w**2) / 2) * (1 + skew * (w > 0))
+        for mode in (odd, -odd):
+            signal, idler = _fix_phases(mode[None, :], mode[None, :])
+            assert signal[0, np.argmin(np.abs(w - 1.0))] > 0
+            assert np.array_equal(idler, signal)
 
     def test_refinement_stability_wide(self):
         # doubling the resolution moves retained amplitudes by < 1e-6 once the
@@ -164,6 +178,59 @@ class TestSchmidtDecompose:
             jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
             lams[n] = pf.schmidt_decompose(jsa, 10).lambdas[:10]
         assert np.max(np.abs(lams[200] - lams[100])) < 1e-6
+
+    def test_leading_triples_match_dense_svd(self):
+        grid = pf.build_frequency_grid(800, -10, 10)
+        jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
+        schmidt = pf.schmidt_decompose(jsa, 10)
+        k = schmidt.n_modes
+        assert k < grid.n_points
+        dw = grid.d_omega
+        u, s, vh = np.linalg.svd(jsa.values * dw)
+        assert np.max(np.abs(schmidt.lambdas - s[:k])) < 1e-12
+        # same phase convention on both routes, so the modes coincide.  Modes
+        # below 1e-3 lambda_1 are left out: there the dense SVD's own vector
+        # error, eps lambda_1 / gap, reaches 1e-12
+        _, signal, idler = quadrature_svd(jsa.values, grid)
+        m = int(np.sum(s >= 1e-3 * s[0]))
+        assert np.max(np.abs(schmidt.signal_modes[:m] - signal[:m])) < 1e-12
+        assert np.max(np.abs(schmidt.idler_modes[:m] - idler[:m])) < 1e-12
+
+    def test_rerun_bit_identical(self):
+        grid = pf.build_frequency_grid(800, -10, 10)
+        jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
+        a = pf.schmidt_decompose(jsa, 10)
+        b = pf.schmidt_decompose(jsa, 10)
+        assert a.n_modes < grid.n_points
+        for name in ("lambdas", "signal_modes", "idler_modes"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("n, rank, rows", [(1600, 80, 96), (800, 80, 800)])
+    def test_sketch_grows_with_numerical_rank(self, n, rank, rows):
+        # slowly decaying spectrum of the given rank: the first 48-column
+        # sketch ends above the noise floor, so it must double; at n = 800 the
+        # 96 columns exceed n/16 and the dense SVD takes over
+        grid = pf.build_frequency_grid(n, -10, 10)
+        rng = np.random.default_rng(1)
+        u, _ = np.linalg.qr(rng.standard_normal((n, rank)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, rank)))
+        values = (u * 0.95 ** np.arange(rank)) @ v.T
+        values /= np.sqrt(np.sum(values**2) * grid.d_omega**2)
+        jsa = pf.JsaMatrix(values, grid)
+        schmidt = pf.schmidt_decompose(jsa, 5)
+        assert schmidt.n_modes == rows
+        s = np.linalg.svd(values * grid.d_omega, compute_uv=False)
+        assert np.max(np.abs(schmidt.lambdas - s[: schmidt.n_modes])) < 1e-12
+
+    def test_small_grid_takes_dense_svd(self, grid100):
+        # a 48-column sketch exceeds n/16 of a 100-point grid
+        jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid100)
+        schmidt = pf.schmidt_decompose(jsa, 10)
+        lambdas, signal, idler = quadrature_svd(jsa.values, grid100)
+        assert schmidt.n_modes == grid100.n_points
+        assert np.array_equal(schmidt.lambdas, lambdas)
+        assert np.array_equal(schmidt.signal_modes, signal)
+        assert np.array_equal(schmidt.idler_modes, idler)
 
     def test_n_retained_bounds(self, grid100):
         jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid100)
@@ -217,5 +284,16 @@ class TestGainAndDb:
     def test_missing_gain_guard(self, grid100):
         jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid100)
         schmidt = pf.schmidt_decompose(jsa, 5)
+        ident = pf.make_identity_filter(grid100)
+        basis = pf.MeasurementBasis.from_schmidt(schmidt, 2)
         with pytest.raises(ConfigurationError):
-            pf.build_uv_kernels(schmidt)
+            pf.filtered_projections(schmidt, ident, ident, basis)
+
+    def test_gain_beyond_precision_rejected(self, reference_200):
+        # beyond about 80 dB e^(-2r) is below the round-off of cosh(2r):
+        # refused before any arithmetic
+        _, schmidt, _ = reference_200
+        pf.apply_gain(schmidt, pf.gain_for_target_db(schmidt, 79.0))
+        for db in (81.0, 200.0, 1e6):
+            with pytest.raises(NumericsError):
+                pf.apply_gain(schmidt, pf.gain_for_target_db(schmidt, db))
