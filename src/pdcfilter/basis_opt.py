@@ -5,6 +5,11 @@ SVD of the filter-masked amplitude T_a(w_s) T_b(w_i) f(w_s, w_i): its modes
 concentrate the surviving squeezing inside the passband and its singular
 values, scaled by the gain, bound the per-mode squeezing left after
 filtering (they contract: r'_k <= r_k whenever |T| <= 1 on both arms).
+Rows and columns where a filter transmits exactly nothing are zero and add
+nothing to that SVD, so only the passband block is decomposed: for a
+rectangular filter the cost falls from O(n^3) to O(|S| |I| min(|S|, |I|))
+with S and I the transmitting samples of the two arms, and the result is the
+same decomposition, not an approximation.
 
 The second decomposition targets the special case of identical real
 signal/idler modes, one common filter, and uniform gain: the SVD of the
@@ -22,12 +27,23 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .filters import Filter
-from .spectral import FrequencyGrid, JsaMatrix, SchmidtData, quadrature_svd
+from .spectral import (
+    FrequencyGrid,
+    JsaMatrix,
+    SchmidtData,
+    _quadrature_modes,
+    _svd_failure,
+    quadrature_svd,
+)
 
 
 @dataclass(frozen=True)
 class EffectiveSchmidt:
-    """Filter-adapted broadband modes with gain-scaled amplitudes r'_k."""
+    """Filter-adapted broadband modes with gain-scaled amplitudes r'_k.
+
+    Row k of ``signal_modes`` / ``idler_modes`` pairs with ``r_primes[k]``;
+    rows beyond the passband rank carry r' = 0.
+    """
 
     grid: FrequencyGrid
     signal_modes: np.ndarray
@@ -40,6 +56,20 @@ class EffectiveSchmidt:
         return len(self.r_primes)
 
 
+def _embed(vectors: np.ndarray, support: np.ndarray, n: int, k: int) -> np.ndarray:
+    # Columns of ``vectors`` live on ``support``; place the first k of them on
+    # the n-point grid and complete with unit vectors at the off-support
+    # points in grid order.
+    out = np.zeros((n, k), dtype=vectors.dtype)
+    used = min(k, vectors.shape[1])
+    out[support, :used] = vectors[:, :used]
+    off = np.ones(n, dtype=bool)
+    off[support] = False
+    off = np.flatnonzero(off)[: k - used]
+    out[off, used + np.arange(len(off))] = 1.0
+    return out
+
+
 def svd_effective_basis(
     jsa: JsaMatrix,
     gain_b: float,
@@ -49,25 +79,41 @@ def svd_effective_basis(
 ) -> EffectiveSchmidt:
     """Decompose the filter-masked amplitude into the effective basis.
 
-    The SVD is taken of the unscaled masked amplitude; a global positive gain
-    does not change singular vectors, so the amplitudes are scaled by
-    ``gain_b`` afterwards.  The complete discrete mode family is kept (rows
-    beyond the filter rank are an arbitrary orthonormal completion with
-    r' = 0); ``n_retained`` marks the reporting cut.
+    Only the passband block T_a[S] T_b[I] f[S, I] is decomposed, with S and I
+    the samples where the signal and idler filters transmit; its singular
+    vectors are embedded back onto the grid, so every mode with r' > 0 is
+    exactly zero outside its arm's passband.  A filter with no zero sample
+    decomposes the whole masked amplitude.  The SVD is taken of the unscaled
+    block; a global positive gain does not change singular vectors, so the
+    amplitudes are scaled by ``gain_b`` afterwards.
+
+    max(n_retained, min(|S|, |I|)) mode pairs are kept; ``n_retained`` marks
+    the reporting cut.  Pairs beyond the block's min(|S|, |I|) singular
+    triples have r' = 0, and each arm fills them first with its unused block
+    singular vectors, then with unit vectors 1/sqrt(d_omega) at its
+    off-support samples in grid order.
     """
     grid = jsa.grid
     if filter_signal.grid != grid or filter_idler.grid != grid:
         raise ConfigurationError("filter grids do not match the amplitude grid")
     if gain_b < 0:
         raise ConfigurationError(f"gain must be >= 0, got {gain_b}")
-    if not 1 <= n_retained <= grid.n_points:
-        raise ConfigurationError(f"n_retained must lie in [1, {grid.n_points}]")
-    masked = (
-        filter_signal.transmission[:, None]
-        * filter_idler.transmission[None, :]
-        * jsa.values
-    )
-    s, signal, idler = quadrature_svd(masked, grid)
+    n = grid.n_points
+    if not 1 <= n_retained <= n:
+        raise ConfigurationError(f"n_retained must lie in [1, {n}]")
+    ta, tb = filter_signal.transmission, filter_idler.transmission
+    rows, cols = np.flatnonzero(ta), np.flatnonzero(tb)
+    block = ta[rows, None] * tb[None, cols] * jsa.values[np.ix_(rows, cols)]
+    dw = grid.d_omega
+    try:
+        u, s, vh = np.linalg.svd(block * dw)
+    except np.linalg.LinAlgError as exc:
+        raise _svd_failure(block) from exc
+    k = max(int(n_retained), len(s))
+    s = np.concatenate([s, np.zeros(k - len(s))])
+    u = _embed(u, rows, n, k)
+    vh = _embed(vh.T, cols, n, k).T
+    s, signal, idler = _quadrature_modes(u, s, vh, dw)
     return EffectiveSchmidt(
         grid=grid,
         signal_modes=signal,

@@ -27,6 +27,7 @@ from .errors import ConfigurationError, NumericsError
 from .filters import (
     Filter,
     MeasurementBasis,
+    ProjectionSet,
     commutator_defects,
     filtered_projections,
     make_blocking_filter,
@@ -39,6 +40,7 @@ from .genetic import GaParams, OptimizedBasis, ga_optimize_basis, make_state_con
 from .metrics import purity, single_mode_character, squeezing_report, write_squeezing_csv
 from .spectral import (
     GaussianJsaParams,
+    JsaMatrix,
     apply_gain,
     build_frequency_grid,
     build_gaussian_jsa,
@@ -106,6 +108,7 @@ class RunConfig:
                 raise ConfigurationError(f"{name} must be strictly increasing")
         if self.n_retained < 1 or self.ga_modes < 1:
             raise ConfigurationError("n_retained and ga_modes must be >= 1")
+        self.ga_params()  # the GA keys are checked whichever basis runs
 
     def ga_params(self) -> GaParams:
         return GaParams(
@@ -219,6 +222,8 @@ class RunReport:
     single_mode_character: float
     effective: EffectiveSchmidt | None = None
     ga_result: OptimizedBasis | None = field(default=None, repr=False)
+    jsa: JsaMatrix | None = field(default=None, repr=False)
+    projections: ProjectionSet | None = field(default=None, repr=False)
 
 
 def run_single(config: RunConfig) -> RunReport:
@@ -264,6 +269,8 @@ def run_single(config: RunConfig) -> RunReport:
         single_mode_character=single_mode_character(entries),
         effective=effective,
         ga_result=ga_result,
+        jsa=jsa,
+        projections=proj,
     )
 
 
@@ -466,17 +473,20 @@ def export_tradeoff(records: list[TradeoffRecord], config: RunConfig, out_dir) -
 
 
 def validate(config: RunConfig, stream=None) -> bool:
-    """Run the invariant suite against one configuration, one line per check."""
+    """Run the invariant suite against one configuration, one line per check.
+
+    The pipeline runs once; every check reads the amplitude, decomposition,
+    filters and projections of that run.
+    """
     stream = stream or sys.stdout
     results: list[tuple[str, bool, str]] = []
+    report = run_single(config)
+    jsa, proj = report.jsa, report.projections
+    schmidt = proj.schmidt
 
-    grid = build_frequency_grid(config.n_points, config.omega_min, config.omega_max)
-    params = GaussianJsaParams(config.sigma_a, config.sigma_b, config.theta)
-    jsa = build_gaussian_jsa(params, grid, max_truncated_mass=config.mass_tolerance)
-    results.append(("jsa_normalization", abs(jsa.l2_norm_sq - 1) <= 1e-12, f"|norm-1| = {abs(jsa.l2_norm_sq - 1):.2e}"))
-
-    schmidt = schmidt_decompose(jsa, n_retained=config.n_retained)
-    dw = grid.d_omega
+    norm_dev = abs(jsa.l2_norm_sq - 1)
+    results.append(("jsa_normalization", norm_dev <= 1e-12, f"|norm-1| = {norm_dev:.2e}"))
+    dw = jsa.grid.d_omega
     for name, modes in (("signal", schmidt.signal_modes), ("idler", schmidt.idler_modes)):
         gram = modes @ modes.conj().T * dw
         dev = float(np.max(np.abs(gram - np.eye(modes.shape[0]))))
@@ -484,14 +494,12 @@ def validate(config: RunConfig, stream=None) -> bool:
     parseval = abs(float(np.sum(schmidt.lambdas**2)) - 1)
     results.append(("parseval", parseval <= 1e-10, f"|sum-1| = {parseval:.2e}"))
 
-    gain = config.gain_b if config.gain_b is not None else gain_for_target_db(schmidt, config.target_db)
-    schmidt = apply_gain(schmidt, gain)
-    filt = _make_filter(config, grid)
-    split = float(np.max(np.abs(np.abs(filt.transmission) ** 2 + filt.reflection**2 - 1)))
+    split = max(
+        float(np.max(np.abs(np.abs(filt.transmission) ** 2 + filt.reflection**2 - 1)))
+        for filt in (proj.filter_signal, proj.filter_idler)
+    )
     results.append(("filter_energy_split", split <= 1e-12, f"max dev {split:.2e}"))
 
-    report = run_single(config)
-    proj = filtered_projections(schmidt, filt, filt, _report_basis(report, grid))
     defect = float(np.max(np.abs(commutator_defects(proj))))
     results.append(
         ("commutator_preservation", defect <= 1e-8, f"max defect {defect:.2e} over both arms")
@@ -514,20 +522,6 @@ def validate(config: RunConfig, stream=None) -> bool:
         all_passed &= ok
         print(f"[validate] {name}: {'PASS' if ok else 'FAIL'} ({detail})", file=stream)
     return all_passed
-
-
-def _report_basis(report: RunReport, grid) -> MeasurementBasis:
-    """Reconstruct the full (signal, idler) measurement basis of a run."""
-    if report.basis_method == "svd" and report.effective is not None:
-        n = report.basis_modes.shape[0]
-        return MeasurementBasis(report.basis_modes, report.effective.idler_modes[:n], grid)
-    if report.basis_method == "schmidt":
-        cfg = report.config
-        params = GaussianJsaParams(cfg.sigma_a, cfg.sigma_b, cfg.theta)
-        jsa = build_gaussian_jsa(params, grid, max_truncated_mass=cfg.mass_tolerance)
-        schmidt = schmidt_decompose(jsa, n_retained=cfg.n_retained)
-        return MeasurementBasis.from_schmidt(schmidt, cfg.n_retained)
-    return MeasurementBasis.from_shared(report.basis_modes, grid)
 
 
 def main(argv=None) -> int:

@@ -29,7 +29,8 @@ from .filters import Filter, MeasurementBasis, filtered_projections
 from .metrics import mode_squeezing_db
 from .spectral import SchmidtData
 
-_DB_OF = 10.0 / np.log(10.0)
+# largest imaginary part of a mode or transmission sample the real forms accept
+_IMAG_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,8 @@ class GaParams:
             raise ConfigurationError(f"unsupported crossover scheme {self.crossover!r}")
         if not 0.0 <= self.mutation_prob <= 1.0:
             raise ConfigurationError("mutation_prob must lie in [0, 1]")
+        if self.mutation_sigma < 0:
+            raise ConfigurationError(f"mutation_sigma must be >= 0, got {self.mutation_sigma}")
         if self.convergence_tol <= 0:
             raise ConfigurationError("convergence_tol must be > 0")
         if self.convergence_window < 1 or self.max_generations < 1:
@@ -148,10 +151,26 @@ def make_state_context(
         E   = 2 d_omega^2 Re(P_a^H (cosh r sinh r) conj(P_b))
 
     (S_b mirrors S_a), and form_-/+ = (S_a + S_b -/+ (E + E^T)) / 2.
+
+    The real parts are exact only for real Schmidt modes and real
+    transmissions; an imaginary part above 1e-12 in any of them raises
+    ``ConfigurationError`` instead of being dropped.
     """
     grid = schmidt.grid
     if filter_signal.grid != grid or filter_idler.grid != grid:
         raise ConfigurationError("filter grids do not match the decomposition grid")
+    for name, values in (
+        ("signal Schmidt modes", schmidt.signal_modes),
+        ("idler Schmidt modes", schmidt.idler_modes),
+        ("signal transmission", filter_signal.transmission),
+        ("idler transmission", filter_idler.transmission),
+    ):
+        imag = float(np.max(np.abs(np.imag(values))))
+        if imag > _IMAG_TOL:
+            raise ConfigurationError(
+                f"imaginary part {imag:.3e} in the {name}: the genetic search "
+                "needs real modes and transmissions"
+            )
     r = schmidt.require_gain()
     sh2 = np.sinh(r) ** 2
     chsh = np.cosh(r) * np.sinh(r)

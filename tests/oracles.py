@@ -67,6 +67,33 @@ def full_schmidt(jsa):
     return s, u.T / np.sqrt(dw), vh.conj() / np.sqrt(dw)
 
 
+def dense_effective_basis(jsa, gain_b, filter_signal, filter_idler, n_retained=10):
+    """Effective basis by the SVD of the whole n x n filter-masked amplitude.
+
+    The route the library took before it decomposed only the passband
+    block: all n mode pairs, rows beyond the filter rank an arbitrary
+    completion from LAPACK.  Uses the library's phase convention through
+    ``quadrature_svd`` so that filters without a zero sample can be
+    compared bit for bit.
+    """
+    from pdcfilter.basis_opt import EffectiveSchmidt
+    from pdcfilter.spectral import quadrature_svd
+
+    masked = (
+        filter_signal.transmission[:, None]
+        * filter_idler.transmission[None, :]
+        * jsa.values
+    )
+    s, signal, idler = quadrature_svd(masked, jsa.grid)
+    return EffectiveSchmidt(
+        grid=jsa.grid,
+        signal_modes=signal,
+        idler_modes=idler,
+        r_primes=gain_b * s,
+        n_retained=int(n_retained),
+    )
+
+
 @dataclass(frozen=True)
 class DenseKernels:
     """Two-frequency Bogoliubov kernels of the squeezer as n x n matrices."""

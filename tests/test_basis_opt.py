@@ -6,7 +6,7 @@ import pytest
 import pdcfilter as pf
 from pdcfilter.errors import ConfigurationError
 
-from oracles import full_schmidt, lossy_epr_block
+from oracles import dense_effective_basis, full_schmidt, lossy_epr_block
 
 
 def _basis_from_effective(eff, n):
@@ -109,6 +109,119 @@ class TestSvdEffectiveBasis:
         filt = pf.make_identity_filter(grid100)
         with pytest.raises(ConfigurationError):
             pf.svd_effective_basis(jsa, gain, filt, filt)
+
+
+def _sample_edged_rect(grid):
+    # both edges sit exactly on grid samples, which transmit
+    pts = grid.points
+    return pf.make_rect_filter((pts[120] + pts[80]) / 2, pts[120] - pts[80], grid)
+
+
+# (signal filter, idler filter, n_retained) on the 200-point reference grid
+_PASSBAND_CASES = {
+    "rect_narrow_centre": lambda g: (pf.make_rect_filter(0.0, 2.0, g),) * 2 + (10,),
+    "rect_wide_off_centre": lambda g: (pf.make_rect_filter(1.3, 6.0, g),) * 2 + (10,),
+    "rect_at_window_edge": lambda g: (pf.make_rect_filter(8.5, 4.0, g),) * 2 + (10,),
+    "rect_sample_edged": lambda g: (_sample_edged_rect(g),) * 2 + (10,),
+    "rect_below_n_retained": lambda g: (pf.make_rect_filter(0.2, 0.5, g),) * 2 + (10,),
+    "blocking": lambda g: (pf.make_blocking_filter(g),) * 2 + (4,),
+    "rect_x_gauss": lambda g: (pf.make_rect_filter(0.5, 3.0, g), pf.make_gauss_filter(-0.4, 5.0, g), 10),
+    "rect_x_wider_rect": lambda g: (pf.make_rect_filter(0.0, 3.0, g), pf.make_rect_filter(1.0, 6.0, g), 70),
+}
+_FULL_SUPPORT_CASES = {
+    "gauss": lambda g: pf.make_gauss_filter(0.3, 4.0, g),
+    "identity": pf.make_identity_filter,
+    "flat": lambda g: pf.make_flat_filter(0.7, g),
+}
+
+
+def _well_separated(r_primes):
+    """Leading modes whose amplitude is resolved and not nearly degenerate."""
+    j = 0
+    while (
+        j + 1 < len(r_primes)
+        and r_primes[j] > 1e-6 * r_primes[0]
+        and r_primes[j + 1] < 0.9 * r_primes[j]
+    ):
+        j += 1
+    return j
+
+
+class TestPassbandSvd:
+    """The passband-block SVD against the SVD of the whole masked amplitude."""
+
+    @pytest.mark.parametrize("case", sorted(_PASSBAND_CASES))
+    def test_matches_dense_masked_svd(self, case, reference_200):
+        jsa, schmidt, gain = reference_200
+        grid = jsa.grid
+        fa, fb, n_ret = _PASSBAND_CASES[case](grid)
+        eff = pf.svd_effective_basis(jsa, gain, fa, fb, n_retained=n_ret)
+        dense = dense_effective_basis(jsa, gain, fa, fb, n_retained=n_ret)
+        on_s = np.flatnonzero(fa.transmission)
+        on_i = np.flatnonzero(fb.transmission)
+        k = max(n_ret, min(len(on_s), len(on_i)))
+        assert eff.n_modes == k
+        assert np.max(np.abs(eff.r_primes - dense.r_primes[:k])) < 1e-12
+        assert np.all(eff.r_primes[min(len(on_s), len(on_i)) :] == 0.0)
+
+        dw = grid.d_omega
+        for modes in (eff.signal_modes, eff.idler_modes):
+            gram = modes @ modes.conj().T * dw
+            assert np.max(np.abs(gram - np.eye(k))) < 1e-12
+
+        # block singular vectors vanish exactly off their arm's passband
+        off_s = np.setdiff1d(np.arange(grid.n_points), on_s)
+        off_i = np.setdiff1d(np.arange(grid.n_points), on_i)
+        assert np.all(eff.signal_modes[: len(on_s)][:, off_s] == 0.0)
+        assert np.all(eff.idler_modes[: len(on_i)][:, off_i] == 0.0)
+
+        j = _well_separated(dense.r_primes)
+        if j == 0:
+            assert np.max(np.abs(dense.r_primes)) == 0.0
+            return
+        covs = []
+        for basis_of in (eff, dense):
+            basis = pf.MeasurementBasis(basis_of.signal_modes[:j], basis_of.idler_modes[:j], grid)
+            covs.append(pf.assemble_covariance(pf.filtered_projections(schmidt, fa, fb, basis)))
+        assert np.max(np.abs(covs[0].sigma - covs[1].sigma)) < 1e-9
+
+    @pytest.mark.parametrize("case", sorted(_FULL_SUPPORT_CASES))
+    def test_full_support_is_bit_identical(self, case, reference_200):
+        jsa, _, gain = reference_200
+        filt = _FULL_SUPPORT_CASES[case](jsa.grid)
+        assert np.all(filt.transmission != 0)
+        eff = pf.svd_effective_basis(jsa, gain, filt, filt, n_retained=10)
+        dense = dense_effective_basis(jsa, gain, filt, filt, n_retained=10)
+        assert np.array_equal(eff.r_primes, dense.r_primes)
+        assert np.array_equal(eff.signal_modes, dense.signal_modes)
+        assert np.array_equal(eff.idler_modes, dense.idler_modes)
+
+    def test_completion_order(self, reference_200):
+        # |S| < |I| < n_retained: past the block's |S| triples the idler fills
+        # with its unused block vectors, then both arms with unit vectors at
+        # their off-support samples in grid order
+        jsa, _, gain = reference_200
+        grid = jsa.grid
+        fa, fb, n_ret = _PASSBAND_CASES["rect_x_wider_rect"](grid)
+        on_s = np.flatnonzero(fa.transmission)
+        on_i = np.flatnonzero(fb.transmission)
+        assert len(on_s) < len(on_i) < n_ret
+        eff = pf.svd_effective_basis(jsa, gain, fa, fb, n_retained=n_ret)
+        for modes, on in ((eff.signal_modes, on_s), (eff.idler_modes, on_i)):
+            off = np.setdiff1d(np.arange(grid.n_points), on)
+            tail = np.abs(modes[len(on) :]) * np.sqrt(grid.d_omega)
+            expected = np.zeros_like(tail)
+            expected[np.arange(len(tail)), off[: len(tail)]] = 1.0
+            assert np.array_equal(tail, expected)
+
+    def test_blocking_gives_unit_vectors(self, reference_200):
+        jsa, _, gain = reference_200
+        block = pf.make_blocking_filter(jsa.grid)
+        eff = pf.svd_effective_basis(jsa, gain, block, block, n_retained=3)
+        expected = np.eye(3, jsa.grid.n_points) / np.sqrt(jsa.grid.d_omega)
+        assert np.array_equal(eff.r_primes, np.zeros(3))
+        assert np.array_equal(eff.signal_modes, expected)
+        assert np.array_equal(eff.idler_modes, expected)
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -337,6 +338,7 @@ class TestMainEntry:
             ("target_db = 1e6", 2),
             ("target_db = 200", 2),
             ("filter_width = nan", 1),
+            ("mutation_sigma = -1", 1),
         ],
     )
     def test_bad_float_exits_with_one_line(self, tmp_path, line, code):
@@ -389,3 +391,27 @@ def test_validate_reports_all_checks(capsys):
         "uncertainty_products",
     ):
         assert f"[validate] {name}: PASS" in out
+
+
+@pytest.mark.parametrize("basis", ["schmidt", "svd", "ga"])
+def test_validate_builds_state_once(basis, monkeypatch):
+    import pdcfilter.cli as cli
+
+    calls = {"build_gaussian_jsa": 0, "schmidt_decompose": 0}
+
+    def counting(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+    config = RunConfig(
+        n_points=60, n_retained=4, basis=basis, ga_modes=1, population=16, max_generations=20
+    )
+    assert validate(config, stream=io.StringIO())
+    assert calls == {"build_gaussian_jsa": 1, "schmidt_decompose": 1}

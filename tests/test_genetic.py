@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,30 @@ def ctx_identity(reference_100):
     _, schmidt, _ = reference_100
     ident = pf.make_identity_filter(schmidt.grid)
     return pf.make_state_context(schmidt, ident, ident)
+
+
+class TestStateContext:
+    @pytest.mark.parametrize("where", ["signal_filter", "idler_filter", "signal_modes", "idler_modes"])
+    def test_imaginary_part_rejected(self, where, reference_100, rect4_100):
+        # the forms keep only real parts; a complex input must not be dropped silently
+        _, schmidt, _ = reference_100
+        grid = schmidt.grid
+        chirped = pf.Filter(rect4_100.transmission * np.exp(0.7j * grid.points), grid)
+        filters = {"signal_filter": rect4_100, "idler_filter": rect4_100}
+        if where in filters:
+            filters[where] = chirped
+        else:
+            modes = getattr(schmidt, where)
+            schmidt = dataclasses.replace(schmidt, **{where: modes * np.exp(0.3j)})
+        with pytest.raises(ConfigurationError, match="imaginary part"):
+            pf.make_state_context(schmidt, filters["signal_filter"], filters["idler_filter"])
+
+    def test_round_off_imaginary_part_accepted(self, reference_100, rect4_100):
+        _, schmidt, _ = reference_100
+        grid = schmidt.grid
+        nearly_real = pf.Filter(rect4_100.transmission * (1 + 1e-14j), grid)
+        ctx = pf.make_state_context(schmidt, nearly_real, nearly_real)
+        assert np.all(np.isfinite(ctx.form_minus))
 
 
 def _unit_cols(rng, n, k):
@@ -207,6 +233,7 @@ class TestGaParams:
             {"population": 3},
             {"population": 33},
             {"mutation_prob": 1.5},
+            {"mutation_sigma": -1.0},
             {"convergence_tol": 0.0},
             {"parent_fraction": 0.0},
             {"crossover": "two-point"},
