@@ -7,8 +7,6 @@ import argparse
 import time
 from pathlib import Path
 
-import numpy as np
-
 import pdcfilter as pf
 from pdcfilter.genetic import write_convergence_csv
 
@@ -21,37 +19,26 @@ def main() -> None:
     parser.add_argument("--out", type=Path, default=Path("out/ga"))
     args = parser.parse_args()
 
-    grid = pf.build_frequency_grid(100, -10.0, 10.0)
-    jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
-    schmidt = pf.schmidt_decompose(jsa, n_retained=10)
-    gain = pf.gain_for_target_db(schmidt, 6.0)
-    schmidt = pf.apply_gain(schmidt, gain)
-    filt = pf.make_rect_filter(0.0, 4.0, grid)
-
-    eff = pf.svd_effective_basis(jsa, gain, filt, filt, n_retained=args.modes)
-    eff_basis = pf.MeasurementBasis(
-        eff.signal_modes[: args.modes], eff.idler_modes[: args.modes], grid
-    )
-    proj = pf.filtered_projections(schmidt, filt, filt, eff_basis)
-    svd_dbs = [e.squeezing_db for e in pf.squeezing_report(pf.assemble_covariance(proj))]
-
-    ctx = pf.make_state_context(schmidt, filt, filt)
-    params = pf.GaParams(population=args.population, rng_seed=args.seed)
+    svd = pf.run_single(pf.RunConfig(n_retained=args.modes))
     start = time.perf_counter()
-    result = pf.ga_optimize_basis(ctx, args.modes, params)
+    ga = pf.run_single(
+        pf.RunConfig(basis="ga", ga_modes=args.modes, population=args.population, rng_seed=args.seed)
+    ).ga_result
     elapsed = time.perf_counter() - start
 
-    print(f"genetic search: {elapsed:.1f} s, generations {result.generations_used}")
+    grid = svd.projections.grid
+    svd_modes = svd.projections.basis.signal_fns
+    print(f"genetic search: {elapsed:.1f} s, generations {ga.generations_used}")
     for k in range(args.modes):
-        overlap = abs(grid.overlap(result.modes[k], eff.signal_modes[k]))
+        overlap = abs(grid.overlap(ga.modes[k], svd_modes[k]))
         print(
-            f"mode {k + 1}: ga {result.per_mode_squeezing_db[k]:7.4f} dB  "
-            f"svd {svd_dbs[k]:7.4f} dB  |overlap| = {overlap:.4f}"
+            f"mode {k + 1}: ga {ga.per_mode_squeezing_db[k]:7.4f} dB  "
+            f"svd {svd.squeezing[k].squeezing_db:7.4f} dB  |overlap| = {overlap:.4f}"
         )
 
     args.out.mkdir(parents=True, exist_ok=True)
     log_path = args.out / "ga_convergence.csv"
-    write_convergence_csv(result.convergence_log, log_path)
+    write_convergence_csv(ga.convergence_log, log_path)
     print(f"wrote {log_path}")
 
 

@@ -7,45 +7,31 @@ filtered state measured in the original broadband basis against the
 filter-adapted (effective) basis.
 """
 
-import numpy as np
-
 import pdcfilter as pf
 
 
 def main() -> None:
-    grid = pf.build_frequency_grid(200, -10.0, 10.0)
-    jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
-    schmidt = pf.schmidt_decompose(jsa, n_retained=5)
-    gain = pf.gain_for_target_db(schmidt, 6.0)
-    schmidt = pf.apply_gain(schmidt, gain)
+    broadband = pf.run_single(pf.RunConfig(n_points=200, n_retained=5, basis="schmidt"))
+    effective = pf.run_single(pf.RunConfig(n_points=200, n_retained=5, basis="svd"))
+    schmidt = broadband.projections.schmidt
 
-    print(f"gain B = {gain:.6f}")
+    print(f"gain B = {broadband.gain_b:.6f}")
     print("unfiltered modes:")
     for k, (lam, r) in enumerate(zip(schmidt.lambdas[:5], schmidt.r_values[:5]), start=1):
         print(f"  mode {k}: lambda = {lam:.6f}  r = {r:.6f}  {pf.squeezing_db(r):.4f} dB")
 
-    filt = pf.make_rect_filter(0.0, 4.0, grid)
-
-    for label, basis in (
-        ("original broadband basis", pf.MeasurementBasis.from_schmidt(schmidt, 5)),
-        ("effective (filter-adapted) basis", _effective_basis(jsa, gain, filt, grid)),
+    for label, report in (
+        ("original broadband basis", broadband),
+        ("effective (filter-adapted) basis", effective),
     ):
-        proj = pf.filtered_projections(schmidt, filt, filt, basis)
-        cov = pf.assemble_covariance(proj)
-        report = pf.squeezing_report(cov)
         print(f"\nfiltered state, {label}:")
-        for entry in report:
+        for entry in report.squeezing:
             print(
                 f"  mode {entry.mode_index}: {entry.squeezing_db:7.4f} dB"
                 f"  ({entry.combination} combination)"
             )
-        print(f"  purity = {pf.purity(cov):.6f}")
-        print(f"  single-mode character = {pf.single_mode_character(report):.4f}")
-
-
-def _effective_basis(jsa, gain, filt, grid) -> pf.MeasurementBasis:
-    eff = pf.svd_effective_basis(jsa, gain, filt, filt, n_retained=5)
-    return pf.MeasurementBasis(eff.signal_modes[:5], eff.idler_modes[:5], grid)
+        print(f"  purity = {report.purity:.6f}")
+        print(f"  single-mode character = {report.single_mode_character:.4f}")
 
 
 if __name__ == "__main__":

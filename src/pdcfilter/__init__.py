@@ -41,14 +41,11 @@ from .filters import (
     make_rect_filter,
 )
 from .genetic import (
-    BasisCandidate,
     GaParams,
     OptimizedBasis,
     StateContext,
     ga_optimize_basis,
     make_state_context,
-    objective_squeezing,
-    qr_orthonormalize,
 )
 from .metrics import (
     SqueezingEntry,
@@ -82,7 +79,6 @@ from .cli import (
 
 __all__ = [
     "__version__",
-    "BasisCandidate",
     "ConfigurationError",
     "CovarianceMatrix",
     "EffectiveSchmidt",
@@ -124,9 +120,7 @@ __all__ = [
     "make_rect_filter",
     "make_state_context",
     "mode_squeezing_db",
-    "objective_squeezing",
     "purity",
-    "qr_orthonormalize",
     "r_for_squeezing_db",
     "read_covariance_csv",
     "run_single",

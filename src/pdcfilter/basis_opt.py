@@ -3,8 +3,10 @@
 Two decompositions live here.  The effective Schmidt basis comes from the
 SVD of the filter-masked amplitude T_a(w_s) T_b(w_i) f(w_s, w_i): its modes
 concentrate the surviving squeezing inside the passband and its singular
-values, scaled by the gain, bound the per-mode squeezing left after
-filtering (they contract: r'_k <= r_k whenever |T| <= 1 on both arms).
+values lambda'_k, scaled by the gain to r'_k = B lambda'_k, bound the
+per-mode squeezing left after filtering (they contract: r'_k <= r_k whenever
+|T| <= 1 on both arms).  Neither depends on B, so one decomposition serves
+every gain.
 Rows and columns where a filter transmits exactly nothing are zero and add
 nothing to that SVD, so only the passband block is decomposed: for a
 rectangular filter the cost falls from O(n^3) to O(|S| |I| min(|S|, |I|))
@@ -39,21 +41,22 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class EffectiveSchmidt:
-    """Filter-adapted broadband modes with gain-scaled amplitudes r'_k.
+    """Filter-adapted broadband modes with filtered amplitudes lambda'_k.
 
-    Row k of ``signal_modes`` / ``idler_modes`` pairs with ``r_primes[k]``;
-    rows beyond the passband rank carry r' = 0.
+    Row k of ``signal_modes`` / ``idler_modes`` pairs with ``lambdas[k]``;
+    rows beyond the passband rank carry lambda' = 0.  As in ``SchmidtData``
+    the amplitudes are gain-free: a gain B gives r'_k = B lambda'_k.
     """
 
     grid: FrequencyGrid
     signal_modes: np.ndarray
     idler_modes: np.ndarray
-    r_primes: np.ndarray
+    lambdas: np.ndarray
     n_retained: int
 
     @property
     def n_modes(self) -> int:
-        return len(self.r_primes)
+        return len(self.lambdas)
 
 
 def _embed(vectors: np.ndarray, support: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -72,7 +75,6 @@ def _embed(vectors: np.ndarray, support: np.ndarray, n: int, k: int) -> np.ndarr
 
 def svd_effective_basis(
     jsa: JsaMatrix,
-    gain_b: float,
     filter_signal: Filter,
     filter_idler: Filter,
     n_retained: int = 10,
@@ -84,20 +86,18 @@ def svd_effective_basis(
     vectors are embedded back onto the grid, so every mode with r' > 0 is
     exactly zero outside its arm's passband.  A filter with no zero sample
     decomposes the whole masked amplitude.  The SVD is taken of the unscaled
-    block; a global positive gain does not change singular vectors, so the
-    amplitudes are scaled by ``gain_b`` afterwards.
+    block: a global positive gain changes no singular vector, so the basis
+    holds for every gain B and the squeezing amplitudes are r' = B lambda'.
 
     max(n_retained, min(|S|, |I|)) mode pairs are kept; ``n_retained`` marks
     the reporting cut.  Pairs beyond the block's min(|S|, |I|) singular
-    triples have r' = 0, and each arm fills them first with its unused block
-    singular vectors, then with unit vectors 1/sqrt(d_omega) at its
+    triples have lambda' = 0, and each arm fills them first with its unused
+    block singular vectors, then with unit vectors 1/sqrt(d_omega) at its
     off-support samples in grid order.
     """
     grid = jsa.grid
     if filter_signal.grid != grid or filter_idler.grid != grid:
         raise ConfigurationError("filter grids do not match the amplitude grid")
-    if gain_b < 0:
-        raise ConfigurationError(f"gain must be >= 0, got {gain_b}")
     n = grid.n_points
     if not 1 <= n_retained <= n:
         raise ConfigurationError(f"n_retained must lie in [1, {n}]")
@@ -118,7 +118,7 @@ def svd_effective_basis(
         grid=grid,
         signal_modes=signal,
         idler_modes=idler,
-        r_primes=gain_b * s,
+        lambdas=s,
         n_retained=int(n_retained),
     )
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis_opt import EffectiveSchmidt, svd_effective_basis, write_modes_csv
+from .basis_opt import svd_effective_basis, write_modes_csv
 from .covariance import CovarianceMatrix, assemble_covariance, check_physicality, write_covariance_csv
 from .errors import ConfigurationError, NumericsError
 from .filters import (
@@ -41,6 +41,7 @@ from .metrics import purity, single_mode_character, squeezing_report, write_sque
 from .spectral import (
     GaussianJsaParams,
     JsaMatrix,
+    SchmidtData,
     apply_gain,
     build_frequency_grid,
     build_gaussian_jsa,
@@ -50,6 +51,8 @@ from .spectral import (
 )
 
 _BASIS_CHOICES = ("schmidt", "svd", "ga")
+# bases that do not read the gain: a sweep selects them once per filter
+_GAIN_FREE_BASES = ("schmidt", "svd")
 _FILTER_CHOICES = ("rect", "gauss", "identity", "blocking", "flat")
 
 
@@ -207,70 +210,77 @@ def _make_filter(config: RunConfig, grid) -> Filter:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Everything one pipeline execution produced."""
+    """Everything one pipeline execution produced.
+
+    The Schmidt decomposition, filters, basis and grid of the run are those
+    of ``projections``.
+    """
 
     config: RunConfig
-    basis_method: str
     gain_b: float
-    lambdas: np.ndarray
-    r_values: np.ndarray
-    tail_weight: float
-    basis_modes: np.ndarray
     covariance: CovarianceMatrix
     squeezing: list
     purity: float
     single_mode_character: float
-    effective: EffectiveSchmidt | None = None
+    jsa: JsaMatrix = field(repr=False)
+    projections: ProjectionSet = field(repr=False)
     ga_result: OptimizedBasis | None = field(default=None, repr=False)
-    jsa: JsaMatrix | None = field(default=None, repr=False)
-    projections: ProjectionSet | None = field(default=None, repr=False)
+
+
+def _prepare_state(config: RunConfig) -> tuple[JsaMatrix, SchmidtData]:
+    """Stage 1: the grid, the amplitude and its ungained Schmidt decomposition."""
+    grid = build_frequency_grid(config.n_points, config.omega_min, config.omega_max)
+    params = GaussianJsaParams(config.sigma_a, config.sigma_b, config.theta)
+    jsa = build_gaussian_jsa(params, grid, max_truncated_mass=config.mass_tolerance)
+    return jsa, schmidt_decompose(jsa, n_retained=config.n_retained)
+
+
+def _select_basis(
+    config: RunConfig, jsa: JsaMatrix, schmidt: SchmidtData, filt: Filter
+) -> tuple[MeasurementBasis, OptimizedBasis | None]:
+    """Stage 2: the measurement basis ``config.basis`` names for one filter.
+
+    The schmidt and svd bases do not read the gain; the genetic search
+    scores squeezing, so for it ``schmidt`` must carry a gain.
+    """
+    n = config.n_retained
+    if config.basis == "schmidt":
+        return MeasurementBasis.from_schmidt(schmidt, n), None
+    if config.basis == "svd":
+        eff = svd_effective_basis(jsa, filt, filt, n_retained=n)
+        return MeasurementBasis(eff.signal_modes[:n], eff.idler_modes[:n], jsa.grid), None
+    ctx = make_state_context(schmidt, filt, filt)
+    ga_result = ga_optimize_basis(ctx, config.ga_modes, config.ga_params())
+    return MeasurementBasis.from_shared(ga_result.modes, jsa.grid), ga_result
+
+
+def _measure(
+    schmidt: SchmidtData, filt: Filter, basis: MeasurementBasis
+) -> tuple[ProjectionSet, CovarianceMatrix, list]:
+    """Stage 3: projections, covariance and squeezing entries of the gained state."""
+    proj = filtered_projections(schmidt, filt, filt, basis)
+    cov = assemble_covariance(proj)
+    return proj, cov, squeezing_report(cov)
 
 
 def run_single(config: RunConfig) -> RunReport:
     """Execute decomposition -> filtering -> basis selection -> covariance -> metrics."""
-    grid = build_frequency_grid(config.n_points, config.omega_min, config.omega_max)
-    params = GaussianJsaParams(config.sigma_a, config.sigma_b, config.theta)
-    jsa = build_gaussian_jsa(params, grid, max_truncated_mass=config.mass_tolerance)
-    schmidt = schmidt_decompose(jsa, n_retained=config.n_retained)
+    jsa, schmidt = _prepare_state(config)
     gain = config.gain_b if config.gain_b is not None else gain_for_target_db(schmidt, config.target_db)
     schmidt = apply_gain(schmidt, gain)
-    filt = _make_filter(config, grid)
-
-    effective = None
-    ga_result = None
-    if config.basis == "schmidt":
-        basis = MeasurementBasis.from_schmidt(schmidt, config.n_retained)
-    elif config.basis == "svd":
-        effective = svd_effective_basis(jsa, gain, filt, filt, n_retained=config.n_retained)
-        basis = MeasurementBasis(
-            effective.signal_modes[: config.n_retained],
-            effective.idler_modes[: config.n_retained],
-            grid,
-        )
-    else:
-        ctx = make_state_context(schmidt, filt, filt)
-        ga_result = ga_optimize_basis(ctx, config.ga_modes, config.ga_params())
-        basis = MeasurementBasis.from_shared(ga_result.modes, grid)
-
-    proj = filtered_projections(schmidt, filt, filt, basis)
-    cov = assemble_covariance(proj)
-    entries = squeezing_report(cov)
+    filt = _make_filter(config, jsa.grid)
+    basis, ga_result = _select_basis(config, jsa, schmidt, filt)
+    proj, cov, entries = _measure(schmidt, filt, basis)
     return RunReport(
         config=config,
-        basis_method=config.basis,
         gain_b=float(gain),
-        lambdas=schmidt.lambdas[: config.n_retained],
-        r_values=schmidt.r_values[: config.n_retained],
-        tail_weight=schmidt.tail_weight,
-        basis_modes=basis.signal_fns,
         covariance=cov,
         squeezing=entries,
         purity=purity(cov),
         single_mode_character=single_mode_character(entries),
-        effective=effective,
-        ga_result=ga_result,
         jsa=jsa,
         projections=proj,
+        ga_result=ga_result,
     )
 
 
@@ -291,63 +301,54 @@ class TradeoffRecord:
 def sweep_tradeoff(config: RunConfig) -> list[TradeoffRecord]:
     """Trade-off records over sweep_widths x sweep_target_dbs, sorted by (gain, width).
 
+    The state is prepared once.  Each width builds its filter once and, for
+    a gain-free basis, selects it once; the genetic search runs per point.
     A failing point is recorded with its error message and the sweep
     continues.
     """
-    grid = build_frequency_grid(config.n_points, config.omega_min, config.omega_max)
-    params = GaussianJsaParams(config.sigma_a, config.sigma_b, config.theta)
-    jsa = build_gaussian_jsa(params, grid, max_truncated_mass=config.mass_tolerance)
-    schmidt0 = schmidt_decompose(jsa, n_retained=config.n_retained)
+    jsa, schmidt0 = _prepare_state(config)
+    gains = [gain_for_target_db(schmidt0, target) for target in config.sweep_target_dbs]
+    gain_free = config.basis in _GAIN_FREE_BASES
 
-    def evaluate(gain, width) -> TradeoffRecord:
+    def failed(width, gain, exc) -> TradeoffRecord:
+        return TradeoffRecord(
+            filter_width=width,
+            gain_b=gain,
+            first_mode_squeezing_db=math.nan,
+            single_mode_character=math.nan,
+            purity=math.nan,
+            tail_weight=schmidt0.tail_weight,
+            basis_method=config.basis,
+            error=f"{type(exc).__name__}: {exc}",
+        )
+
+    records = []
+    for width in config.sweep_widths:
+        point = dataclasses.replace(config, filter_width=width)
         try:
-            schmidt = apply_gain(schmidt0, gain)
-            run_cfg = dataclasses.replace(
-                config, filter_kind=config.filter_kind, filter_width=width
-            )
-            filt = _make_filter(run_cfg, grid)
-            if config.basis == "schmidt":
-                basis = MeasurementBasis.from_schmidt(schmidt, config.n_retained)
-            elif config.basis == "svd":
-                eff = svd_effective_basis(jsa, gain, filt, filt, n_retained=config.n_retained)
-                basis = MeasurementBasis(
-                    eff.signal_modes[: config.n_retained],
-                    eff.idler_modes[: config.n_retained],
-                    grid,
-                )
-            else:
-                ctx = make_state_context(schmidt, filt, filt)
-                ga = ga_optimize_basis(ctx, config.ga_modes, config.ga_params())
-                basis = MeasurementBasis.from_shared(ga.modes, grid)
-            proj = filtered_projections(schmidt, filt, filt, basis)
-            cov = assemble_covariance(proj)
-            entries = squeezing_report(cov)
-            return TradeoffRecord(
-                filter_width=width,
-                gain_b=gain,
-                first_mode_squeezing_db=entries[0].squeezing_db,
-                single_mode_character=single_mode_character(entries),
-                purity=purity(cov),
-                tail_weight=schmidt.tail_weight,
-                basis_method=config.basis,
-            )
+            filt = _make_filter(point, jsa.grid)
+            width_basis = _select_basis(point, jsa, schmidt0, filt)[0] if gain_free else None
         except (ConfigurationError, NumericsError) as exc:
-            return TradeoffRecord(
-                filter_width=width,
-                gain_b=gain,
-                first_mode_squeezing_db=math.nan,
-                single_mode_character=math.nan,
-                purity=math.nan,
-                tail_weight=schmidt0.tail_weight,
-                basis_method=config.basis,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-
-    records = [
-        evaluate(gain_for_target_db(schmidt0, target), width)
-        for target in config.sweep_target_dbs
-        for width in config.sweep_widths
-    ]
+            records += [failed(width, gain, exc) for gain in gains]
+            continue
+        for gain in gains:
+            try:
+                schmidt = apply_gain(schmidt0, gain)
+                basis = width_basis if gain_free else _select_basis(point, jsa, schmidt, filt)[0]
+                _, cov, entries = _measure(schmidt, filt, basis)
+                records.append(
+                    TradeoffRecord(
+                        filter_width=width,
+                        gain_b=gain,
+                        first_mode_squeezing_db=entries[0].squeezing_db,
+                        single_mode_character=single_mode_character(entries),
+                        purity=purity(cov),
+                        tail_weight=schmidt0.tail_weight,
+                        basis_method=config.basis,
+                    )
+                )
+            except (ConfigurationError, NumericsError) as exc:
+                records.append(failed(width, gain, exc))
     records.sort(key=lambda rec: (rec.gain_b, rec.filter_width))
     return records
 
@@ -367,6 +368,8 @@ def export_report(report: RunReport, out_dir) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
+    proj = report.projections
+    n = report.config.n_retained
 
     def schmidt_csv(path):
         import csv
@@ -374,13 +377,13 @@ def export_report(report: RunReport, out_dir) -> list[Path]:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["mode_index", "lambda", "r", "squeezing_db"])
-            for i, (lam, r) in enumerate(zip(report.lambdas, report.r_values), start=1):
+            rows = zip(proj.schmidt.lambdas[:n], proj.schmidt.r_values[:n])
+            for i, (lam, r) in enumerate(rows, start=1):
                 w.writerow([i, _fmt(lam), _fmt(r), _fmt(squeezing_db(r))])
 
-    grid = _grid_of(report)
     targets = {
         "schmidt.csv": schmidt_csv,
-        "modes.csv": lambda p: write_modes_csv(grid, report.basis_modes, p),
+        "modes.csv": lambda p: write_modes_csv(proj.grid, proj.basis.signal_fns, p),
         "covariance.csv": lambda p: write_covariance_csv(report.covariance, p),
         "squeezing.csv": lambda p: write_squeezing_csv(report.squeezing, p),
         "manifest.json": lambda p: _write_manifest(report, p),
@@ -396,20 +399,15 @@ def export_report(report: RunReport, out_dir) -> list[Path]:
     return written
 
 
-def _grid_of(report: RunReport):
-    cfg = report.config
-    return build_frequency_grid(cfg.n_points, cfg.omega_min, cfg.omega_max)
-
-
 def _write_manifest(report: RunReport, path) -> None:
     payload = {
         "library": "pdcfilter",
         "version": __version__,
         "config": dataclasses.asdict(report.config),
         "results": {
-            "basis_method": report.basis_method,
+            "basis_method": report.config.basis,
             "gain_b": report.gain_b,
-            "tail_weight": report.tail_weight,
+            "tail_weight": report.projections.schmidt.tail_weight,
             "purity": report.purity,
             "single_mode_character": report.single_mode_character,
             "first_mode_squeezing_db": report.squeezing[0].squeezing_db,
@@ -507,11 +505,8 @@ def validate(config: RunConfig, stream=None) -> bool:
 
     passed_phys, lowest = check_physicality(report.covariance, tol=1e-9)
     results.append(("physicality", passed_phys, f"min nu = {lowest!r}"))
-    try:
-        value = purity(report.covariance)
-        results.append(("purity_crosscheck", True, f"purity = {value:.9f}"))
-    except NumericsError as exc:
-        results.append(("purity_crosscheck", False, str(exc)))
+    # run_single computed purity by both routes and raised on a mismatch
+    results.append(("purity_crosscheck", True, f"purity = {report.purity:.9f}"))
     product_ok = all(
         entry.delta2_minus * entry.delta2_plus >= 1 - 1e-9 for entry in report.squeezing
     )

@@ -127,7 +127,7 @@ def check_physicality(sigma, tol: float = 1e-9) -> tuple[bool, float]:
     return lowest >= 0.5 - tol, lowest
 
 
-def assemble_covariance(projections: ProjectionSet, n_modes: int | None = None) -> CovarianceMatrix:
+def assemble_covariance(projections: ProjectionSet) -> CovarianceMatrix:
     """Build the 4N x 4N covariance matrix from a projection set.
 
     All Gram integrals are rectangle-rule quadratures; the result is
@@ -140,15 +140,11 @@ def assemble_covariance(projections: ProjectionSet, n_modes: int | None = None) 
         If the smallest symplectic eigenvalue drops below 1/2 - 1e-6,
         signalling kernel truncation or quadrature failure upstream.
     """
-    n = projections.n_modes if n_modes is None else int(n_modes)
-    if not 1 <= n <= projections.n_modes:
-        raise ConfigurationError(
-            f"n_modes must lie in [1, {projections.n_modes}], got {n}"
-        )
+    n = projections.n_modes
     dw = projections.grid.d_omega
-    ua, ub = projections.u_signal[:n], projections.u_idler[:n]
-    va, vb = projections.v_signal[:n], projections.v_idler[:n]
-    ra, rb = projections.r_signal[:n], projections.r_idler[:n]
+    ua, ub = projections.u_signal, projections.u_idler
+    va, vb = projections.v_signal, projections.v_idler
+    ra, rb = projections.r_signal, projections.r_idler
 
     uu_a = dw * (ua @ ua.conj().T)
     rr_a = dw * (ra @ ra.conj().T)

@@ -23,10 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import assemble_covariance
-from .errors import ConfigurationError, NumericsError
-from .filters import Filter, MeasurementBasis, filtered_projections
-from .metrics import mode_squeezing_db
+from .errors import ConfigurationError
+from .filters import Filter
 from .spectral import SchmidtData
 
 # largest imaginary part of a mode or transmission sample the real forms accept
@@ -38,7 +36,6 @@ class GaParams:
     """Search parameters; defaults follow the reference configuration."""
 
     population: int = 256
-    crossover: str = "one-point"
     mutation_prob: float = 0.02
     mutation_sigma: float = 0.1
     convergence_tol: float = 1e-4
@@ -50,8 +47,6 @@ class GaParams:
     def __post_init__(self):
         if self.population < 4 or self.population % 2:
             raise ConfigurationError("population must be even and >= 4")
-        if self.crossover != "one-point":
-            raise ConfigurationError(f"unsupported crossover scheme {self.crossover!r}")
         if not 0.0 <= self.mutation_prob <= 1.0:
             raise ConfigurationError("mutation_prob must lie in [0, 1]")
         if self.mutation_sigma < 0:
@@ -65,16 +60,6 @@ class GaParams:
 
 
 @dataclass(frozen=True)
-class BasisCandidate:
-    """A gene matrix with its QR factors and the fitness of its last column."""
-
-    gene_matrix: np.ndarray
-    q: np.ndarray
-    r: np.ndarray
-    fitness: float
-
-
-@dataclass(frozen=True)
 class OptimizedBasis:
     """Successively optimized orthonormal modes (grid functions, one per row)."""
 
@@ -84,25 +69,6 @@ class OptimizedBasis:
     converged: list[bool]
     convergence_log: list[tuple[int, int, float, float]]  # (mode, generation, best, mean)
     rng_seed: int
-    elites: list[BasisCandidate] = field(repr=False, default_factory=list)
-
-
-def qr_orthonormalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QR factorization with non-negative diagonal of R.
-
-    Raises on rank deficiency; the search resamples such candidates instead
-    of repairing them.
-    """
-    a = np.asarray(a, dtype=float)
-    q, r = np.linalg.qr(a)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    q = q * signs[None, :]
-    r = r * signs[:, None]
-    scale = max(np.max(np.abs(a)), 1.0)
-    if np.min(np.abs(np.diag(r))) < 1e-12 * scale:
-        raise NumericsError("gene matrix is rank deficient")
-    return q, r
 
 
 @dataclass(frozen=True)
@@ -200,31 +166,6 @@ def make_state_context(
     )
 
 
-def objective_squeezing(ctx: StateContext, phi_columns: np.ndarray, k_prime: int) -> float:
-    """Squeezing in dB of measured mode ``k_prime`` for a shared basis.
-
-    ``phi_columns`` holds orthonormal unit-norm columns (one mode per
-    column); the same set serves signal and idler.  The value is obtained by
-    running the projection/covariance pipeline on mode ``k_prime`` alone and
-    scoring the better joint-quadrature combination, which also absorbs the
-    sign bookkeeping of antisymmetric modes.
-    """
-    cols = np.asarray(phi_columns, dtype=float)
-    if cols.ndim == 1:
-        cols = cols[:, None]
-    if not 1 <= k_prime <= cols.shape[1]:
-        raise ConfigurationError(f"k_prime {k_prime} out of range 1..{cols.shape[1]}")
-    gram_dev = np.max(np.abs(cols.T @ cols - np.eye(cols.shape[1])))
-    if gram_dev > 1e-8:
-        raise ConfigurationError(f"mode columns not orthonormal (max deviation {gram_dev:.3e})")
-    grid = ctx.schmidt.grid
-    mode = cols[:, k_prime - 1] / np.sqrt(grid.d_omega)
-    basis = MeasurementBasis.from_shared(mode[None, :], grid)
-    proj = filtered_projections(ctx.schmidt, ctx.filter_signal, ctx.filter_idler, basis)
-    cov = assemble_covariance(proj)
-    return mode_squeezing_db(cov, 1).squeezing_db
-
-
 def ga_optimize_basis(ctx: StateContext, k_max: int, params: GaParams) -> OptimizedBasis:
     """Evolve ``k_max`` measurement modes, one column at a time.
 
@@ -247,7 +188,6 @@ def ga_optimize_basis(ctx: StateContext, k_max: int, params: GaParams) -> Optimi
     gens_used = []
     converged = []
     log: list[tuple[int, int, float, float]] = []
-    elites: list[BasisCandidate] = []
 
     for k_prime in range(1, k_max + 1):
         genes = rng.standard_normal((pop, n))
@@ -288,9 +228,6 @@ def ga_optimize_basis(ctx: StateContext, k_max: int, params: GaParams) -> Optimi
         best_dbs.append(float(fit[order[0]]))
         gens_used.append(len(best_history))
         converged.append(mode_converged)
-        gene_matrix = prefix.copy()  # frozen columns are already orthonormal genes
-        q, r = qr_orthonormalize(gene_matrix)
-        elites.append(BasisCandidate(gene_matrix=gene_matrix, q=q, r=r, fitness=best_dbs[-1]))
 
     return OptimizedBasis(
         modes=np.asarray(modes),
@@ -299,7 +236,6 @@ def ga_optimize_basis(ctx: StateContext, k_max: int, params: GaParams) -> Optimi
         converged=converged,
         convergence_log=log,
         rng_seed=params.rng_seed,
-        elites=elites,
     )
 
 

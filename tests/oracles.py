@@ -67,7 +67,7 @@ def full_schmidt(jsa):
     return s, u.T / np.sqrt(dw), vh.conj() / np.sqrt(dw)
 
 
-def dense_effective_basis(jsa, gain_b, filter_signal, filter_idler, n_retained=10):
+def dense_effective_basis(jsa, filter_signal, filter_idler, n_retained=10):
     """Effective basis by the SVD of the whole n x n filter-masked amplitude.
 
     The route the library took before it decomposed only the passband
@@ -89,7 +89,7 @@ def dense_effective_basis(jsa, gain_b, filter_signal, filter_idler, n_retained=1
         grid=jsa.grid,
         signal_modes=signal,
         idler_modes=idler,
-        r_primes=gain_b * s,
+        lambdas=s,
         n_retained=int(n_retained),
     )
 
@@ -185,3 +185,30 @@ def wick_covariance(proj) -> np.ndarray:
     two_point = ann_m @ cre_m.T
     sigma = (two_point + two_point.T) / 2
     return np.real(sigma)
+
+
+def objective_squeezing(ctx, phi_columns, k_prime):
+    """Squeezing in dB of measured mode ``k_prime`` for a shared basis.
+
+    The slow reference for ``StateContext.fitness``: ``phi_columns`` holds
+    orthonormal unit-norm columns (one mode per column), the same set serves
+    signal and idler, and mode ``k_prime`` alone goes through the library's
+    projection and covariance pipeline, scored by the better joint-quadrature
+    combination (which absorbs the sign bookkeeping of antisymmetric modes).
+    """
+    import pdcfilter as pf
+    from pdcfilter.errors import ConfigurationError
+
+    cols = np.asarray(phi_columns, dtype=float)
+    if cols.ndim == 1:
+        cols = cols[:, None]
+    if not 1 <= k_prime <= cols.shape[1]:
+        raise ConfigurationError(f"k_prime {k_prime} out of range 1..{cols.shape[1]}")
+    gram_dev = np.max(np.abs(cols.T @ cols - np.eye(cols.shape[1])))
+    if gram_dev > 1e-8:
+        raise ConfigurationError(f"mode columns not orthonormal (max deviation {gram_dev:.3e})")
+    grid = ctx.schmidt.grid
+    mode = cols[:, k_prime - 1] / np.sqrt(grid.d_omega)
+    basis = pf.MeasurementBasis.from_shared(mode[None, :], grid)
+    proj = pf.filtered_projections(ctx.schmidt, ctx.filter_signal, ctx.filter_idler, basis)
+    return pf.mode_squeezing_db(pf.assemble_covariance(proj), 1).squeezing_db

@@ -198,7 +198,7 @@ def test_criterion_6_optimizer_agreement(reference_100, rect4_100):
     jsa, schmidt, gain = reference_100
     grid = schmidt.grid
 
-    eff = pf.svd_effective_basis(jsa, gain, rect4_100, rect4_100, n_retained=3)
+    eff = pf.svd_effective_basis(jsa, rect4_100, rect4_100, n_retained=3)
     eff_basis = pf.MeasurementBasis(eff.signal_modes[:3], eff.idler_modes[:3], grid)
     proj = pf.filtered_projections(schmidt, rect4_100, rect4_100, eff_basis)
     svd_cov = pf.assemble_covariance(proj)
@@ -250,8 +250,8 @@ def test_criterion_7_contraction_over_random_filters(reference_100):
             filt_b = filt_a
         else:
             filt_b = pf.make_gauss_filter(rng.uniform(-2, 2), rng.uniform(0.5, 20), grid)
-        eff = pf.svd_effective_basis(jsa, gain, filt_a, filt_b, n_retained=10)
-        excess = float(np.max(eff.r_primes[:10] - schmidt.r_values[:10]))
+        eff = pf.svd_effective_basis(jsa, filt_a, filt_b, n_retained=10)
+        excess = float(np.max(gain * eff.lambdas[:10] - schmidt.r_values[:10]))
         worst = max(worst, excess)
     assert worst <= 1e-12
     _report("criterion 7 (contraction, 100 random filters)", f"max r' - r = {worst:.2e}")

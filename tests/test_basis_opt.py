@@ -17,23 +17,23 @@ class TestSvdEffectiveBasis:
     def test_identity_filter_recovers_original(self, reference_200):
         jsa, schmidt, gain = reference_200
         ident = pf.make_identity_filter(schmidt.grid)
-        eff = pf.svd_effective_basis(jsa, gain, ident, ident, n_retained=8)
-        assert np.max(np.abs(eff.r_primes[:8] - schmidt.r_values[:8])) < 1e-12
+        eff = pf.svd_effective_basis(jsa, ident, ident, n_retained=8)
+        assert np.max(np.abs(gain * eff.lambdas[:8] - schmidt.r_values[:8])) < 1e-12
         # same amplitudes, same phase convention: modes must coincide exactly
         assert np.max(np.abs(eff.signal_modes[:8] - schmidt.signal_modes[:8])) < 1e-9
         assert np.max(np.abs(eff.idler_modes[:8] - schmidt.idler_modes[:8])) < 1e-9
 
     def test_modes_confined_to_passband(self, reference_200, rect4_200):
-        jsa, schmidt, gain = reference_200
-        eff = pf.svd_effective_basis(jsa, gain, rect4_200, rect4_200, n_retained=5)
+        jsa, schmidt, _ = reference_200
+        eff = pf.svd_effective_basis(jsa, rect4_200, rect4_200, n_retained=5)
         outside = np.abs(schmidt.grid.points) > 2.0
         assert np.max(np.abs(eff.signal_modes[:5][:, outside])) < 1e-12
 
     def test_contraction_of_amplitudes(self, reference_200, rect4_200):
         jsa, schmidt, gain = reference_200
-        eff = pf.svd_effective_basis(jsa, gain, rect4_200, rect4_200, n_retained=10)
-        assert np.all(eff.r_primes[:10] <= schmidt.r_values[:10] + 1e-12)
-        assert eff.r_primes[0] < schmidt.r_values[0]
+        eff = pf.svd_effective_basis(jsa, rect4_200, rect4_200, n_retained=10)
+        assert np.all(gain * eff.lambdas[:10] <= schmidt.r_values[:10] + 1e-12)
+        assert gain * eff.lambdas[0] < schmidt.r_values[0]
 
     def test_contraction_over_random_filters(self, reference_100):
         jsa, schmidt, gain = reference_100
@@ -45,12 +45,12 @@ class TestSvdEffectiveBasis:
             else:
                 filt_a = pf.make_gauss_filter(rng.uniform(-3, 3), rng.uniform(0.2, 25), grid)
             filt_b = pf.make_gauss_filter(rng.uniform(-2, 2), rng.uniform(0.5, 20), grid)
-            eff = pf.svd_effective_basis(jsa, gain, filt_a, filt_b, n_retained=10)
-            assert np.all(eff.r_primes[:10] <= schmidt.r_values[:10] + 1e-12)
+            eff = pf.svd_effective_basis(jsa, filt_a, filt_b, n_retained=10)
+            assert np.all(gain * eff.lambdas[:10] <= schmidt.r_values[:10] + 1e-12)
 
     def test_squeezing_concentrates_in_first_mode(self, reference_200, rect4_200):
-        jsa, schmidt, gain = reference_200
-        eff = pf.svd_effective_basis(jsa, gain, rect4_200, rect4_200, n_retained=5)
+        jsa, schmidt, _ = reference_200
+        eff = pf.svd_effective_basis(jsa, rect4_200, rect4_200, n_retained=5)
         proj_eff = pf.filtered_projections(
             schmidt, rect4_200, rect4_200, _basis_from_effective(eff, 5)
         )
@@ -66,8 +66,8 @@ class TestSvdEffectiveBasis:
         assert pf.single_mode_character(rep_eff) > pf.single_mode_character(rep_orig)
 
     def test_cross_correlations_suppressed(self, reference_200, rect4_200):
-        jsa, schmidt, gain = reference_200
-        eff = pf.svd_effective_basis(jsa, gain, rect4_200, rect4_200, n_retained=5)
+        jsa, schmidt, _ = reference_200
+        eff = pf.svd_effective_basis(jsa, rect4_200, rect4_200, n_retained=5)
         proj = pf.filtered_projections(
             schmidt, rect4_200, rect4_200, _basis_from_effective(eff, 5)
         )
@@ -84,9 +84,9 @@ class TestSvdEffectiveBasis:
         # purity is basis independent once both bases span the whole grid;
         # the decomposition keeps only the excited modes, so the complete
         # Schmidt family comes from the dense oracle
-        jsa, schmidt, gain = reference_100
+        jsa, schmidt, _ = reference_100
         n = schmidt.grid.n_points
-        eff = pf.svd_effective_basis(jsa, gain, rect4_100, rect4_100, n_retained=n)
+        eff = pf.svd_effective_basis(jsa, rect4_100, rect4_100, n_retained=n)
         _, signal, idler = full_schmidt(jsa)
         p = {}
         for label, basis in (
@@ -97,18 +97,29 @@ class TestSvdEffectiveBasis:
             p[label] = pf.purity(pf.assemble_covariance(proj))
         assert p["schmidt"] == pytest.approx(p["effective"], abs=1e-8)
 
-    def test_gain_scaling_is_linear(self, reference_200, rect4_200):
-        jsa, _, gain = reference_200
-        eff1 = pf.svd_effective_basis(jsa, gain, rect4_200, rect4_200, n_retained=5)
-        eff2 = pf.svd_effective_basis(jsa, 2 * gain, rect4_200, rect4_200, n_retained=5)
-        assert np.allclose(2 * eff1.r_primes[:5], eff2.r_primes[:5], atol=1e-14)
-        assert np.array_equal(eff1.signal_modes[:5], eff2.signal_modes[:5])
+    def test_gain_scaling_is_linear(self, reference_200):
+        # the basis takes no gain, so r'_k = B lambda'_k scales linearly with B
+        # and runs at two gains measure in one and the same basis
+        reports = [
+            pf.run_single(pf.RunConfig(n_points=200, n_retained=5, gain_b=b, target_db=None))
+            for b in (0.4, 0.8)
+        ]
+        bases = [report.projections.basis for report in reports]
+        assert np.array_equal(bases[0].signal_fns, bases[1].signal_fns)
+        assert np.array_equal(bases[0].idler_fns, bases[1].idler_fns)
+        jsa = reference_200[0]
+        filt = reports[0].projections.filter_signal
+        eff = pf.svd_effective_basis(jsa, filt, filt, n_retained=5)
+        assert np.array_equal(eff.signal_modes[:5], bases[0].signal_fns)
+        for report in reports:
+            r = report.projections.schmidt.r_values
+            assert np.all(report.gain_b * eff.lambdas[:5] <= r[:5] + 1e-12)
 
     def test_grid_mismatch_rejected(self, reference_200, grid100):
-        jsa, _, gain = reference_200
+        jsa, _, _ = reference_200
         filt = pf.make_identity_filter(grid100)
         with pytest.raises(ConfigurationError):
-            pf.svd_effective_basis(jsa, gain, filt, filt)
+            pf.svd_effective_basis(jsa, filt, filt)
 
 
 def _sample_edged_rect(grid):
@@ -135,13 +146,13 @@ _FULL_SUPPORT_CASES = {
 }
 
 
-def _well_separated(r_primes):
+def _well_separated(lambdas):
     """Leading modes whose amplitude is resolved and not nearly degenerate."""
     j = 0
     while (
-        j + 1 < len(r_primes)
-        and r_primes[j] > 1e-6 * r_primes[0]
-        and r_primes[j + 1] < 0.9 * r_primes[j]
+        j + 1 < len(lambdas)
+        and lambdas[j] > 1e-6 * lambdas[0]
+        and lambdas[j + 1] < 0.9 * lambdas[j]
     ):
         j += 1
     return j
@@ -155,14 +166,14 @@ class TestPassbandSvd:
         jsa, schmidt, gain = reference_200
         grid = jsa.grid
         fa, fb, n_ret = _PASSBAND_CASES[case](grid)
-        eff = pf.svd_effective_basis(jsa, gain, fa, fb, n_retained=n_ret)
-        dense = dense_effective_basis(jsa, gain, fa, fb, n_retained=n_ret)
+        eff = pf.svd_effective_basis(jsa, fa, fb, n_retained=n_ret)
+        dense = dense_effective_basis(jsa, fa, fb, n_retained=n_ret)
         on_s = np.flatnonzero(fa.transmission)
         on_i = np.flatnonzero(fb.transmission)
         k = max(n_ret, min(len(on_s), len(on_i)))
         assert eff.n_modes == k
-        assert np.max(np.abs(eff.r_primes - dense.r_primes[:k])) < 1e-12
-        assert np.all(eff.r_primes[min(len(on_s), len(on_i)) :] == 0.0)
+        assert np.max(np.abs(gain * (eff.lambdas - dense.lambdas[:k]))) < 1e-12
+        assert np.all(eff.lambdas[min(len(on_s), len(on_i)) :] == 0.0)
 
         dw = grid.d_omega
         for modes in (eff.signal_modes, eff.idler_modes):
@@ -175,9 +186,9 @@ class TestPassbandSvd:
         assert np.all(eff.signal_modes[: len(on_s)][:, off_s] == 0.0)
         assert np.all(eff.idler_modes[: len(on_i)][:, off_i] == 0.0)
 
-        j = _well_separated(dense.r_primes)
+        j = _well_separated(dense.lambdas)
         if j == 0:
-            assert np.max(np.abs(dense.r_primes)) == 0.0
+            assert np.max(np.abs(dense.lambdas)) == 0.0
             return
         covs = []
         for basis_of in (eff, dense):
@@ -187,12 +198,12 @@ class TestPassbandSvd:
 
     @pytest.mark.parametrize("case", sorted(_FULL_SUPPORT_CASES))
     def test_full_support_is_bit_identical(self, case, reference_200):
-        jsa, _, gain = reference_200
+        jsa, _, _ = reference_200
         filt = _FULL_SUPPORT_CASES[case](jsa.grid)
         assert np.all(filt.transmission != 0)
-        eff = pf.svd_effective_basis(jsa, gain, filt, filt, n_retained=10)
-        dense = dense_effective_basis(jsa, gain, filt, filt, n_retained=10)
-        assert np.array_equal(eff.r_primes, dense.r_primes)
+        eff = pf.svd_effective_basis(jsa, filt, filt, n_retained=10)
+        dense = dense_effective_basis(jsa, filt, filt, n_retained=10)
+        assert np.array_equal(eff.lambdas, dense.lambdas)
         assert np.array_equal(eff.signal_modes, dense.signal_modes)
         assert np.array_equal(eff.idler_modes, dense.idler_modes)
 
@@ -200,13 +211,13 @@ class TestPassbandSvd:
         # |S| < |I| < n_retained: past the block's |S| triples the idler fills
         # with its unused block vectors, then both arms with unit vectors at
         # their off-support samples in grid order
-        jsa, _, gain = reference_200
+        jsa, _, _ = reference_200
         grid = jsa.grid
         fa, fb, n_ret = _PASSBAND_CASES["rect_x_wider_rect"](grid)
         on_s = np.flatnonzero(fa.transmission)
         on_i = np.flatnonzero(fb.transmission)
         assert len(on_s) < len(on_i) < n_ret
-        eff = pf.svd_effective_basis(jsa, gain, fa, fb, n_retained=n_ret)
+        eff = pf.svd_effective_basis(jsa, fa, fb, n_retained=n_ret)
         for modes, on in ((eff.signal_modes, on_s), (eff.idler_modes, on_i)):
             off = np.setdiff1d(np.arange(grid.n_points), on)
             tail = np.abs(modes[len(on) :]) * np.sqrt(grid.d_omega)
@@ -215,11 +226,11 @@ class TestPassbandSvd:
             assert np.array_equal(tail, expected)
 
     def test_blocking_gives_unit_vectors(self, reference_200):
-        jsa, _, gain = reference_200
+        jsa, _, _ = reference_200
         block = pf.make_blocking_filter(jsa.grid)
-        eff = pf.svd_effective_basis(jsa, gain, block, block, n_retained=3)
+        eff = pf.svd_effective_basis(jsa, block, block, n_retained=3)
         expected = np.eye(3, jsa.grid.n_points) / np.sqrt(jsa.grid.d_omega)
-        assert np.array_equal(eff.r_primes, np.zeros(3))
+        assert np.array_equal(eff.lambdas, np.zeros(3))
         assert np.array_equal(eff.signal_modes, expected)
         assert np.array_equal(eff.idler_modes, expected)
 

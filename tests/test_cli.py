@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -259,10 +260,10 @@ class TestSweep:
 
         original = cli.svd_effective_basis
 
-        def flaky(jsa, gain, fa, fb, n_retained=10):
+        def flaky(jsa, fa, fb, n_retained=10):
             if fa.width == 2.0:
                 raise pf.NumericsError("synthetic failure")
-            return original(jsa, gain, fa, fb, n_retained=n_retained)
+            return original(jsa, fa, fb, n_retained=n_retained)
 
         monkeypatch.setattr(cli, "svd_effective_basis", flaky)
         records = sweep_tradeoff(RunConfig(n_retained=4, sweep_target_dbs=(6.0,)))
@@ -393,11 +394,10 @@ def test_validate_reports_all_checks(capsys):
         assert f"[validate] {name}: PASS" in out
 
 
-@pytest.mark.parametrize("basis", ["schmidt", "svd", "ga"])
-def test_validate_builds_state_once(basis, monkeypatch):
+def _count_calls(monkeypatch, names) -> dict:
     import pdcfilter.cli as cli
 
-    calls = {"build_gaussian_jsa": 0, "schmidt_decompose": 0}
+    calls = dict.fromkeys(names, 0)
 
     def counting(name):
         original = getattr(cli, name)
@@ -408,10 +408,51 @@ def test_validate_builds_state_once(basis, monkeypatch):
 
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(cli, name, counting(name))
+    return calls
+
+
+@pytest.mark.parametrize("basis", ["schmidt", "svd", "ga"])
+def test_validate_builds_state_once(basis, monkeypatch):
+    calls = _count_calls(monkeypatch, ("build_gaussian_jsa", "schmidt_decompose"))
     config = RunConfig(
         n_points=60, n_retained=4, basis=basis, ga_modes=1, population=16, max_generations=20
     )
     assert validate(config, stream=io.StringIO())
     assert calls == {"build_gaussian_jsa": 1, "schmidt_decompose": 1}
+
+
+@pytest.mark.parametrize("basis", ["schmidt", "svd", "ga"])
+def test_sweep_points_equal_single_runs(basis):
+    # the sweep reuses the state and, for schmidt and svd, one basis per
+    # width; each point must still be exactly the run of its own config
+    config = RunConfig(
+        n_points=60,
+        n_retained=4,
+        basis=basis,
+        sweep_widths=(2.0, 4.0, 8.0),
+        sweep_target_dbs=(3.0, 6.0),
+        ga_modes=1,
+        population=16,
+    )
+    records = sweep_tradeoff(config)
+    expected = [
+        (width, target) for target in config.sweep_target_dbs for width in config.sweep_widths
+    ]
+    assert len(records) == len(expected)
+    for rec, (width, target) in zip(records, expected):
+        report = run_single(dataclasses.replace(config, filter_width=width, target_db=target))
+        assert not rec.error and rec.filter_width == width and rec.gain_b == report.gain_b
+        assert rec.first_mode_squeezing_db == report.squeezing[0].squeezing_db
+        assert rec.purity == report.purity
+        assert rec.single_mode_character == report.single_mode_character
+
+
+def test_sweep_selects_one_effective_basis_per_width(monkeypatch):
+    calls = _count_calls(monkeypatch, ("schmidt_decompose", "svd_effective_basis"))
+    config = RunConfig()
+    assert config.basis == "svd"
+    records = sweep_tradeoff(config)
+    assert len(records) == len(config.sweep_widths) * len(config.sweep_target_dbs)
+    assert calls == {"schmidt_decompose": 1, "svd_effective_basis": len(config.sweep_widths)}
