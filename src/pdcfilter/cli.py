@@ -36,7 +36,15 @@ from .filters import (
     make_identity_filter,
     make_rect_filter,
 )
-from .genetic import GaParams, OptimizedBasis, ga_optimize_basis, make_state_context, write_convergence_csv
+from .genetic import (
+    GA_MEMORY_LIMIT,
+    GaParams,
+    OptimizedBasis,
+    ga_optimize_basis,
+    ga_working_set_bytes,
+    make_state_context,
+    write_convergence_csv,
+)
 from .metrics import purity, single_mode_character, squeezing_report, write_squeezing_csv
 from .spectral import (
     GaussianJsaParams,
@@ -112,6 +120,13 @@ class RunConfig:
         if self.n_retained < 1 or self.ga_modes < 1:
             raise ConfigurationError("n_retained and ga_modes must be >= 1")
         self.ga_params()  # the GA keys are checked whichever basis runs
+        need = ga_working_set_bytes(self.population, self.n_points)
+        if need > GA_MEMORY_LIMIT:
+            raise ConfigurationError(
+                f"population {self.population} at n_points {self.n_points} needs about "
+                f"{need / 2**30:.3g} GiB for the genetic search, above its "
+                f"{GA_MEMORY_LIMIT / 2**30:g} GiB limit"
+            )
 
     def ga_params(self) -> GaParams:
         return GaParams(

@@ -22,13 +22,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
 from .filters import Filter
-from .spectral import SchmidtData
+from .spectral import _NOISE_FLOOR, SchmidtData
 
 # largest imaginary part of a mode or transmission sample the real forms accept
 _IMAG_TOL = 1e-12
+# multiply-adds per block of the fitness product: OpenBLAS runs a product
+# this small on the calling thread, and waking its pool for the whole
+# population costs more than the product (380 vs 70 us per generation at
+# n = 100 on 2 vCPUs)
+_BLOCK_MULADDS = 2**18
+# population x n float arrays alive at once while a generation is scored and
+# bred, at most: five buffers (genes, next genes, columns, second parents,
+# uniform draws), two boolean masks, and three for the fitness product when
+# every Schmidt row is above the noise floor
+_LIVE_ARRAYS = 9
+# the largest genetic-search working set a run may ask for, in bytes (2 GiB)
+GA_MEMORY_LIMIT = 2**31
 
 
 @dataclass(frozen=True)
@@ -59,6 +72,11 @@ class GaParams:
             raise ConfigurationError("parent_fraction must lie in (0, 1]")
 
 
+def ga_working_set_bytes(population: int, n_points: int) -> int:
+    """Estimated bytes of the population-sized arrays the genetic search keeps alive."""
+    return population * n_points * 8 * _LIVE_ARRAYS
+
+
 @dataclass(frozen=True)
 class OptimizedBasis:
     """Successively optimized orthonormal modes (grid functions, one per row)."""
@@ -73,21 +91,30 @@ class OptimizedBasis:
 
 @dataclass(frozen=True)
 class StateContext:
-    """Precomputed filtered-squeezer data the objective is evaluated against.
+    """Factored filtered-squeezer data the objective is evaluated against.
 
-    ``form_minus`` / ``form_plus`` are the real quadratic forms giving the
-    two joint-quadrature variances of a shared measurement mode: for a unit
-    vector q (grid function q / sqrt(d_omega)) the variances are
-    q^T form q / d_omega.  They reproduce the full projection/covariance
-    pipeline exactly and exist so that generations can be scored as two
-    matrix products.
+    For a unit column c of a shared measurement mode (grid function
+    c / sqrt(d_omega)) the two joint-quadrature variances are base -/+ cross,
+
+        [a | b] = c F,   base = (a^2 + b^2) w_sq + sum_i D_i c_i^2,
+        cross = 2 (a b) w_cross,
+
+    with ``factors`` F = [P_a^T | P_b^T] (n x 2m) the filtered Schmidt rows
+    P_a = Psi conj(T_a), P_b = Phi conj(T_b) of the m amplitudes above the
+    noise floor, ``weight_sq`` = d_omega sinh^2 r, ``weight_cross`` =
+    d_omega cosh r sinh r, and ``vacuum`` D = (|T_a|^2 + R_a^2 + |T_b|^2 +
+    R_b^2) / 2 the vacuum the filters transmit and reflect.  This is the
+    n x n quadratic form of :func:`make_state_context` contracted with c, so
+    a generation is scored by one n x 2m product and no n x n form exists.
     """
 
     schmidt: SchmidtData = field(repr=False)
     filter_signal: Filter = field(repr=False)
     filter_idler: Filter = field(repr=False)
-    form_minus: np.ndarray = field(repr=False)
-    form_plus: np.ndarray = field(repr=False)
+    factors: np.ndarray = field(repr=False)
+    weight_sq: np.ndarray = field(repr=False)
+    weight_cross: np.ndarray = field(repr=False)
+    vacuum: np.ndarray = field(repr=False)
 
     @property
     def n_points(self) -> int:
@@ -96,10 +123,16 @@ class StateContext:
     def fitness(self, columns: np.ndarray) -> np.ndarray:
         """Squeezing in dB for each row of unit-norm mode columns."""
         c = np.atleast_2d(columns)
-        dw = self.schmidt.grid.d_omega
-        d2m = np.einsum("ij,ij->i", c @ self.form_minus, c) / dw
-        d2p = np.einsum("ij,ij->i", c @ self.form_plus, c) / dw
-        return -10.0 * np.log10(np.minimum(d2m, d2p))
+        n, m2 = self.factors.shape
+        ab = np.empty((len(c), m2))
+        rows = max(1, _BLOCK_MULADDS // (n * m2))
+        for i in range(0, len(c), rows):
+            np.matmul(c[i : i + rows], self.factors, out=ab[i : i + rows])
+        a, b = ab[:, : m2 // 2], ab[:, m2 // 2 :]
+        w = self.weight_sq
+        base = np.square(a) @ w + np.square(b) @ w + np.einsum("ij,ij,j->i", c, c, self.vacuum)
+        cross = 2 * (a * b) @ self.weight_cross
+        return -10.0 * np.log10(np.minimum(base - cross, base + cross))
 
 
 def make_state_context(
@@ -107,7 +140,7 @@ def make_state_context(
     filter_signal: Filter,
     filter_idler: Filter,
 ) -> StateContext:
-    """Joint-quadrature forms of the filtered squeezer for a shared mode.
+    """Factored joint-quadrature forms of the filtered squeezer for a shared mode.
 
     With P_a = Psi conj(T_a) and P_b = Phi conj(T_b) (the filtered Schmidt
     factors), the orthonormality of the mode rows reduces the kernel
@@ -116,7 +149,11 @@ def make_state_context(
         S_a = d_omega diag(|T_a|^2 + R_a^2) + 2 d_omega^2 Re(P_a^H sinh^2 r P_a)
         E   = 2 d_omega^2 Re(P_a^H (cosh r sinh r) conj(P_b))
 
-    (S_b mirrors S_a), and form_-/+ = (S_a + S_b -/+ (E + E^T)) / 2.
+    (S_b mirrors S_a), and the variances of a shared mode q are
+    q^T form_-/+ q / d_omega with form_-/+ = (S_a + S_b -/+ (E + E^T)) / 2.
+    The context keeps only the factors of those forms (see
+    :class:`StateContext`): the rows whose amplitude is above the noise floor
+    of :func:`schmidt_decompose`, since the rest have r = 0 to round-off.
 
     The real parts are exact only for real Schmidt modes and real
     transmissions; an imaginary part above 1e-12 in any of them raises
@@ -125,44 +162,38 @@ def make_state_context(
     grid = schmidt.grid
     if filter_signal.grid != grid or filter_idler.grid != grid:
         raise ConfigurationError("filter grids do not match the decomposition grid")
+    m = int(np.count_nonzero(schmidt.lambdas > _NOISE_FLOOR * schmidt.lambdas[0]))
+    psi = schmidt.signal_modes[:m]
+    phi = schmidt.idler_modes[:m]
+    ta = filter_signal.transmission
+    tb = filter_idler.transmission
     for name, values in (
-        ("signal Schmidt modes", schmidt.signal_modes),
-        ("idler Schmidt modes", schmidt.idler_modes),
-        ("signal transmission", filter_signal.transmission),
-        ("idler transmission", filter_idler.transmission),
+        ("signal Schmidt modes", psi),
+        ("idler Schmidt modes", phi),
+        ("signal transmission", ta),
+        ("idler transmission", tb),
     ):
-        imag = float(np.max(np.abs(np.imag(values))))
+        imag = float(np.max(np.abs(values.imag))) if np.iscomplexobj(values) else 0.0
         if imag > _IMAG_TOL:
             raise ConfigurationError(
                 f"imaginary part {imag:.3e} in the {name}: the genetic search "
                 "needs real modes and transmissions"
             )
-    r = schmidt.require_gain()
-    sh2 = np.sinh(r) ** 2
-    chsh = np.cosh(r) * np.sinh(r)
+    r = schmidt.require_gain()[:m]
     dw = grid.d_omega
-    ta = filter_signal.transmission
-    tb = filter_idler.transmission
-    pa = schmidt.signal_modes * ta.conj()
-    pb = schmidt.idler_modes * tb.conj()
-    sa = 2 * dw**2 * np.real(pa.conj().T @ (sh2[:, None] * pa)) + dw * np.diag(
-        np.abs(ta) ** 2 + filter_signal.reflection**2
-    )
-    sb = 2 * dw**2 * np.real(pb.conj().T @ (sh2[:, None] * pb)) + dw * np.diag(
-        np.abs(tb) ** 2 + filter_idler.reflection**2
-    )
-    se = 2 * dw**2 * np.real(pa.conj().T @ (chsh[:, None] * pb.conj()))
-    se = se + se.T
-    form_minus = (sa + sb - se) / 2
-    form_plus = (sa + sb + se) / 2
-    form_minus = (form_minus + form_minus.T) / 2
-    form_plus = (form_plus + form_plus.T) / 2
+    pa = np.real(psi * ta.conj())
+    pb = np.real(phi * tb.conj())
+    vacuum = (
+        np.abs(ta) ** 2 + filter_signal.reflection**2 + np.abs(tb) ** 2 + filter_idler.reflection**2
+    ) / 2
     return StateContext(
         schmidt=schmidt,
         filter_signal=filter_signal,
         filter_idler=filter_idler,
-        form_minus=form_minus,
-        form_plus=form_plus,
+        factors=np.hstack([pa.T, pb.T]),
+        weight_sq=dw * np.sinh(r) ** 2,
+        weight_cross=dw * np.cosh(r) * np.sinh(r),
+        vacuum=vacuum,
     )
 
 
@@ -174,6 +205,14 @@ def ga_optimize_basis(ctx: StateContext, k_max: int, params: GaParams) -> Optimi
     stops once the best fitness improves by less than ``convergence_tol``
     over ``convergence_window`` generations (or at ``max_generations``, in
     which case the mode is flagged as not converged).
+
+    Children are bred into preallocated buffers.  The draws per generation
+    are, in order, two parent index vectors, the cut points, the uniform
+    mutation draws and the standard-normal steps; ``rng.choice(pool, k)``
+    and ``rng.normal(0, s, shape)`` draw exactly ``pool[rng.integers(0,
+    len(pool), k)]`` and ``s * rng.standard_normal(shape)``, and adding a
+    step only where the mutation mask holds equals adding the masked step,
+    so the trajectory of a seed is that of the elementwise formulation.
     """
     n = ctx.n_points
     if not 1 <= k_max <= n:
@@ -181,6 +220,19 @@ def ga_optimize_basis(ctx: StateContext, k_max: int, params: GaParams) -> Optimi
     rng = np.random.default_rng(params.rng_seed)
     pop = params.population
     n_parents = max(2, int(np.ceil(pop * params.parent_fraction)))
+    n_children = pop - 1
+
+    # row c marks the genes j >= c a child cut at c takes from its second
+    # parent: windows of one step edge, so the table costs 2n bytes
+    from_donor_at = sliding_window_view(np.arange(2 * n) >= n, n)[::-1]
+    # population-sized buffers, reused by every generation of every mode
+    genes = np.empty((pop, n))
+    spare = np.empty((pop, n))
+    cols = np.empty((pop, n))
+    donor = np.empty((n_children, n))
+    uniform = np.empty((n_children, n))
+    from_donor = np.empty((n_children, n), dtype=bool)
+    mutate = np.empty((n_children, n), dtype=bool)
 
     prefix = np.zeros((n, 0))
     modes = []
@@ -190,12 +242,11 @@ def ga_optimize_basis(ctx: StateContext, k_max: int, params: GaParams) -> Optimi
     log: list[tuple[int, int, float, float]] = []
 
     for k_prime in range(1, k_max + 1):
-        genes = rng.standard_normal((pop, n))
+        rng.standard_normal(out=genes)
         best_history: list[float] = []
         mode_converged = False
-        order = None
         for gen in range(params.max_generations):
-            cols, genes = _orthonormal_columns(genes, prefix, rng)
+            cols, genes = _orthonormal_columns(genes, prefix, rng, out=cols)
             fit = ctx.fitness(cols)
             order = np.argsort(fit)[::-1]
             best = float(fit[order[0]])
@@ -207,19 +258,22 @@ def ga_optimize_basis(ctx: StateContext, k_max: int, params: GaParams) -> Optimi
             ):
                 mode_converged = True
                 break
-            elite = genes[order[0]].copy()
             pool = order[:n_parents]
-            n_children = pop - 1
-            p1 = genes[rng.choice(pool, size=n_children)]
-            p2 = genes[rng.choice(pool, size=n_children)]
+            spare[0] = genes[order[0]]
+            children = spare[1:]
+            # mode="clip" lets np.take write into ``out`` unbuffered; every index is valid
+            np.take(genes, pool[rng.integers(0, n_parents, n_children)], axis=0, out=children, mode="clip")
+            np.take(genes, pool[rng.integers(0, n_parents, n_children)], axis=0, out=donor, mode="clip")
             cut = rng.integers(1, n, size=n_children)
-            keep_left = np.arange(n)[None, :] < cut[:, None]
-            children = np.where(keep_left, p1, p2)
-            mutate = rng.random((n_children, n)) < params.mutation_prob
-            children = children + mutate * rng.normal(0.0, params.mutation_sigma, (n_children, n))
-            genes = np.vstack([elite[None, :], children])
+            np.take(from_donor_at, cut, axis=0, out=from_donor, mode="clip")
+            np.copyto(children, donor, where=from_donor)
+            np.less(rng.random(out=uniform), params.mutation_prob, out=mutate)
+            step = rng.standard_normal(out=donor)
+            step *= params.mutation_sigma
+            np.add(children, step, out=children, where=mutate)
+            genes, spare = spare, genes
 
-        cols, genes = _orthonormal_columns(genes, prefix, rng)
+        cols, genes = _orthonormal_columns(genes, prefix, rng, out=cols)
         fit = ctx.fitness(cols)
         order = np.argsort(fit)[::-1]
         winner_col = cols[order[0]]
@@ -239,22 +293,33 @@ def ga_optimize_basis(ctx: StateContext, k_max: int, params: GaParams) -> Optimi
     )
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
+
+
 def _orthonormal_columns(
-    genes: np.ndarray, prefix: np.ndarray, rng: np.random.Generator
+    genes: np.ndarray, prefix: np.ndarray, rng: np.random.Generator, out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormalize each gene row against the frozen prefix columns.
 
     Equivalent to the last column of the QR factorization of
     [prefix | gene]; rows whose residual is numerically degenerate are
-    resampled (deterministically, from the shared stream).
+    resampled (deterministically, from the shared stream) in a copy of
+    ``genes``, which is returned with the columns.  The columns are written
+    to ``out``, an array of the shape of ``genes``.
     """
-    genes = genes.copy()
     while True:
-        resid = genes - (genes @ prefix) @ prefix.T
-        norms = np.linalg.norm(resid, axis=1)
-        bad = norms < 1e-10 * np.maximum(np.linalg.norm(genes, axis=1), 1e-30)
+        scale = _row_norms(genes)
+        if prefix.shape[1]:
+            resid = np.matmul(genes @ prefix, prefix.T, out=out)
+            np.subtract(genes, resid, out=resid)
+            norms = _row_norms(resid)
+        else:
+            resid, norms = genes, scale
+        bad = norms < 1e-10 * np.maximum(scale, 1e-30)
         if not np.any(bad):
-            return resid / norms[:, None], genes
+            return np.divide(resid, norms[:, None], out=out), genes
+        genes = genes.copy()
         genes[bad] = rng.standard_normal((int(np.sum(bad)), genes.shape[1]))
 
 

@@ -212,3 +212,113 @@ def objective_squeezing(ctx, phi_columns, k_prime):
     basis = pf.MeasurementBasis.from_shared(mode[None, :], grid)
     proj = pf.filtered_projections(ctx.schmidt, ctx.filter_signal, ctx.filter_idler, basis)
     return pf.mode_squeezing_db(pf.assemble_covariance(proj), 1).squeezing_db
+
+
+def dense_forms(ctx):
+    """The n x n joint-quadrature forms (form_minus, form_plus) of a state context.
+
+    The construction the genetic search scored with before it kept only the
+    factors: every Schmidt row, complex products, real parts at the end.  A
+    unit column q has the variances q^T form q / d_omega.
+    """
+    schmidt = ctx.schmidt
+    r = schmidt.require_gain()
+    sh2 = np.sinh(r) ** 2
+    chsh = np.cosh(r) * np.sinh(r)
+    dw = schmidt.grid.d_omega
+    ta = ctx.filter_signal.transmission
+    tb = ctx.filter_idler.transmission
+    pa = schmidt.signal_modes * ta.conj()
+    pb = schmidt.idler_modes * tb.conj()
+    sa = 2 * dw**2 * np.real(pa.conj().T @ (sh2[:, None] * pa)) + dw * np.diag(
+        np.abs(ta) ** 2 + ctx.filter_signal.reflection**2
+    )
+    sb = 2 * dw**2 * np.real(pb.conj().T @ (sh2[:, None] * pb)) + dw * np.diag(
+        np.abs(tb) ** 2 + ctx.filter_idler.reflection**2
+    )
+    se = 2 * dw**2 * np.real(pa.conj().T @ (chsh[:, None] * pb.conj()))
+    se = se + se.T
+    form_minus = (sa + sb - se) / 2
+    form_plus = (sa + sb + se) / 2
+    return (form_minus + form_minus.T) / 2, (form_plus + form_plus.T) / 2
+
+
+def _reference_orthonormal_columns(genes, prefix, rng):
+    genes = genes.copy()
+    while True:
+        resid = genes - (genes @ prefix) @ prefix.T
+        norms = np.linalg.norm(resid, axis=1)
+        bad = norms < 1e-10 * np.maximum(np.linalg.norm(genes, axis=1), 1e-30)
+        if not np.any(bad):
+            return resid / norms[:, None], genes
+        genes[bad] = rng.standard_normal((int(np.sum(bad)), genes.shape[1]))
+
+
+def reference_ga(ctx, k_max, params):
+    """The genetic search in its elementwise form, scored with :func:`dense_forms`.
+
+    Each generation draws its parents with ``rng.choice``, crosses them with
+    ``np.where``, adds ``mask * rng.normal(...)`` and stacks the elite on top;
+    the library's buffered loop must follow the same trajectory.
+    """
+    from pdcfilter.genetic import OptimizedBasis
+
+    form_minus, form_plus = dense_forms(ctx)
+    dw = ctx.schmidt.grid.d_omega
+
+    def fitness(c):
+        d2m = np.einsum("ij,ij->i", c @ form_minus, c) / dw
+        d2p = np.einsum("ij,ij->i", c @ form_plus, c) / dw
+        return -10.0 * np.log10(np.minimum(d2m, d2p))
+
+    n = ctx.n_points
+    rng = np.random.default_rng(params.rng_seed)
+    pop = params.population
+    n_parents = max(2, int(np.ceil(pop * params.parent_fraction)))
+    prefix = np.zeros((n, 0))
+    modes, best_dbs, gens_used, converged, log = [], [], [], [], []
+    for k_prime in range(1, k_max + 1):
+        genes = rng.standard_normal((pop, n))
+        best_history = []
+        mode_converged = False
+        for gen in range(params.max_generations):
+            cols, genes = _reference_orthonormal_columns(genes, prefix, rng)
+            fit = fitness(cols)
+            order = np.argsort(fit)[::-1]
+            best = float(fit[order[0]])
+            best_history.append(best)
+            log.append((k_prime, gen, best, float(np.mean(fit))))
+            if (
+                len(best_history) > params.convergence_window
+                and best - best_history[-1 - params.convergence_window] < params.convergence_tol
+            ):
+                mode_converged = True
+                break
+            elite = genes[order[0]].copy()
+            pool = order[:n_parents]
+            n_children = pop - 1
+            p1 = genes[rng.choice(pool, size=n_children)]
+            p2 = genes[rng.choice(pool, size=n_children)]
+            cut = rng.integers(1, n, size=n_children)
+            keep_left = np.arange(n)[None, :] < cut[:, None]
+            children = np.where(keep_left, p1, p2)
+            mutate = rng.random((n_children, n)) < params.mutation_prob
+            children = children + mutate * rng.normal(0.0, params.mutation_sigma, (n_children, n))
+            genes = np.vstack([elite[None, :], children])
+        cols, genes = _reference_orthonormal_columns(genes, prefix, rng)
+        fit = fitness(cols)
+        order = np.argsort(fit)[::-1]
+        winner_col = cols[order[0]]
+        prefix = np.hstack([prefix, winner_col[:, None]])
+        modes.append(winner_col / np.sqrt(dw))
+        best_dbs.append(float(fit[order[0]]))
+        gens_used.append(len(best_history))
+        converged.append(mode_converged)
+    return OptimizedBasis(
+        modes=np.asarray(modes),
+        per_mode_squeezing_db=np.asarray(best_dbs),
+        generations_used=gens_used,
+        converged=converged,
+        convergence_log=log,
+        rng_seed=params.rng_seed,
+    )

@@ -100,6 +100,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError):
             parse_config_file(path)
 
+    def test_ga_working_set_guard(self):
+        # the estimate is arithmetic on the config: nothing is allocated here
+        from pdcfilter.genetic import _LIVE_ARRAYS, GA_MEMORY_LIMIT, ga_working_set_bytes
+
+        assert ga_working_set_bytes(256, 100) == 256 * 100 * 8 * _LIVE_ARRAYS
+        largest = GA_MEMORY_LIMIT // ga_working_set_bytes(1, 100) // 2 * 2
+        assert RunConfig(n_points=100, population=largest).population == largest
+        with pytest.raises(ConfigurationError, match="genetic search"):
+            RunConfig(n_points=100, population=largest + 2)
+        with pytest.raises(ConfigurationError, match="genetic search"):
+            RunConfig(n_points=10**6, basis="svd")
+
     def test_sweep_lists_must_increase(self):
         with pytest.raises(ConfigurationError):
             RunConfig(sweep_widths=(4.0, 2.0))
@@ -340,6 +352,7 @@ class TestMainEntry:
             ("target_db = 200", 2),
             ("filter_width = nan", 1),
             ("mutation_sigma = -1", 1),
+            ("population = 1000000000", 1),
         ],
     )
     def test_bad_float_exits_with_one_line(self, tmp_path, line, code):

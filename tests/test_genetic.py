@@ -1,12 +1,14 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import pdcfilter as pf
 from pdcfilter.errors import ConfigurationError
+from pdcfilter.genetic import _orthonormal_columns
 
-from oracles import objective_squeezing
+from oracles import dense_forms, objective_squeezing, reference_ga
 
 
 @pytest.fixture(scope="module")
@@ -43,12 +45,71 @@ class TestStateContext:
         grid = schmidt.grid
         nearly_real = pf.Filter(rect4_100.transmission * (1 + 1e-14j), grid)
         ctx = pf.make_state_context(schmidt, nearly_real, nearly_real)
-        assert np.all(np.isfinite(ctx.form_minus))
+        form_minus, _ = dense_forms(ctx)
+        assert np.all(np.isfinite(form_minus))
+
+    @pytest.mark.parametrize("n", [100, 800])
+    def test_holds_only_factors(self, n):
+        # n = 100 takes the dense SVD (all n Schmidt rows), n = 800 the sketch
+        grid = pf.build_frequency_grid(n, -10.0, 10.0)
+        jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
+        schmidt = pf.schmidt_decompose(jsa)
+        assert (schmidt.n_modes == n) == (n == 100)
+        schmidt = pf.apply_gain(schmidt, pf.gain_for_target_db(schmidt, 6.0))
+        rect = pf.make_rect_filter(0.0, 4.0, grid)
+        tracemalloc.start()
+        try:
+            ctx = pf.make_state_context(schmidt, rect, rect)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # building the context costs a few times its factors; one n x n array
+        # would exceed that on both routes
+        assert peak < 3 * ctx.factors.nbytes
+        m = int(np.sum(schmidt.lambdas > 1e-14 * schmidt.lambdas[0]))
+        assert m < schmidt.n_modes
+        assert ctx.factors.shape == (n, 2 * m)
+        assert ctx.weight_sq.shape == ctx.weight_cross.shape == (m,)
+        arrays = [getattr(ctx, f.name) for f in dataclasses.fields(ctx)]
+        assert all(a.size < n * n for a in arrays if isinstance(a, np.ndarray))
 
 
 def _unit_cols(rng, n, k):
     q, _ = np.linalg.qr(rng.standard_normal((n, k)))
     return q
+
+
+def _filters(grid):
+    return {
+        "identity": pf.make_identity_filter(grid),
+        "rect": pf.make_rect_filter(0.5, 4.0, grid),
+        "gauss": pf.make_gauss_filter(-0.5, 3.0, grid),
+        "flat": pf.make_flat_filter(0.6, grid),
+        "blocking": pf.make_blocking_filter(grid),
+    }
+
+
+class TestFactoredFitness:
+    @pytest.mark.parametrize("columns", ["schmidt", "random"])
+    @pytest.mark.parametrize("target_db", [0.0, 6.0])
+    @pytest.mark.parametrize("kind", ["identity", "rect", "gauss", "flat", "blocking"])
+    def test_equals_dense_forms(self, kind, target_db, columns, reference_100):
+        _, schmidt, _ = reference_100
+        grid = schmidt.grid
+        gain = pf.gain_for_target_db(schmidt, target_db) if target_db else 0.0
+        schmidt = pf.apply_gain(schmidt, gain)
+        filt = _filters(grid)[kind]
+        ctx = pf.make_state_context(schmidt, filt, filt)
+        if columns == "schmidt":
+            cols = np.real(schmidt.signal_modes[:12]) * np.sqrt(grid.d_omega)
+        else:
+            cols = np.random.default_rng(4).standard_normal((12, grid.n_points))
+            cols /= np.linalg.norm(cols, axis=1)[:, None]
+        form_minus, form_plus = dense_forms(ctx)
+        d2m = np.einsum("ij,jk,ik->i", cols, form_minus, cols) / grid.d_omega
+        d2p = np.einsum("ij,jk,ik->i", cols, form_plus, cols) / grid.d_omega
+        dense = -10 * np.log10(np.minimum(d2m, d2p))
+        assert np.max(np.abs(ctx.fitness(cols) - dense)) < 1e-12
 
 
 class TestObjective:
@@ -117,9 +178,10 @@ class TestGaOptimize:
         # either joint-quadrature form
         result = pf.ga_optimize_basis(ctx_rect4, 1, small_params)
         dw = ctx_rect4.schmidt.grid.d_omega
+        form_minus, form_plus = dense_forms(ctx_rect4)
         best = min(
-            np.linalg.eigvalsh(ctx_rect4.form_minus)[0],
-            np.linalg.eigvalsh(ctx_rect4.form_plus)[0],
+            np.linalg.eigvalsh(form_minus)[0],
+            np.linalg.eigvalsh(form_plus)[0],
         )
         exact = -10 * np.log10(best / dw)
         assert result.per_mode_squeezing_db[0] == pytest.approx(exact, abs=0.05)
@@ -172,6 +234,74 @@ class TestGaOptimize:
         lines = path.read_text().splitlines()
         assert lines[0] == "mode,generation,best_db,mean_db"
         assert len(lines) == len(result.convergence_log) + 1
+
+
+def _assert_same_search(result, reference):
+    assert result.generations_used == reference.generations_used
+    assert result.converged == reference.converged
+    log = np.array([row[2:] for row in result.convergence_log])
+    ref_log = np.array([row[2:] for row in reference.convergence_log])
+    assert [row[:2] for row in result.convergence_log] == [row[:2] for row in reference.convergence_log]
+    assert np.max(np.abs(log - ref_log)) < 1e-12
+    assert np.max(np.abs(result.modes - reference.modes)) < 1e-12
+
+
+class TestReferenceTrajectory:
+    """The buffered, factored search follows the elementwise dense one draw for draw."""
+
+    @pytest.mark.parametrize("kind", ["rect", "gauss", "identity"])
+    def test_two_modes_small_population(self, kind, reference_100):
+        _, schmidt, _ = reference_100
+        filt = {
+            "rect": pf.make_rect_filter(0.0, 4.0, schmidt.grid),
+            "gauss": pf.make_gauss_filter(0.0, 4.0, schmidt.grid),
+            "identity": pf.make_identity_filter(schmidt.grid),
+        }[kind]
+        ctx = pf.make_state_context(schmidt, filt, filt)
+        params = pf.GaParams(population=32, convergence_window=30, max_generations=400, rng_seed=17)
+        _assert_same_search(pf.ga_optimize_basis(ctx, 2, params), reference_ga(ctx, 2, params))
+
+    def test_one_mode_default_population(self, ctx_rect4):
+        params = pf.GaParams(rng_seed=3)
+        _assert_same_search(pf.ga_optimize_basis(ctx_rect4, 1, params), reference_ga(ctx_rect4, 1, params))
+
+
+class TestOrthonormalColumns:
+    @staticmethod
+    def _clone(rng):
+        twin = np.random.default_rng()
+        twin.bit_generator.state = rng.bit_generator.state
+        return twin
+
+    @pytest.mark.parametrize("case", ["inside_prefix_span", "zero_row_empty_prefix"])
+    def test_degenerate_row_redrawn_from_stream(self, case):
+        n, bad_row = 12, 3
+        rng = np.random.default_rng(8)
+        genes = rng.standard_normal((6, n))
+        if case == "inside_prefix_span":
+            prefix, _ = np.linalg.qr(rng.standard_normal((n, 2)))
+            genes[bad_row] = prefix @ np.array([0.3, -0.7])
+        else:
+            prefix = np.zeros((n, 0))
+            genes[bad_row] = 0.0
+        before = genes.copy()
+        twin = self._clone(rng)
+        cols, out = _orthonormal_columns(genes, prefix, rng, np.empty_like(genes))
+        assert np.array_equal(out[bad_row], twin.standard_normal((1, n))[0])
+        assert rng.bit_generator.state == twin.bit_generator.state
+        others = np.arange(len(genes)) != bad_row
+        assert np.array_equal(out[others], before[others])
+        assert np.array_equal(genes, before)
+        assert np.max(np.abs(np.linalg.norm(cols, axis=1) - 1)) < 1e-12
+        assert np.max(np.abs(cols @ prefix), initial=0.0) < 1e-12
+
+    def test_clean_genes_not_copied(self):
+        rng = np.random.default_rng(8)
+        genes = rng.standard_normal((6, 12))
+        twin = self._clone(rng)
+        _, out = _orthonormal_columns(genes, np.zeros((12, 0)), rng, np.empty_like(genes))
+        assert out is genes
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestGaParams:
