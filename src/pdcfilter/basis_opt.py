@@ -178,23 +178,14 @@ def write_modes_csv(grid: FrequencyGrid, modes: np.ndarray, path) -> None:
     import csv
 
     modes = np.atleast_2d(np.asarray(modes))
-    is_complex = np.iscomplexobj(modes) and np.max(np.abs(np.imag(modes))) > 1e-12
+    labels = [f"mode_{k + 1}" for k in range(modes.shape[0])]
+    if np.iscomplexobj(modes) and np.max(np.abs(np.imag(modes))) > 1e-12:
+        labels = [f"{label}_{part}" for label in labels for part in ("re", "im")]
+        columns = np.stack([modes.real, modes.imag], axis=1).reshape(len(labels), -1)
+    else:
+        columns = np.real(modes)
+    table = np.column_stack([grid.points, columns.T]).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if is_complex:
-            header = ["omega"]
-            for k in range(modes.shape[0]):
-                header += [f"mode_{k + 1}_re", f"mode_{k + 1}_im"]
-            writer.writerow(header)
-            for j, w in enumerate(grid.points):
-                row = [format(w, ".17g")]
-                for k in range(modes.shape[0]):
-                    row += [format(modes[k, j].real, ".17g"), format(modes[k, j].imag, ".17g")]
-                writer.writerow(row)
-        else:
-            writer.writerow(["omega"] + [f"mode_{k + 1}" for k in range(modes.shape[0])])
-            for j, w in enumerate(grid.points):
-                writer.writerow(
-                    [format(w, ".17g")]
-                    + [format(float(np.real(modes[k, j])), ".17g") for k in range(modes.shape[0])]
-                )
+        writer.writerow(["omega"] + labels)
+        writer.writerows([format(x, ".17g") for x in row] for row in table)

@@ -56,6 +56,7 @@ from .spectral import (
     gain_for_target_db,
     schmidt_decompose,
     squeezing_db,
+    state_working_set_bytes,
 )
 
 _BASIS_CHOICES = ("schmidt", "svd", "ga")
@@ -126,6 +127,12 @@ class RunConfig:
                 f"population {self.population} at n_points {self.n_points} needs about "
                 f"{need / 2**30:.3g} GiB for the genetic search, above its "
                 f"{GA_MEMORY_LIMIT / 2**30:g} GiB limit"
+            )
+        need = state_working_set_bytes(self.n_points)
+        if need > GA_MEMORY_LIMIT:
+            raise ConfigurationError(
+                f"n_points {self.n_points} needs about {need / 2**30:.3g} GiB for its "
+                f"n x n arrays, above the {GA_MEMORY_LIMIT / 2**30:g} GiB limit"
             )
 
     def ga_params(self) -> GaParams:

@@ -40,7 +40,8 @@ _BLOCK_MULADDS = 2**18
 # uniform draws), two boolean masks, and three for the fitness product when
 # every Schmidt row is above the noise floor
 _LIVE_ARRAYS = 9
-# the largest genetic-search working set a run may ask for, in bytes (2 GiB)
+# the largest working set a run may ask for, in bytes (2 GiB): of the
+# genetic search, and of the n x n arrays (``spectral.state_working_set_bytes``)
 GA_MEMORY_LIMIT = 2**31
 
 
@@ -204,7 +205,9 @@ def ga_optimize_basis(ctx: StateContext, k_max: int, params: GaParams) -> Optimi
     candidates are orthonormalized against the frozen prefix, and evolution
     stops once the best fitness improves by less than ``convergence_tol``
     over ``convergence_window`` generations (or at ``max_generations``, in
-    which case the mode is flagged as not converged).
+    which case the mode is flagged as not converged).  A converged mode's
+    winner is the best of the generation that met the criterion; a mode that
+    ran out of generations scores its last children once more to pick it.
 
     Children are bred into preallocated buffers.  The draws per generation
     are, in order, two parent index vectors, the cut points, the uniform
@@ -273,9 +276,11 @@ def ga_optimize_basis(ctx: StateContext, k_max: int, params: GaParams) -> Optimi
             np.add(children, step, out=children, where=mutate)
             genes, spare = spare, genes
 
-        cols, genes = _orthonormal_columns(genes, prefix, rng, out=cols)
-        fit = ctx.fitness(cols)
-        order = np.argsort(fit)[::-1]
+        if not mode_converged:
+            # the last generation bred children that no loop pass scored
+            cols, genes = _orthonormal_columns(genes, prefix, rng, out=cols)
+            fit = ctx.fitness(cols)
+            order = np.argsort(fit)[::-1]
         winner_col = cols[order[0]]
         prefix = np.hstack([prefix, winner_col[:, None]])
         modes.append(winner_col / np.sqrt(ctx.schmidt.grid.d_omega))

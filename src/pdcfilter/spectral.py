@@ -15,8 +15,9 @@ Only the leading Schmidt triples are computed, by randomized subspace
 iteration (Halko, Martinsson & Tropp, SIAM Rev. 53, 217 (2011)): a Gaussian
 sketch of at least ``_SKETCH_MIN`` columns from a fixed seed, so reruns are
 byte-identical, is doubled until its smallest amplitude reaches the noise
-floor, or replaced by the dense SVD once it would span more than a sixteenth
-of the grid.  Every mode beyond the sketch has r ~ 0 and enters the squeezer
+floor, or replaced by the dense SVD once the rungs together would take more
+than an eighth of the grid in columns (the first 48-column rung fits from
+n = 384).  Every mode beyond the sketch has r ~ 0 and enters the squeezer
 only through the exact identity part of its Bogoliubov transformation.
 """
 
@@ -37,9 +38,15 @@ _SKETCH_SEED = 20110531
 _POWER_STEPS = 2
 # an amplitude at or below this fraction of lambda_1 is round-off of the SVD
 _NOISE_FLOOR = 1e-14
-# a sketch of k columns costs about 2k/n of the dense SVD; past this share of
-# the grid the rungs a high-rank amplitude fails on cost more than they save
-_SKETCH_MAX_SHARE = 0.0625
+# a sketch of k columns costs about 2k/n of the dense SVD; the rungs of one
+# decomposition together take at most this share of the grid in columns, so
+# the rungs a high-rank amplitude fails on cost about a quarter of the dense SVD
+_SKETCH_BUDGET = 0.125
+# n x n float arrays alive at once at the peak of a run, at most: a dense SVD
+# (a high-rank amplitude, or the effective basis of a filter with no zero
+# sample) holds its operand, both factor matrices and the LAPACK work beside
+# the amplitude, about 9 in all by peak RSS at n = 1500 and 2500
+_STATE_ARRAYS = 10
 # relative magnitude gap below which two samples tie for a mode's peak
 _PEAK_TIE = 1e-8
 # the first mode's squeezed variance e^(-2r) is a difference of terms of size
@@ -83,6 +90,11 @@ class FrequencyGrid:
 def build_frequency_grid(n_points: int, omega_min: float, omega_max: float) -> FrequencyGrid:
     """Validated constructor for :class:`FrequencyGrid`."""
     return FrequencyGrid(int(n_points), float(omega_min), float(omega_max))
+
+
+def state_working_set_bytes(n_points: int) -> int:
+    """Estimated bytes of the n x n arrays a run keeps alive at its peak."""
+    return n_points * n_points * 8 * _STATE_ARRAYS
 
 
 @dataclass(frozen=True)
@@ -129,7 +141,8 @@ class JsaMatrix:
 
     @property
     def l2_norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2) * self.grid.d_omega**2)
+        mag = np.abs(self.values)
+        return float(np.sum(np.square(mag, out=mag)) * self.grid.d_omega**2)
 
 
 @dataclass(frozen=True)
@@ -164,6 +177,14 @@ class SchmidtData:
         return self.r_values
 
 
+def _gaussian_in_place(x: np.ndarray, sigma: float) -> np.ndarray:
+    """x <- exp(-(x^2) / (2 sigma^2)), elementwise and in place."""
+    np.square(x, out=x)
+    np.negative(x, out=x)
+    x /= 2 * sigma**2
+    return np.exp(x, out=x)
+
+
 def build_gaussian_jsa(
     params: GaussianJsaParams,
     grid: FrequencyGrid,
@@ -174,6 +195,15 @@ def build_gaussian_jsa(
     Refuses (``GridTruncationError``) when more than ``max_truncated_mass`` of
     the analytic |f|^2 mass falls outside the grid square, since silently
     clipping the amplitude corrupts the normalization and the mode spectrum.
+
+    The amplitude is built in place in two n x n buffers with the rounding of
+    the rotated-coordinate form exp(-u^2 / (2 sigma_a^2)) exp(-v^2 /
+    (2 sigma_b^2)), so its values are those of the meshgrid construction bit
+    for bit.  The equivalent single exponential of the quadratic form
+    A w_s^2 + 2 B w_s w_i + C w_i^2 would need one buffer and one ``exp``,
+    but it rounds differently (by about 1e-16 per sample), so every
+    downstream result would move at round-off; it is not used, and runs
+    reproduce earlier outputs exactly.
 
     Parameters
     ----------
@@ -186,13 +216,14 @@ def build_gaussian_jsa(
         mass.
     """
     w = grid.points
-    ws, wi = np.meshgrid(w, w, indexing="ij")
-    u = ws * np.cos(params.theta) + wi * np.sin(params.theta)
-    v = -ws * np.sin(params.theta) + wi * np.cos(params.theta)
-    raw = np.exp(-(u**2) / (2 * params.sigma_a**2)) * np.exp(
-        -(v**2) / (2 * params.sigma_b**2)
-    )
-    grid_mass = float(np.sum(raw**2) * grid.d_omega**2)
+    cos, sin = np.cos(params.theta), np.sin(params.theta)
+    # raw starts as u; v's buffer later holds raw^2 for the mass
+    raw = np.add(w[:, None] * cos, w[None, :] * sin)
+    v = np.add(-w[:, None] * sin, w[None, :] * cos)
+    _gaussian_in_place(raw, params.sigma_a)
+    raw *= _gaussian_in_place(v, params.sigma_b)
+    grid_mass = float(np.sum(np.square(raw, out=v)) * grid.d_omega**2)
+    del v
     analytic_mass = float(np.pi * params.sigma_a * params.sigma_b)
     off_grid = 1.0 - grid_mass / analytic_mass
     if off_grid > max_truncated_mass:
@@ -201,7 +232,8 @@ def build_gaussian_jsa(
             f"[{grid.omega_min}, {grid.omega_max}] (limit {max_truncated_mass:.1e}); "
             "enlarge the grid or shrink the widths"
         )
-    return JsaMatrix(raw / np.sqrt(grid_mass), grid)
+    raw /= np.sqrt(grid_mass)
+    return JsaMatrix(raw, grid)
 
 
 def _fix_phases(signal: np.ndarray, idler: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -279,9 +311,10 @@ def schmidt_decompose(jsa: JsaMatrix, n_retained: int = 10) -> SchmidtData:
     """Decompose a normalized amplitude into its leading broadband mode pairs.
 
     The sketch starts at max(48, n_retained) modes and doubles until its
-    smallest amplitude is at the noise floor (<= 1e-14 lambda_1); once it
-    would exceed n/16 modes the exact dense SVD is taken instead, so small
-    grids and high-rank amplitudes keep all n modes.  ``n_retained`` marks
+    smallest amplitude is at the noise floor (<= 1e-14 lambda_1).  All rungs
+    together may use at most n/8 columns; once the next rung would pass that
+    budget the exact dense SVD is taken instead, so grids below 384 points
+    and high-rank amplitudes keep all n modes.  ``n_retained`` marks
     the modes the analysis reports on.  Amplitudes are descending and satisfy
     sum lambda^2 = 1 to 1e-10.
     """
@@ -292,8 +325,10 @@ def schmidt_decompose(jsa: JsaMatrix, n_retained: int = 10) -> SchmidtData:
     a = np.asarray(jsa.values) * dw
     rng = np.random.default_rng(_SKETCH_SEED)
     k = max(_SKETCH_MIN, n_retained)
+    spent = 0
     try:
-        while k <= _SKETCH_MAX_SHARE * n:
+        while spent + k <= _SKETCH_BUDGET * n:
+            spent += k
             u, s, vh = _sketched_svd(a, k, rng)
             if s[-1] <= _NOISE_FLOOR * s[0]:
                 break

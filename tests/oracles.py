@@ -56,6 +56,50 @@ def lossy_epr_block(eta: float, r: float) -> np.ndarray:
     )
 
 
+def meshgrid_gaussian_jsa(params, grid):
+    """Normalized double-Gaussian amplitude built on meshgrids, without the truncation guard.
+
+    The construction the library used before it built the amplitude in place;
+    the in-place builder must return these values bit for bit.
+    """
+    w = grid.points
+    ws, wi = np.meshgrid(w, w, indexing="ij")
+    u = ws * np.cos(params.theta) + wi * np.sin(params.theta)
+    v = -ws * np.sin(params.theta) + wi * np.cos(params.theta)
+    raw = np.exp(-(u**2) / (2 * params.sigma_a**2)) * np.exp(
+        -(v**2) / (2 * params.sigma_b**2)
+    )
+    grid_mass = float(np.sum(raw**2) * grid.d_omega**2)
+    return raw / np.sqrt(grid_mass)
+
+
+def loop_modes_csv(grid, modes, path):
+    """``modes.csv`` written sample by sample, as the library did before it built one table."""
+    import csv
+
+    modes = np.atleast_2d(np.asarray(modes))
+    is_complex = np.iscomplexobj(modes) and np.max(np.abs(np.imag(modes))) > 1e-12
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if is_complex:
+            header = ["omega"]
+            for k in range(modes.shape[0]):
+                header += [f"mode_{k + 1}_re", f"mode_{k + 1}_im"]
+            writer.writerow(header)
+            for j, w in enumerate(grid.points):
+                row = [format(w, ".17g")]
+                for k in range(modes.shape[0]):
+                    row += [format(modes[k, j].real, ".17g"), format(modes[k, j].imag, ".17g")]
+                writer.writerow(row)
+        else:
+            writer.writerow(["omega"] + [f"mode_{k + 1}" for k in range(modes.shape[0])])
+            for j, w in enumerate(grid.points):
+                writer.writerow(
+                    [format(w, ".17g")]
+                    + [format(float(np.real(modes[k, j])), ".17g") for k in range(modes.shape[0])]
+                )
+
+
 def full_schmidt(jsa):
     """Complete discrete Schmidt family (lambdas, signal, idler) by a dense SVD.
 

@@ -6,7 +6,7 @@ import pytest
 import pdcfilter as pf
 from pdcfilter.errors import ConfigurationError
 
-from oracles import dense_effective_basis, full_schmidt, lossy_epr_block
+from oracles import dense_effective_basis, full_schmidt, loop_modes_csv, lossy_epr_block
 
 
 def _basis_from_effective(eff, n):
@@ -312,3 +312,19 @@ def test_modes_csv_real(tmp_path, reference_200):
     assert len(lines) == schmidt.grid.n_points + 1
     first = [float(x) for x in lines[1].split(",")]
     assert first[0] == schmidt.grid.omega_min
+
+
+@pytest.mark.parametrize("phase", [None, 1e-14, 0.3])
+def test_modes_csv_equals_sample_loop(tmp_path, reference_200, phase):
+    # real modes, complex modes with a round-off imaginary part (written as
+    # real) and complex modes (written as re/im pairs), with signed zeros
+    from pdcfilter.basis_opt import write_modes_csv
+
+    _, schmidt, _ = reference_200
+    modes = schmidt.signal_modes[:3].copy()
+    modes[0, :2] = (0.0, -0.0)
+    if phase is not None:
+        modes = modes * np.exp(1j * phase)
+    write_modes_csv(schmidt.grid, modes, tmp_path / "table.csv")
+    loop_modes_csv(schmidt.grid, modes, tmp_path / "loop.csv")
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()

@@ -112,6 +112,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="genetic search"):
             RunConfig(n_points=10**6, basis="svd")
 
+    def test_state_working_set_guard(self):
+        # arithmetic on the config, as for the population: nothing is allocated
+        from pdcfilter.genetic import GA_MEMORY_LIMIT
+        from pdcfilter.spectral import _STATE_ARRAYS, state_working_set_bytes
+
+        assert state_working_set_bytes(1600) == 1600 * 1600 * 8 * _STATE_ARRAYS
+        largest = math.isqrt(GA_MEMORY_LIMIT // state_working_set_bytes(1))
+        assert largest == 5181  # the limit the README documents
+        assert RunConfig(n_points=largest).n_points == largest
+        with pytest.raises(ConfigurationError, match="n x n arrays"):
+            RunConfig(n_points=largest + 1)
+
     def test_sweep_lists_must_increase(self):
         with pytest.raises(ConfigurationError):
             RunConfig(sweep_widths=(4.0, 2.0))
@@ -353,6 +365,7 @@ class TestMainEntry:
             ("filter_width = nan", 1),
             ("mutation_sigma = -1", 1),
             ("population = 1000000000", 1),
+            ("n_points = 100000", 1),
         ],
     )
     def test_bad_float_exits_with_one_line(self, tmp_path, line, code):

@@ -162,6 +162,21 @@ def small_params():
     )
 
 
+class _CountingContext:
+    """A state context that counts the population evaluations asked of it."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.ctx, name)
+
+    def fitness(self, columns):
+        self.calls += 1
+        return self.ctx.fitness(columns)
+
+
 class TestGaOptimize:
     def test_identity_filter_finds_first_schmidt_mode(
         self, ctx_identity, reference_100, small_params
@@ -224,6 +239,23 @@ class TestGaOptimize:
         assert result.converged == [False]
         assert result.generations_used == [5]
 
+    @pytest.mark.parametrize("max_generations, converged", [(600, True), (5, False)])
+    def test_population_evaluations_per_mode(self, ctx_rect4, max_generations, converged):
+        # a converged mode takes its winner from the generation that met the
+        # criterion; only a mode that ran out of generations scores its last
+        # children once more
+        counted = _CountingContext(ctx_rect4)
+        params = pf.GaParams(
+            population=32,
+            max_generations=max_generations,
+            convergence_tol=1e-2,
+            convergence_window=20,
+            rng_seed=2,
+        )
+        result = pf.ga_optimize_basis(counted, 2, params)
+        assert result.converged == [converged] * 2
+        assert counted.calls == sum(result.generations_used) + (0 if converged else 2)
+
     def test_convergence_log_csv(self, tmp_path, ctx_rect4):
         from pdcfilter.genetic import write_convergence_csv
 
@@ -244,6 +276,7 @@ def _assert_same_search(result, reference):
     assert [row[:2] for row in result.convergence_log] == [row[:2] for row in reference.convergence_log]
     assert np.max(np.abs(log - ref_log)) < 1e-12
     assert np.max(np.abs(result.modes - reference.modes)) < 1e-12
+    assert np.max(np.abs(result.per_mode_squeezing_db - reference.per_mode_squeezing_db)) < 1e-12
 
 
 class TestReferenceTrajectory:

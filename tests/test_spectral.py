@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from oracles import (
     geometric_lambdas,
     hermite_functions,
     mehler_mode_scale,
+    meshgrid_gaussian_jsa,
 )
 
 
@@ -63,6 +66,29 @@ class TestGaussianJsa:
         schmidt = pf.schmidt_decompose(jsa, n_retained=3)
         assert schmidt.lambdas[0] == pytest.approx(1.0, abs=1e-10)
         assert schmidt.lambdas[1] < 1e-8
+
+    @pytest.mark.parametrize("n", [101, 600, 1600])
+    @pytest.mark.parametrize("theta", [-np.pi / 4 - 0.1, -np.pi / 4 + 0.1, 0.0])
+    @pytest.mark.parametrize("sigma_a, sigma_b", [(4.0, 1.5), (6.0, 2.5)])
+    def test_equals_meshgrid_builder(self, n, theta, sigma_a, sigma_b):
+        # the benchmark's width and tilt range ends; theta = 0 lays the wide
+        # axis along the window, so the truncation guard is relaxed for it
+        grid = pf.build_frequency_grid(n, -10.0, 10.0)
+        params = pf.GaussianJsaParams(sigma_a, sigma_b, theta)
+        jsa = pf.build_gaussian_jsa(params, grid, max_truncated_mass=1.0)
+        assert np.array_equal(jsa.values, meshgrid_gaussian_jsa(params, grid))
+
+    def test_built_in_two_grid_buffers(self):
+        n = 800
+        grid = pf.build_frequency_grid(n, -10.0, 10.0)
+        params = pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4)
+        tracemalloc.start()
+        try:
+            pf.build_gaussian_jsa(params, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * n * 8
 
     def test_truncation_refused(self):
         tight = pf.build_frequency_grid(64, -3, 3)
@@ -179,8 +205,9 @@ class TestSchmidtDecompose:
             lams[n] = pf.schmidt_decompose(jsa, 10).lambdas[:10]
         assert np.max(np.abs(lams[200] - lams[100])) < 1e-6
 
-    def test_leading_triples_match_dense_svd(self):
-        grid = pf.build_frequency_grid(800, -10, 10)
+    @staticmethod
+    def _assert_sketch_matches_dense_svd(n):
+        grid = pf.build_frequency_grid(n, -10, 10)
         jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
         schmidt = pf.schmidt_decompose(jsa, 10)
         k = schmidt.n_modes
@@ -196,6 +223,20 @@ class TestSchmidtDecompose:
         assert np.max(np.abs(schmidt.signal_modes[:m] - signal[:m])) < 1e-12
         assert np.max(np.abs(schmidt.idler_modes[:m] - idler[:m])) < 1e-12
 
+    def test_leading_triples_match_dense_svd(self):
+        self._assert_sketch_matches_dense_svd(800)
+
+    @pytest.mark.parametrize("n", [400, 600])
+    def test_small_grid_sketch_matches_dense_svd(self, n):
+        # the 48-column rung fits the n/8 budget from n = 384
+        self._assert_sketch_matches_dense_svd(n)
+
+    @pytest.mark.parametrize("n, sketched", [(383, False), (384, True)])
+    def test_sketch_budget_boundary(self, n, sketched):
+        grid = pf.build_frequency_grid(n, -10, 10)
+        jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
+        assert pf.schmidt_decompose(jsa, 10).n_modes == (48 if sketched else n)
+
     def test_rerun_bit_identical(self):
         grid = pf.build_frequency_grid(800, -10, 10)
         jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
@@ -205,11 +246,12 @@ class TestSchmidtDecompose:
         for name in ("lambdas", "signal_modes", "idler_modes"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
-    @pytest.mark.parametrize("n, rank, rows", [(1600, 80, 96), (800, 80, 800)])
+    @pytest.mark.parametrize("n, rank, rows", [(1600, 80, 96), (800, 80, 800), (1200, 80, 96)])
     def test_sketch_grows_with_numerical_rank(self, n, rank, rows):
         # slowly decaying spectrum of the given rank: the first 48-column
-        # sketch ends above the noise floor, so it must double; at n = 800 the
-        # 96 columns exceed n/16 and the dense SVD takes over
+        # sketch ends above the noise floor, so it must double; the rungs
+        # 48 + 96 fit the n/8 budget at n = 1200 but exceed it at n = 800,
+        # where the dense SVD takes over
         grid = pf.build_frequency_grid(n, -10, 10)
         rng = np.random.default_rng(1)
         u, _ = np.linalg.qr(rng.standard_normal((n, rank)))
@@ -223,7 +265,7 @@ class TestSchmidtDecompose:
         assert np.max(np.abs(schmidt.lambdas - s[: schmidt.n_modes])) < 1e-12
 
     def test_small_grid_takes_dense_svd(self, grid100):
-        # a 48-column sketch exceeds n/16 of a 100-point grid
+        # a 48-column sketch exceeds n/8 of a 100-point grid
         jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid100)
         schmidt = pf.schmidt_decompose(jsa, 10)
         lambdas, signal, idler = quadrature_svd(jsa.values, grid100)
