@@ -1,0 +1,68 @@
+"""Keep numpy's OpenBLAS on the calling thread while a command runs.
+
+The arrays of a run are at most a few thousand samples on a side.  OpenBLAS
+threads the level-2 steps inside every LAPACK panel of such an array, so a
+QR or SVD of an n x k sketch wakes and joins its pool once per column.  On a
+2-vCPU machine that made no run faster: a 96 x 800 SVD took 15 ms on two
+threads against 7 ms on one, and with one CPU busy elsewhere the 600-point
+sweep fell from 223 points/s on one thread to 84 on two.  ``cli.main``
+therefore runs its verb under ``calling_thread()``.  Library calls keep the
+library default; nothing here changes a result, only which thread computes it.
+
+Only the OpenBLAS that numpy wheels bundle in ``numpy.libs`` is found; with
+any other BLAS both functions do nothing.
+"""
+
+from __future__ import annotations
+
+import ctypes
+from contextlib import contextmanager
+from functools import cache
+from pathlib import Path
+
+import numpy as np
+
+# (get, set) symbol names: numpy 2 wheels bundle scipy-openblas, numpy 1
+# wheels plain OpenBLAS, each as an ILP64 (suffix 64_) or an LP64 build
+_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@cache
+def _thread_calls():
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))  # numpy has loaded it already: same handle
+        for get_name, set_name in _SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype = ctypes.c_int
+                set_.argtypes = [ctypes.c_int]
+                return get, set_
+    return None
+
+
+def num_threads() -> int | None:
+    """OpenBLAS's current thread count, or None when it is not found."""
+    calls = _thread_calls()
+    return None if calls is None else int(calls[0]())
+
+
+@contextmanager
+def calling_thread():
+    """Run the block with OpenBLAS on one thread; restore its count after."""
+    calls = _thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = int(get())
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .basis_opt import svd_effective_basis, write_modes_csv
+from .blas import calling_thread
 from .covariance import CovarianceMatrix, assemble_covariance, check_physicality, write_covariance_csv
 from .errors import ConfigurationError, NumericsError
 from .filters import (
@@ -559,6 +560,12 @@ def main(argv=None) -> int:
         p.add_argument("--basis", choices=_BASIS_CHOICES, default=None, help="override basis method")
 
     args = parser.parse_args(argv)
+    with calling_thread():
+        return _dispatch(args)
+
+
+def _dispatch(args) -> int:
+    """Run the parsed verb; the exit code of ``main``."""
     try:
         config = build_config(
             config_path=args.config,

@@ -356,6 +356,34 @@ class TestMainEntry:
         monkeypatch.setattr(cli, "run_single", boom)
         assert main(["run", "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("crashes", [False, True])
+    def test_verb_runs_openblas_on_calling_thread(self, tmp_path, monkeypatch, crashes):
+        import pdcfilter.cli as cli
+        from pdcfilter import blas
+
+        before = blas.num_threads()
+        if before is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        seen = []
+
+        def spy(config):
+            seen.append(blas.num_threads())
+            if crashes:  # an error no exit code covers still restores the count
+                raise RuntimeError("synthetic crash")
+            return run_single(config)
+
+        monkeypatch.setattr(cli, "run_single", spy)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_points = 100\nn_retained = 3\n")
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if crashes:
+            with pytest.raises(RuntimeError):
+                main(argv)
+        else:
+            assert main(argv) == 0
+        assert seen == [1]
+        assert blas.num_threads() == before
+
     @pytest.mark.parametrize(
         "line, code",
         [
