@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Compare the genetic search against the SVD effective basis on the
-reference filtered scenario and write the per-generation convergence log.
+reference filtered scenario and write the artifacts of the genetic run,
+its per-generation convergence log among them.
 """
 
 import argparse
@@ -8,7 +9,6 @@ import time
 from pathlib import Path
 
 import pdcfilter as pf
-from pdcfilter.genetic import write_convergence_csv
 
 
 def main() -> None:
@@ -21,11 +21,12 @@ def main() -> None:
 
     svd = pf.run_single(pf.RunConfig(n_retained=args.modes))
     start = time.perf_counter()
-    ga = pf.run_single(
+    ga_report = pf.run_single(
         pf.RunConfig(basis="ga", ga_modes=args.modes, population=args.population, rng_seed=args.seed)
-    ).ga_result
+    )
     elapsed = time.perf_counter() - start
 
+    ga = ga_report.ga_result
     grid = svd.projections.grid
     svd_modes = svd.projections.basis.signal_fns
     print(f"genetic search: {elapsed:.1f} s, generations {ga.generations_used}")
@@ -36,10 +37,8 @@ def main() -> None:
             f"svd {svd.squeezing[k].squeezing_db:7.4f} dB  |overlap| = {overlap:.4f}"
         )
 
-    args.out.mkdir(parents=True, exist_ok=True)
-    log_path = args.out / "ga_convergence.csv"
-    write_convergence_csv(ga.convergence_log, log_path)
-    print(f"wrote {log_path}")
+    for path in pf.export_report(ga_report, args.out):
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from .covariance import (
     read_covariance_csv,
     symplectic_eigenvalues,
     symplectic_form,
-    write_covariance_csv,
 )
 from .errors import ConfigurationError, GridTruncationError, NumericsError, PhysicalityError
 from .filters import (
@@ -132,5 +131,4 @@ __all__ = [
     "sweep_tradeoff",
     "symplectic_eigenvalues",
     "symplectic_form",
-    "write_covariance_csv",
 ]

@@ -169,23 +169,3 @@ def filtered_projector_decomposition(
         in_modes=in_modes[:m],
     )
 
-
-def write_modes_csv(grid: FrequencyGrid, modes: np.ndarray, path) -> None:
-    """Dump mode functions as CSV columns (omega, mode_1, mode_2, ...).
-
-    Complex modes are written as interleaved re/im column pairs.
-    """
-    import csv
-
-    modes = np.atleast_2d(np.asarray(modes))
-    labels = [f"mode_{k + 1}" for k in range(modes.shape[0])]
-    if np.iscomplexobj(modes) and np.max(np.abs(np.imag(modes))) > 1e-12:
-        labels = [f"{label}_{part}" for label in labels for part in ("re", "im")]
-        columns = np.stack([modes.real, modes.imag], axis=1).reshape(len(labels), -1)
-    else:
-        columns = np.real(modes)
-    table = np.column_stack([grid.points, columns.T]).tolist()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega"] + labels)
-        writer.writerows([format(x, ".17g") for x in row] for row in table)

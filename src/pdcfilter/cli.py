@@ -10,20 +10,22 @@ text file; every key has a default, unknown keys are rejected.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .basis_opt import svd_effective_basis, write_modes_csv
+from .basis_opt import svd_effective_basis
 from .blas import calling_thread
-from .covariance import CovarianceMatrix, assemble_covariance, check_physicality, write_covariance_csv
+from .covariance import CovarianceMatrix, assemble_covariance, check_physicality
 from .errors import ConfigurationError, NumericsError
 from .filters import (
     Filter,
@@ -44,9 +46,8 @@ from .genetic import (
     ga_optimize_basis,
     ga_working_set_bytes,
     make_state_context,
-    write_convergence_csv,
 )
-from .metrics import purity, single_mode_character, squeezing_report, write_squeezing_csv
+from .metrics import SqueezingEntry, purity, single_mode_character, squeezing_report
 from .spectral import (
     GaussianJsaParams,
     JsaMatrix,
@@ -103,6 +104,9 @@ class RunConfig:
             items = value if isinstance(value, tuple) else (value,)
             if any(isinstance(x, float) and not math.isfinite(x) for x in items):
                 raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
+            # the size guards below divide products of the integers as floats
+            if isinstance(value, int) and not -(2**63) <= value < 2**63:
+                raise ConfigurationError(f"{f.name} must lie in [-2^63, 2^63)")
         if self.basis not in _BASIS_CHOICES:
             raise ConfigurationError(f"basis must be one of {_BASIS_CHOICES}, got {self.basis!r}")
         if self.filter_kind not in _FILTER_CHOICES:
@@ -137,52 +141,21 @@ class RunConfig:
             )
 
     def ga_params(self) -> GaParams:
-        return GaParams(
-            population=self.population,
-            mutation_prob=self.mutation_prob,
-            mutation_sigma=self.mutation_sigma,
-            convergence_tol=self.convergence_tol,
-            convergence_window=self.convergence_window,
-            max_generations=self.max_generations,
-            parent_fraction=self.parent_fraction,
-            rng_seed=self.rng_seed,
-        )
-
-
-_CONFIG_TYPES = {
-    "n_points": int,
-    "omega_min": float,
-    "omega_max": float,
-    "sigma_a": float,
-    "sigma_b": float,
-    "theta": float,
-    "gain_b": float,
-    "target_db": float,
-    "n_retained": int,
-    "basis": str,
-    "filter_kind": str,
-    "filter_center": float,
-    "filter_width": float,
-    "filter_amplitude": float,
-    "sweep_widths": "float_list",
-    "sweep_target_dbs": "float_list",
-    "ga_modes": int,
-    "population": int,
-    "mutation_prob": float,
-    "mutation_sigma": float,
-    "convergence_tol": float,
-    "convergence_window": int,
-    "max_generations": int,
-    "parent_fraction": float,
-    "mass_tolerance": float,
-    "rng_seed": int,
-}
+        return GaParams(**{f.name: getattr(self, f.name) for f in fields(GaParams)})
 
 
 def parse_config_file(path) -> dict:
-    """Read ``key = value`` lines; '#' starts a comment, unknown keys error."""
+    """Read ``key = value`` lines; '#' starts a comment, unknown keys error.
+
+    Each value is parsed as the type of its ``RunConfig`` field: a
+    ``tuple[float, ...]`` as a comma-separated list, ``float | None`` as a float.
+    """
+    types = typing.get_type_hints(RunConfig)
     values: dict = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -191,16 +164,14 @@ def parse_config_file(path) -> dict:
             raise ConfigurationError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_TYPES:
+        if key not in types:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-        kind = _CONFIG_TYPES[key]
+        kind = types[key]
         try:
-            if kind == "float_list":
+            if kind == tuple[float, ...]:
                 values[key] = tuple(float(item) for item in value.split(",") if item.strip())
-            elif kind is str:
-                values[key] = value
             else:
-                values[key] = kind(value)
+                values[key] = (float if kind == float | None else kind)(value)
         except ValueError as exc:
             raise ConfigurationError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     # a file that sets gain_b takes over from the default squeezing target
@@ -333,17 +304,11 @@ def sweep_tradeoff(config: RunConfig) -> list[TradeoffRecord]:
     gains = [gain_for_target_db(schmidt0, target) for target in config.sweep_target_dbs]
     gain_free = config.basis in _GAIN_FREE_BASES
 
+    def record(width, gain, first_db=math.nan, smc=math.nan, pur=math.nan, error="") -> TradeoffRecord:
+        return TradeoffRecord(width, gain, first_db, smc, pur, schmidt0.tail_weight, config.basis, error)
+
     def failed(width, gain, exc) -> TradeoffRecord:
-        return TradeoffRecord(
-            filter_width=width,
-            gain_b=gain,
-            first_mode_squeezing_db=math.nan,
-            single_mode_character=math.nan,
-            purity=math.nan,
-            tail_weight=schmidt0.tail_weight,
-            basis_method=config.basis,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return record(width, gain, error=f"{type(exc).__name__}: {exc}")
 
     records = []
     for width in config.sweep_widths:
@@ -359,138 +324,114 @@ def sweep_tradeoff(config: RunConfig) -> list[TradeoffRecord]:
                 schmidt = apply_gain(schmidt0, gain)
                 basis = width_basis if gain_free else _select_basis(point, jsa, schmidt, filt)[0]
                 _, cov, entries = _measure(schmidt, filt, basis)
-                records.append(
-                    TradeoffRecord(
-                        filter_width=width,
-                        gain_b=gain,
-                        first_mode_squeezing_db=entries[0].squeezing_db,
-                        single_mode_character=single_mode_character(entries),
-                        purity=purity(cov),
-                        tail_weight=schmidt0.tail_weight,
-                        basis_method=config.basis,
-                    )
-                )
+                smc = single_mode_character(entries)
+                records.append(record(width, gain, entries[0].squeezing_db, smc, purity(cov)))
             except (ConfigurationError, NumericsError) as exc:
                 records.append(failed(width, gain, exc))
     records.sort(key=lambda rec: (rec.gain_b, rec.filter_width))
     return records
 
 
-def _atomic_write(path: Path, writer) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, path)
+def _write_csv(path, header, rows) -> None:
+    """Write a CSV table with floats at 17 significant digits (an exact round trip).
+
+    Every other cell is written as it is; ``header=None`` writes no header row.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows([format(x, ".17g") if isinstance(x, float) else x for x in row] for row in rows)
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+def _manifest(config: RunConfig, **entries) -> dict:
+    """The ``manifest.json`` of a run or sweep: library, version, full configuration."""
+    return {"library": "pdcfilter", "version": __version__, "config": dataclasses.asdict(config), **entries}
+
+
+def _export(out_dir, artifacts: dict) -> list[Path]:
+    """Write each named artifact into ``out_dir``; the paths written, in order.
+
+    A dict is written as JSON, a ``(header, rows)`` pair as a CSV table.
+    Each goes to ``name.tmp`` first, which then replaces ``name``, so no
+    artifact is ever seen half written.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, content in artifacts.items():
+        path = out / name
+        tmp = path.with_name(name + ".tmp")
+        if isinstance(content, dict):
+            tmp.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
+        else:
+            _write_csv(tmp, *content)
+        os.replace(tmp, path)
+        written.append(path)
+    return written
+
+
+def _record_table(cls, records) -> tuple[list[str], list[tuple]]:
+    """Header and rows of a table of dataclass records, one column per field."""
+    return [f.name for f in fields(cls)], [astuple(rec) for rec in records]
+
+
+def _modes_table(grid, modes: np.ndarray) -> tuple[list[str], list[list[float]]]:
+    """Header and rows of ``modes.csv``: omega, then one column per mode.
+
+    Complex modes are written as interleaved re/im column pairs.
+    """
+    modes = np.atleast_2d(np.asarray(modes))
+    labels = [f"mode_{k + 1}" for k in range(modes.shape[0])]
+    if np.iscomplexobj(modes) and np.max(np.abs(np.imag(modes))) > 1e-12:
+        labels = [f"{label}_{part}" for label in labels for part in ("re", "im")]
+        columns = np.stack([modes.real, modes.imag], axis=1).reshape(len(labels), -1)
+    else:
+        columns = np.real(modes)
+    return ["omega"] + labels, np.column_stack([grid.points, columns.T]).tolist()
 
 
 def export_report(report: RunReport, out_dir) -> list[Path]:
     """Write all artifacts of a single run; reruns with one seed are byte-identical."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
     proj = report.projections
+    schmidt = proj.schmidt
     n = report.config.n_retained
-
-    def schmidt_csv(path):
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["mode_index", "lambda", "r", "squeezing_db"])
-            rows = zip(proj.schmidt.lambdas[:n], proj.schmidt.r_values[:n])
-            for i, (lam, r) in enumerate(rows, start=1):
-                w.writerow([i, _fmt(lam), _fmt(r), _fmt(squeezing_db(r))])
-
-    targets = {
-        "schmidt.csv": schmidt_csv,
-        "modes.csv": lambda p: write_modes_csv(proj.grid, proj.basis.signal_fns, p),
-        "covariance.csv": lambda p: write_covariance_csv(report.covariance, p),
-        "squeezing.csv": lambda p: write_squeezing_csv(report.squeezing, p),
-        "manifest.json": lambda p: _write_manifest(report, p),
+    schmidt_rows = [
+        (i, lam, r, squeezing_db(r))
+        for i, (lam, r) in enumerate(zip(schmidt.lambdas[:n], schmidt.r_values[:n]), start=1)
+    ]
+    results = {
+        "basis_method": report.config.basis,
+        "gain_b": report.gain_b,
+        "tail_weight": schmidt.tail_weight,
+        "purity": report.purity,
+        "single_mode_character": report.single_mode_character,
+        "first_mode_squeezing_db": report.squeezing[0].squeezing_db,
+        "min_symplectic_eigenvalue": check_physicality(report.covariance)[1],
+    }
+    artifacts = {
+        "schmidt.csv": (["mode_index", "lambda", "r", "squeezing_db"], schmidt_rows),
+        "modes.csv": _modes_table(proj.grid, proj.basis.signal_fns),
+        "covariance.csv": (None, report.covariance.sigma),
+        "squeezing.csv": _record_table(SqueezingEntry, report.squeezing),
+        "manifest.json": _manifest(report.config, results=results),
     }
     if report.ga_result is not None:
-        targets["ga_convergence.csv"] = lambda p: write_convergence_csv(
-            report.ga_result.convergence_log, p
-        )
-    for name, writer in targets.items():
-        path = out / name
-        _atomic_write(path, writer)
-        written.append(path)
-    return written
-
-
-def _write_manifest(report: RunReport, path) -> None:
-    payload = {
-        "library": "pdcfilter",
-        "version": __version__,
-        "config": dataclasses.asdict(report.config),
-        "results": {
-            "basis_method": report.config.basis,
-            "gain_b": report.gain_b,
-            "tail_weight": report.projections.schmidt.tail_weight,
-            "purity": report.purity,
-            "single_mode_character": report.single_mode_character,
-            "first_mode_squeezing_db": report.squeezing[0].squeezing_db,
-            "min_symplectic_eigenvalue": check_physicality(report.covariance)[1],
-        },
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        log = report.ga_result.convergence_log
+        artifacts["ga_convergence.csv"] = (["mode", "generation", "best_db", "mean_db"], log)
+    return _export(out_dir, artifacts)
 
 
 def export_tradeoff(records: list[TradeoffRecord], config: RunConfig, out_dir) -> list[Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    def table(path):
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                [
-                    "filter_width",
-                    "gain_b",
-                    "first_mode_squeezing_db",
-                    "single_mode_character",
-                    "purity",
-                    "tail_weight",
-                    "basis_method",
-                    "error",
-                ]
-            )
-            for rec in records:
-                w.writerow(
-                    [
-                        _fmt(rec.filter_width),
-                        _fmt(rec.gain_b),
-                        _fmt(rec.first_mode_squeezing_db),
-                        _fmt(rec.single_mode_character),
-                        _fmt(rec.purity),
-                        _fmt(rec.tail_weight),
-                        rec.basis_method,
-                        rec.error,
-                    ]
-                )
-
-    def manifest(path):
-        payload = {
-            "library": "pdcfilter",
-            "version": __version__,
-            "config": dataclasses.asdict(config),
-            "n_records": len(records),
-            "n_failed": sum(1 for rec in records if rec.error),
-        }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-    written = []
-    for name, writer in (("tradeoff.csv", table), ("manifest.json", manifest)):
-        path = out / name
-        _atomic_write(path, writer)
-        written.append(path)
-    return written
+    """Write the trade-off table and its manifest."""
+    n_failed = sum(1 for rec in records if rec.error)
+    return _export(
+        out_dir,
+        {
+            "tradeoff.csv": _record_table(TradeoffRecord, records),
+            "manifest.json": _manifest(config, n_records=len(records), n_failed=n_failed),
+        },
+    )
 
 
 def validate(config: RunConfig, stream=None) -> bool:

@@ -200,16 +200,8 @@ def assemble_covariance(projections: ProjectionSet) -> CovarianceMatrix:
     return cov
 
 
-def write_covariance_csv(cov, path) -> None:
-    """Row-major CSV dump with 17 significant digits (exact float round-trip)."""
-    s = _as_sigma(cov)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in s:
-            writer.writerow([format(x, ".17g") for x in row])
-
-
 def read_covariance_csv(path) -> np.ndarray:
+    """The matrix of a ``covariance.csv`` artifact."""
     with open(path, newline="") as fh:
         rows = [[float(x) for x in row] for row in csv.reader(fh) if row]
     arr = np.asarray(rows)

@@ -71,6 +71,8 @@ class GaParams:
             raise ConfigurationError("window and max_generations must be >= 1")
         if not 0.0 < self.parent_fraction <= 1.0:
             raise ConfigurationError("parent_fraction must lie in (0, 1]")
+        if self.rng_seed < 0:
+            raise ConfigurationError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 def ga_working_set_bytes(population: int, n_points: int) -> int:
@@ -97,14 +99,15 @@ class StateContext:
     For a unit column c of a shared measurement mode (grid function
     c / sqrt(d_omega)) the two joint-quadrature variances are base -/+ cross,
 
-        [a | b] = c F,   base = (a^2 + b^2) w_sq + sum_i D_i c_i^2,
+        [a | b] = c F,   base = (a^2 + b^2) w_sq + 1,
         cross = 2 (a b) w_cross,
 
     with ``factors`` F = [P_a^T | P_b^T] (n x 2m) the filtered Schmidt rows
     P_a = Psi conj(T_a), P_b = Phi conj(T_b) of the m amplitudes above the
-    noise floor, ``weight_sq`` = d_omega sinh^2 r, ``weight_cross`` =
-    d_omega cosh r sinh r, and ``vacuum`` D = (|T_a|^2 + R_a^2 + |T_b|^2 +
-    R_b^2) / 2 the vacuum the filters transmit and reflect.  This is the
+    noise floor, ``weight_sq`` = d_omega sinh^2 r and ``weight_cross`` =
+    d_omega cosh r sinh r.  The 1 is the vacuum the filters transmit and
+    reflect, sum_i c_i^2 (|T_a|^2 + R_a^2 + |T_b|^2 + R_b^2)_i / 2, which
+    is |c|^2 = 1 because R = sqrt(1 - |T|^2).  This is the
     n x n quadratic form of :func:`make_state_context` contracted with c, so
     a generation is scored by one n x 2m product and no n x n form exists.
     """
@@ -115,7 +118,6 @@ class StateContext:
     factors: np.ndarray = field(repr=False)
     weight_sq: np.ndarray = field(repr=False)
     weight_cross: np.ndarray = field(repr=False)
-    vacuum: np.ndarray = field(repr=False)
 
     @property
     def n_points(self) -> int:
@@ -131,7 +133,7 @@ class StateContext:
             np.matmul(c[i : i + rows], self.factors, out=ab[i : i + rows])
         a, b = ab[:, : m2 // 2], ab[:, m2 // 2 :]
         w = self.weight_sq
-        base = np.square(a) @ w + np.square(b) @ w + np.einsum("ij,ij,j->i", c, c, self.vacuum)
+        base = np.square(a) @ w + np.square(b) @ w + 1.0
         cross = 2 * (a * b) @ self.weight_cross
         return -10.0 * np.log10(np.minimum(base - cross, base + cross))
 
@@ -184,9 +186,6 @@ def make_state_context(
     dw = grid.d_omega
     pa = np.real(psi * ta.conj())
     pb = np.real(phi * tb.conj())
-    vacuum = (
-        np.abs(ta) ** 2 + filter_signal.reflection**2 + np.abs(tb) ** 2 + filter_idler.reflection**2
-    ) / 2
     return StateContext(
         schmidt=schmidt,
         filter_signal=filter_signal,
@@ -194,7 +193,6 @@ def make_state_context(
         factors=np.hstack([pa.T, pb.T]),
         weight_sq=dw * np.sinh(r) ** 2,
         weight_cross=dw * np.cosh(r) * np.sinh(r),
-        vacuum=vacuum,
     )
 
 
@@ -327,13 +325,3 @@ def _orthonormal_columns(
         genes = genes.copy()
         genes[bad] = rng.standard_normal((int(np.sum(bad)), genes.shape[1]))
 
-
-def write_convergence_csv(log: list[tuple[int, int, float, float]], path) -> None:
-    """Per-generation log as CSV rows (mode, generation, best_db, mean_db)."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "generation", "best_db", "mean_db"])
-        for mode, gen, best, mean in log:
-            writer.writerow([mode, gen, format(best, ".17g"), format(mean, ".17g")])

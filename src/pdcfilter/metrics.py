@@ -10,7 +10,6 @@ two combinations.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -113,18 +112,3 @@ def single_mode_character(reports: list[SqueezingEntry]) -> float:
         return math.inf
     return first / rest
 
-
-def write_squeezing_csv(reports: list[SqueezingEntry], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode_index", "delta2_minus", "delta2_plus", "squeezing_db", "combination"])
-        for entry in reports:
-            writer.writerow(
-                [
-                    entry.mode_index,
-                    format(entry.delta2_minus, ".17g"),
-                    format(entry.delta2_plus, ".17g"),
-                    format(entry.squeezing_db, ".17g"),
-                    entry.combination,
-                ]
-            )

@@ -47,6 +47,9 @@ _SKETCH_BUDGET = 0.125
 # sample) holds its operand, both factor matrices and the LAPACK work beside
 # the amplitude, about 9 in all by peak RSS at n = 1500 and 2500
 _STATE_ARRAYS = 10
+# the widths for which 2 sigma^2, the Gaussians' divisor, is a normal finite float
+_SIGMA_MIN = float(np.sqrt(np.finfo(float).tiny / 2))
+_SIGMA_MAX = float(np.sqrt(np.finfo(float).max / 2))
 # relative magnitude gap below which two samples tie for a mode's peak
 _PEAK_TIE = 1e-8
 # the first mode's squeezed variance e^(-2r) is a difference of terms of size
@@ -72,6 +75,11 @@ class FrequencyGrid:
         if not self.omega_max > self.omega_min:
             raise ConfigurationError(
                 f"omega_max must exceed omega_min, got [{self.omega_min}, {self.omega_max}]"
+            )
+        # the quadrature weight of an amplitude's norm is d_omega^2
+        if not self.d_omega * self.d_omega < np.inf:
+            raise ConfigurationError(
+                f"the window [{self.omega_min}, {self.omega_max}] is too wide: d_omega^2 overflows"
             )
 
     @property
@@ -113,8 +121,12 @@ class GaussianJsaParams:
     gain_b: float = 0.0
 
     def __post_init__(self):
-        if not (self.sigma_a > 0 and self.sigma_b > 0):
-            raise ConfigurationError("sigma_a and sigma_b must be strictly positive")
+        widths = (self.sigma_a, self.sigma_b)
+        if not _SIGMA_MIN <= min(widths) <= max(widths) <= _SIGMA_MAX:
+            raise ConfigurationError(
+                f"sigma_a and sigma_b must lie in [{_SIGMA_MIN:.3g}, {_SIGMA_MAX:.3g}], "
+                f"got {self.sigma_a}, {self.sigma_b}"
+            )
         if self.gain_b < 0:
             raise ConfigurationError(f"gain_b must be >= 0, got {self.gain_b}")
 
@@ -134,15 +146,15 @@ class JsaMatrix:
         n = self.grid.n_points
         if v.shape != (n, n):
             raise ConfigurationError(f"JSA shape {v.shape} does not match grid size {n}")
-        if abs(self.l2_norm_sq - 1.0) > 1e-12:
+        if not abs(self.l2_norm_sq - 1.0) <= 1e-12:
             raise NumericsError(
                 f"JSA not normalized: sum|f|^2 d_omega^2 = {self.l2_norm_sq!r}"
             )
 
     @property
     def l2_norm_sq(self) -> float:
-        mag = np.abs(self.values)
-        return float(np.sum(np.square(mag, out=mag)) * self.grid.d_omega**2)
+        v = self.values
+        return float(np.vdot(v, v).real) * self.grid.d_omega**2
 
 
 @dataclass(frozen=True)
@@ -178,10 +190,15 @@ class SchmidtData:
 
 
 def _gaussian_in_place(x: np.ndarray, sigma: float) -> np.ndarray:
-    """x <- exp(-(x^2) / (2 sigma^2)), elementwise and in place."""
-    np.square(x, out=x)
-    np.negative(x, out=x)
-    x /= 2 * sigma**2
+    """x <- exp(-(x^2) / (2 sigma^2)), elementwise and in place.
+
+    An exponent that overflows to -inf gives exp = 0, the Gaussian's value
+    to double precision, so overflow there is not an error.
+    """
+    with np.errstate(over="ignore"):
+        np.square(x, out=x)
+        np.negative(x, out=x)
+        x /= 2 * sigma**2
     return np.exp(x, out=x)
 
 
@@ -226,7 +243,7 @@ def build_gaussian_jsa(
     del v
     analytic_mass = float(np.pi * params.sigma_a * params.sigma_b)
     off_grid = 1.0 - grid_mass / analytic_mass
-    if off_grid > max_truncated_mass:
+    if not off_grid <= max_truncated_mass:
         raise GridTruncationError(
             f"{off_grid:.3e} of the analytic |f|^2 mass lies outside "
             f"[{grid.omega_min}, {grid.omega_max}] (limit {max_truncated_mass:.1e}); "

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pdcfilter as pf
+from pdcfilter.cli import _modes_table, _write_csv
 from pdcfilter.errors import ConfigurationError
 
 from oracles import dense_effective_basis, full_schmidt, loop_modes_csv, lossy_epr_block
@@ -302,11 +303,9 @@ class TestFilteredProjectorDecomposition:
 
 
 def test_modes_csv_real(tmp_path, reference_200):
-    from pdcfilter.basis_opt import write_modes_csv
-
     _, schmidt, _ = reference_200
     path = tmp_path / "modes.csv"
-    write_modes_csv(schmidt.grid, schmidt.signal_modes[:2], path)
+    _write_csv(path, *_modes_table(schmidt.grid, schmidt.signal_modes[:2]))
     lines = path.read_text().splitlines()
     assert lines[0] == "omega,mode_1,mode_2"
     assert len(lines) == schmidt.grid.n_points + 1
@@ -318,13 +317,11 @@ def test_modes_csv_real(tmp_path, reference_200):
 def test_modes_csv_equals_sample_loop(tmp_path, reference_200, phase):
     # real modes, complex modes with a round-off imaginary part (written as
     # real) and complex modes (written as re/im pairs), with signed zeros
-    from pdcfilter.basis_opt import write_modes_csv
-
     _, schmidt, _ = reference_200
     modes = schmidt.signal_modes[:3].copy()
     modes[0, :2] = (0.0, -0.0)
     if phase is not None:
         modes = modes * np.exp(1j * phase)
-    write_modes_csv(schmidt.grid, modes, tmp_path / "table.csv")
+    _write_csv(tmp_path / "table.csv", *_modes_table(schmidt.grid, modes))
     loop_modes_csv(schmidt.grid, modes, tmp_path / "loop.csv")
     assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdcfilter as pf
 from pdcfilter.cli import (
@@ -24,8 +26,36 @@ from pdcfilter.cli import (
 )
 from pdcfilter.errors import ConfigurationError
 
-_SRC = Path(__file__).resolve().parents[1] / "src"
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = _ROOT / "src"
 _MAIN = "import sys; from pdcfilter.cli import main; sys.exit(main(sys.argv[1:]))"
+_KEYS = [f.name for f in dataclasses.fields(RunConfig)]
+
+
+def _config_text(config: RunConfig) -> str:
+    """Every field of ``config`` but the unset ones as a ``key = value`` line."""
+    lines = []
+    for key in _KEYS:
+        value = getattr(config, key)
+        if isinstance(value, tuple):
+            value = ", ".join(map(repr, value))
+        if value is not None:
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+_VALUE_TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=20),
+    st.builds("{}{}".format, st.integers(), st.integers(0, 400).map("0".__mul__)),
+    st.floats().map(repr),
+    st.lists(st.floats(), max_size=4).map(lambda xs: ", ".join(map(repr, xs))),
+    st.sampled_from(["schmidt", "svd", "ga", "rect", "gauss", "identity", "blocking", "flat"]),
+)
+_CONFIG_LINE = st.builds(
+    "{} = {}".format,
+    st.one_of(st.sampled_from(_KEYS), st.text(st.characters(blacklist_categories=("Cs",)), max_size=10)),
+    _VALUE_TEXT,
+)
 
 
 class TestConfigParsing:
@@ -58,6 +88,53 @@ class TestConfigParsing:
         assert config.filter_width == 6.0
         assert config.sweep_widths == (2.0, 4.0, 8.0)
         assert config.rng_seed == 42
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            RunConfig(),
+            RunConfig(
+                gain_b=0.37,
+                target_db=None,
+                basis="ga",
+                filter_kind="flat",
+                filter_amplitude=0.25,
+                sweep_widths=(0.5, 1.5),
+                sweep_target_dbs=(3.0,),
+                mass_tolerance=1e-3,
+                rng_seed=9,
+            ),
+        ],
+    )
+    def test_every_field_round_trips(self, tmp_path, config):
+        path = tmp_path / "all.cfg"
+        path.write_text(_config_text(config))
+        assert build_config(path) == config
+
+    def test_readme_block_is_the_default(self, tmp_path):
+        readme = (_ROOT / "README.md").read_text()
+        block = readme.split("Configuration files are flat", 1)[1].split("```\n", 2)[1]
+        assert all(f"{key} =" in block for key in _KEYS)
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        assert build_config(path) == RunConfig()
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(_CONFIG_LINE, max_size=6))
+    def test_any_text_gives_config_or_configuration_error(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        try:
+            config = build_config(path)
+        except ConfigurationError:
+            return
+        assert isinstance(config, RunConfig)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"n_points = 5\xff0\n")
+        with pytest.raises(ConfigurationError, match="UTF-8"):
+            parse_config_file(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -315,6 +392,41 @@ class TestSweep:
         assert manifest["n_records"] == 24 and manifest["n_failed"] == 0
 
 
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    out = tmp_path_factory.mktemp("artifacts")
+    config = RunConfig(
+        n_points=50,
+        basis="ga",
+        ga_modes=2,
+        population=16,
+        max_generations=5,
+        sweep_widths=(2.0, 4.0),
+        sweep_target_dbs=(6.0,),
+    )
+    export_report(run_single(config), out / "run")
+    export_tradeoff(sweep_tradeoff(config), config, out / "sweep")
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, header",
+    [
+        ("run/schmidt.csv", "mode_index,lambda,r,squeezing_db"),
+        ("run/modes.csv", "omega,mode_1,mode_2"),
+        ("run/squeezing.csv", "mode_index,delta2_minus,delta2_plus,squeezing_db,combination"),
+        ("run/ga_convergence.csv", "mode,generation,best_db,mean_db"),
+        (
+            "sweep/tradeoff.csv",
+            "filter_width,gain_b,first_mode_squeezing_db,single_mode_character,purity,"
+            "tail_weight,basis_method,error",
+        ),
+    ],
+)
+def test_artifact_header(artifacts, name, header):
+    assert (artifacts / name).read_text().splitlines()[0] == header
+
+
 class TestMainEntry:
     def test_run_verb(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -394,6 +506,13 @@ class TestMainEntry:
             ("mutation_sigma = -1", 1),
             ("population = 1000000000", 1),
             ("n_points = 100000", 1),
+            pytest.param("n_points = " + "9" * 400, 1, id="n_points = 400 digits-1"),
+            ("rng_seed = -1", 1),
+            ("omega_min = -1e308\nomega_max = 1e308", 1),
+            ("omega_min = -1e300\nomega_max = 1e300", 1),
+            ("omega_min = 1e155\nomega_max = 1.0000000001e155", 1),
+            ("sigma_a = 1e-300", 1),
+            ("sigma_b = 1e200", 1),
         ],
     )
     def test_bad_float_exits_with_one_line(self, tmp_path, line, code):

@@ -197,15 +197,3 @@ class TestAssembleCovariance:
         proj = pf.filtered_projections(strong, ident, ident, basis)
         cov = pf.assemble_covariance(proj)
         assert pf.purity(cov) == pytest.approx(1.0, abs=1e-9)
-
-
-class TestCsvRoundTrip:
-    def test_exact_roundtrip(self, tmp_path, reference_200, rect4_200):
-        _, schmidt, _ = reference_200
-        basis = pf.MeasurementBasis.from_schmidt(schmidt, 3)
-        proj = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis)
-        cov = pf.assemble_covariance(proj)
-        path = tmp_path / "cov.csv"
-        pf.write_covariance_csv(cov, path)
-        loaded = pf.read_covariance_csv(path)
-        assert np.max(np.abs(loaded - cov.sigma)) < 1e-15

@@ -256,17 +256,6 @@ class TestGaOptimize:
         assert result.converged == [converged] * 2
         assert counted.calls == sum(result.generations_used) + (0 if converged else 2)
 
-    def test_convergence_log_csv(self, tmp_path, ctx_rect4):
-        from pdcfilter.genetic import write_convergence_csv
-
-        params = pf.GaParams(population=32, max_generations=10, convergence_window=50, rng_seed=1)
-        result = pf.ga_optimize_basis(ctx_rect4, 1, params)
-        path = tmp_path / "log.csv"
-        write_convergence_csv(result.convergence_log, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "mode,generation,best_db,mean_db"
-        assert len(lines) == len(result.convergence_log) + 1
-
 
 def _assert_same_search(result, reference):
     assert result.generations_used == reference.generations_used
@@ -357,6 +346,7 @@ class TestGaParams:
             {"convergence_tol": 0.0},
             {"parent_fraction": 0.0},
             {"max_generations": 0},
+            {"rng_seed": -1},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdcfilter as pf
+from pdcfilter.cli import _record_table, _write_csv
 from pdcfilter.errors import ConfigurationError
-from pdcfilter.metrics import SqueezingEntry, write_squeezing_csv
+from pdcfilter.metrics import SqueezingEntry
 
 from oracles import R_6DB, lossy_epr_block
 
@@ -224,7 +225,7 @@ class TestInvariants:
 def test_squeezing_csv(tmp_path):
     entries = [SqueezingEntry(1, 0.5, 2.0, 3.0103, "minus")]
     path = tmp_path / "squeezing.csv"
-    write_squeezing_csv(entries, path)
+    _write_csv(path, *_record_table(SqueezingEntry, entries))
     text = path.read_text().splitlines()
     assert text[0] == "mode_index,delta2_minus,delta2_plus,squeezing_db,combination"
     assert text[1].startswith("1,0.5,2,3.0103")

@@ -32,3 +32,4 @@ def test_ga_vs_svd_script_exits_cleanly(tmp_path):
     assert "mode 2: ga" in proc.stdout
     log = (tmp_path / "ga_convergence.csv").read_text().splitlines()
     assert log[0] == "mode,generation,best_db,mean_db" and len(log) > 2
+    assert (tmp_path / "manifest.json").exists()
