@@ -12,7 +12,6 @@ amplitude and a genetic search over orthonormal mode sets.
 __version__ = "0.1.0"
 
 from .basis_opt import (
-    EffectiveSchmidt,
     FilteredProjectorModes,
     filtered_projector_decomposition,
     svd_effective_basis,
@@ -80,7 +79,6 @@ __all__ = [
     "__version__",
     "ConfigurationError",
     "CovarianceMatrix",
-    "EffectiveSchmidt",
     "Filter",
     "FilteredProjectorModes",
     "FrequencyGrid",

@@ -39,26 +39,6 @@ from .spectral import (
 )
 
 
-@dataclass(frozen=True)
-class EffectiveSchmidt:
-    """Filter-adapted broadband modes with filtered amplitudes lambda'_k.
-
-    Row k of ``signal_modes`` / ``idler_modes`` pairs with ``lambdas[k]``;
-    rows beyond the passband rank carry lambda' = 0.  As in ``SchmidtData``
-    the amplitudes are gain-free: a gain B gives r'_k = B lambda'_k.
-    """
-
-    grid: FrequencyGrid
-    signal_modes: np.ndarray
-    idler_modes: np.ndarray
-    lambdas: np.ndarray
-    n_retained: int
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.lambdas)
-
-
 def _embed(vectors: np.ndarray, support: np.ndarray, n: int, k: int) -> np.ndarray:
     # Columns of ``vectors`` live on ``support``; place the first k of them on
     # the n-point grid and complete with unit vectors at the off-support
@@ -78,7 +58,7 @@ def svd_effective_basis(
     filter_signal: Filter,
     filter_idler: Filter,
     n_retained: int = 10,
-) -> EffectiveSchmidt:
+) -> SchmidtData:
     """Decompose the filter-masked amplitude into the effective basis.
 
     Only the passband block T_a[S] T_b[I] f[S, I] is decomposed, with S and I
@@ -89,6 +69,9 @@ def svd_effective_basis(
     block: a global positive gain changes no singular vector, so the basis
     holds for every gain B and the squeezing amplitudes are r' = B lambda'.
 
+    The result is a ``SchmidtData`` of the masked amplitude: ``lambdas`` are
+    the filtered amplitudes lambda', ``tail_weight`` is sum_{k > n_retained}
+    lambda'_k^2, and no gain is applied.
     max(n_retained, min(|S|, |I|)) mode pairs are kept; ``n_retained`` marks
     the reporting cut.  Pairs beyond the block's min(|S|, |I|) singular
     triples have lambda' = 0, and each arm fills them first with its unused
@@ -114,12 +97,13 @@ def svd_effective_basis(
     u = _embed(u, rows, n, k)
     vh = _embed(vh.T, cols, n, k).T
     s, signal, idler = _quadrature_modes(u, s, vh, dw)
-    return EffectiveSchmidt(
+    return SchmidtData(
         grid=grid,
         signal_modes=signal,
         idler_modes=idler,
         lambdas=s,
         n_retained=int(n_retained),
+        tail_weight=float(np.sum(s[n_retained:] ** 2)),
     )
 
 

@@ -47,7 +47,7 @@ from .genetic import (
     ga_working_set_bytes,
     make_state_context,
 )
-from .metrics import SqueezingEntry, purity, single_mode_character, squeezing_report
+from .metrics import SqueezingEntry, purity, purity_routes, single_mode_character, squeezing_report
 from .spectral import (
     GaussianJsaParams,
     JsaMatrix,
@@ -241,8 +241,7 @@ def _select_basis(
     if config.basis == "schmidt":
         return MeasurementBasis.from_schmidt(schmidt, n), None
     if config.basis == "svd":
-        eff = svd_effective_basis(jsa, filt, filt, n_retained=n)
-        return MeasurementBasis(eff.signal_modes[:n], eff.idler_modes[:n], jsa.grid), None
+        return MeasurementBasis.from_schmidt(svd_effective_basis(jsa, filt, filt, n_retained=n), n), None
     ctx = make_state_context(schmidt, filt, filt)
     ga_result = ga_optimize_basis(ctx, config.ga_modes, config.ga_params())
     return MeasurementBasis.from_shared(ga_result.modes, jsa.grid), ga_result
@@ -469,8 +468,9 @@ def validate(config: RunConfig, stream=None) -> bool:
 
     passed_phys, lowest = check_physicality(report.covariance, tol=1e-9)
     results.append(("physicality", passed_phys, f"min nu = {lowest!r}"))
-    # run_single computed purity by both routes and raised on a mismatch
-    results.append(("purity_crosscheck", True, f"purity = {report.purity:.9f}"))
+    p_det, p_symp = purity_routes(report.covariance)
+    gap = abs(p_det - p_symp)
+    results.append(("purity_crosscheck", gap <= 1e-9, f"purity = {p_det:.9f}, |det - Williamson| = {gap:.2e}"))
     product_ok = all(
         entry.delta2_minus * entry.delta2_plus >= 1 - 1e-9 for entry in report.squeezing
     )

@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,25 +39,59 @@ from .filters import ProjectionSet
 
 _ASYMMETRY_WARN = 1e-8
 _PHYSICALITY_RAISE = 1e-6
+# largest |sigma - sigma^T| entry a covariance may carry
+_SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Real symmetric 4N x 4N covariance matrix of N measured mode pairs."""
+    """Real symmetric 4N x 4N covariance matrix of N measured mode pairs.
+
+    Shape and symmetry are checked on construction.  The Williamson spectrum
+    is computed on first use, and every physicality and purity check reads it.
+    """
 
     sigma: np.ndarray
-    n_modes: int
     asymmetry: float = 0.0
 
     def __post_init__(self):
         s = np.asarray(self.sigma)
-        if s.shape != (4 * self.n_modes, 4 * self.n_modes):
+        if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 4 or not s.size:
             raise ConfigurationError(
-                f"covariance shape {s.shape} does not match 4 x {self.n_modes}"
+                f"covariance must be a 4N x 4N matrix with N >= 1, got shape {s.shape}"
             )
-        dev = float(np.max(np.abs(s - s.T))) if s.size else 0.0
-        if dev > 1e-12:
+        dev = float(np.max(np.abs(s - s.T)))
+        if dev > _SYMMETRY_TOL:
             raise ConfigurationError(f"covariance not symmetric (max deviation {dev:.3e})")
+
+    @classmethod
+    def of(cls, sigma) -> "CovarianceMatrix":
+        """``sigma`` itself if it is a ``CovarianceMatrix``, else the array wrapped."""
+        return sigma if isinstance(sigma, cls) else cls(np.asarray(sigma, dtype=float))
+
+    @property
+    def n_modes(self) -> int:
+        return self.sigma.shape[0] // 4
+
+    @cached_property
+    def symplectic_eigenvalues(self) -> np.ndarray:
+        """Williamson eigenvalues, descending (one per bosonic mode), read-only.
+
+        The magnitudes of the paired, purely imaginary spectrum of Omega @ sigma;
+        vacuum gives 1/2 for every mode.  A failed eigensolver (for example on
+        non-finite entries) raises ``NumericsError``.
+        """
+        s = self.sigma
+        try:
+            ev = np.linalg.eigvals(symplectic_form(s.shape[0] // 2) @ s)
+        except np.linalg.LinAlgError as exc:
+            raise NumericsError(
+                f"symplectic spectrum failed to converge (matrix {s.shape}, "
+                f"finite: {bool(np.all(np.isfinite(s)))})"
+            ) from exc
+        nu = np.sort(np.abs(ev))[::-1][::2]
+        nu.flags.writeable = False
+        return nu
 
     def block(self, k: int, l: int | None = None) -> np.ndarray:
         """4x4 block coupling measured modes k and l (1-based; l defaults to k)."""
@@ -87,33 +122,9 @@ def symplectic_form(n_pairs: int) -> np.ndarray:
     return np.kron(np.eye(n_pairs), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
-def _as_sigma(sigma) -> np.ndarray:
-    if isinstance(sigma, CovarianceMatrix):
-        return sigma.sigma
-    return np.asarray(sigma, dtype=float)
-
-
 def symplectic_eigenvalues(sigma) -> np.ndarray:
-    """Williamson eigenvalues, descending (one per bosonic mode).
-
-    Computed as the magnitudes of the (paired, purely imaginary) spectrum of
-    Omega @ sigma.  Vacuum gives 1/2 for every mode.  A failed eigensolver
-    (for example on non-finite entries) raises ``NumericsError``.
-    """
-    s = _as_sigma(sigma)
-    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
-        raise ConfigurationError(f"covariance must be square with even size, got {s.shape}")
-    if np.max(np.abs(s - s.T)) > 1e-10:
-        raise ConfigurationError("symplectic spectrum requires a symmetric matrix")
-    try:
-        ev = np.linalg.eigvals(symplectic_form(s.shape[0] // 2) @ s)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(
-            f"symplectic spectrum failed to converge (matrix {s.shape}, "
-            f"finite: {bool(np.all(np.isfinite(s)))})"
-        ) from exc
-    nu = np.sort(np.abs(ev))[::-1]
-    return nu[::2]
+    """``CovarianceMatrix.symplectic_eigenvalues`` of ``sigma``."""
+    return CovarianceMatrix.of(sigma).symplectic_eigenvalues
 
 
 def check_physicality(sigma, tol: float = 1e-9) -> tuple[bool, float]:
@@ -122,8 +133,7 @@ def check_physicality(sigma, tol: float = 1e-9) -> tuple[bool, float]:
     Returns (passed, min_symplectic_eigenvalue); diagnostic only, never raises
     for unphysical input.
     """
-    nu = symplectic_eigenvalues(sigma)
-    lowest = float(np.min(nu))
+    lowest = float(np.min(symplectic_eigenvalues(sigma)))
     return lowest >= 0.5 - tol, lowest
 
 
@@ -189,7 +199,7 @@ def assemble_covariance(projections: ProjectionSet) -> CovarianceMatrix:
         )
     sigma = (sigma + sigma.T) / 2
 
-    cov = CovarianceMatrix(sigma=sigma, n_modes=n, asymmetry=asymmetry)
+    cov = CovarianceMatrix(sigma=sigma, asymmetry=asymmetry)
     passed, lowest = check_physicality(cov, tol=_PHYSICALITY_RAISE)
     if not passed:
         raise PhysicalityError(
@@ -201,10 +211,7 @@ def assemble_covariance(projections: ProjectionSet) -> CovarianceMatrix:
 
 
 def read_covariance_csv(path) -> np.ndarray:
-    """The matrix of a ``covariance.csv`` artifact."""
+    """The matrix of a ``covariance.csv`` artifact, checked as a ``CovarianceMatrix``."""
     with open(path, newline="") as fh:
         rows = [[float(x) for x in row] for row in csv.reader(fh) if row]
-    arr = np.asarray(rows)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise NumericsError(f"covariance CSV at {path} is not square: shape {arr.shape}")
-    return arr
+    return CovarianceMatrix.of(rows).sigma

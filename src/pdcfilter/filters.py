@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .spectral import FrequencyGrid, SchmidtData
+from .spectral import _SIGMA_MAX, _SIGMA_MIN, FrequencyGrid, SchmidtData
 
 _ORTHO_TOL = 1e-8
 
@@ -65,10 +65,15 @@ def make_rect_filter(center: float, width: float, grid: FrequencyGrid) -> Filter
 
 
 def make_gauss_filter(center: float, fwhm: float, grid: FrequencyGrid) -> Filter:
-    """Gaussian amplitude profile with unit peak; fwhm is the amplitude FWHM."""
-    if fwhm <= 0:
-        raise ConfigurationError(f"fwhm must be > 0, got {fwhm}")
-    t = np.exp(-4 * np.log(2.0) * (grid.points - center) ** 2 / fwhm**2)
+    """Gaussian amplitude profile with unit peak; fwhm is the amplitude FWHM.
+
+    fwhm takes the amplitude's width range, where fwhm^2 is positive and finite;
+    a sample whose exponent overflows transmits 0, its value to double precision.
+    """
+    if not _SIGMA_MIN <= fwhm <= _SIGMA_MAX:
+        raise ConfigurationError(f"fwhm must lie in [{_SIGMA_MIN:.3g}, {_SIGMA_MAX:.3g}], got {fwhm}")
+    with np.errstate(over="ignore"):
+        t = np.exp(-4 * np.log(2.0) * (grid.points - center) ** 2 / fwhm**2)
     return Filter(t, grid, kind="gaussian", center=float(center), width=float(fwhm))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import _as_sigma, symplectic_eigenvalues
+from .covariance import CovarianceMatrix
 from .errors import ConfigurationError, NumericsError
 
 _PURITY_XCHECK_TOL = 1e-9
@@ -32,19 +32,9 @@ class SqueezingEntry:
     combination: str  # "minus" or "plus": which joint quadrature is squeezed
 
 
-def _n_modes(sigma: np.ndarray) -> int:
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 4:
-        raise ConfigurationError(f"expected a 4N x 4N matrix, got shape {sigma.shape}")
-    return sigma.shape[0] // 4
-
-
 def epr_variances(sigma, k: int) -> tuple[float, float]:
     """(minus, plus) joint-quadrature variances of measured mode k (1-based)."""
-    s = _as_sigma(sigma)
-    n = _n_modes(s)
-    if not 1 <= k <= n:
-        raise ConfigurationError(f"mode index {k} out of range 1..{n}")
-    b = s[4 * (k - 1) : 4 * k, 4 * (k - 1) : 4 * k]
+    b = CovarianceMatrix.of(sigma).block(k)
     a, bb, e, f = b[0, 0], b[2, 2], b[0, 2], b[2, 0]
     return float(a + bb - e - f), float(a + bb + e + f)
 
@@ -68,27 +58,30 @@ def mode_squeezing_db(sigma, k: int) -> SqueezingEntry:
 
 def squeezing_report(sigma) -> list[SqueezingEntry]:
     """Per-mode squeezing entries for every measured mode."""
-    s = _as_sigma(sigma)
-    return [mode_squeezing_db(s, k) for k in range(1, _n_modes(s) + 1)]
+    cov = CovarianceMatrix.of(sigma)
+    return [mode_squeezing_db(cov, k) for k in range(1, cov.n_modes + 1)]
+
+
+def purity_routes(sigma) -> tuple[float, float]:
+    """Purity of the Gaussian state by two routes: the determinant route
+    1 / (2^M sqrt(det sigma)) for M = 2N modes, and the Williamson route
+    prod 1/(2 nu_j) over the covariance's one symplectic spectrum."""
+    cov = CovarianceMatrix.of(sigma)
+    sign, logdet = np.linalg.slogdet(cov.sigma)
+    if sign <= 0:
+        raise NumericsError(f"covariance determinant not positive (sign {sign})")
+    p_det = float(np.exp(-2 * cov.n_modes * np.log(2.0) - 0.5 * logdet))
+    p_symp = float(np.exp(-np.sum(np.log(2.0 * cov.symplectic_eigenvalues))))
+    return p_det, p_symp
 
 
 def purity(sigma) -> float:
-    """Purity of the Gaussian state: 1 / (2^M sqrt(det sigma)) for M modes.
+    """Purity of the Gaussian state by the determinant route.
 
-    Cross-checked against the symplectic-eigenvalue product
-    prod 1/(2 nu_j); a disagreement beyond 1e-9 indicates a numerical
-    failure and raises.
+    A disagreement with the Williamson route (see ``purity_routes``) beyond
+    1e-9 indicates a numerical failure and raises.
     """
-    s = _as_sigma(sigma)
-    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
-        raise ConfigurationError(f"covariance must be square with even size, got {s.shape}")
-    m = s.shape[0] // 2
-    sign, logdet = np.linalg.slogdet(s)
-    if sign <= 0:
-        raise NumericsError(f"covariance determinant not positive (sign {sign})")
-    p_det = float(np.exp(-m * np.log(2.0) - 0.5 * logdet))
-    nu = symplectic_eigenvalues(s)
-    p_symp = float(np.exp(-np.sum(np.log(2.0 * nu))))
+    p_det, p_symp = purity_routes(sigma)
     if abs(p_det - p_symp) > _PURITY_XCHECK_TOL:
         raise NumericsError(
             f"purity cross-check failed: determinant route {p_det!r} vs "

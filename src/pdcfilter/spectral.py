@@ -161,9 +161,12 @@ class JsaMatrix:
 class SchmidtData:
     """Broadband-mode decomposition of a joint spectral amplitude.
 
-    ``signal_modes`` / ``idler_modes`` hold one mode function per row for the
-    leading singular triples of the sampled amplitude, down to the noise
-    floor (amplitudes below it are dropped: their r is zero to round-off);
+    ``signal_modes`` / ``idler_modes`` hold one mode function per row, paired
+    with the descending amplitudes ``lambdas``: every triple the decomposition
+    computed, those below the noise floor (r zero to round-off) included.
+    :func:`schmidt_decompose` keeps all n rows of a dense SVD or the k rows
+    of its last sketch; ``svd_effective_basis`` decomposes the filter-masked
+    amplitude the same way, its ``lambdas`` being the filtered lambda'_k.
     ``n_retained`` marks how many leading modes the analysis reports on and
     ``tail_weight`` is the spectral weight sum_{k > n_retained} lambda_k^2
     beyond them.  ``r_values`` are the gain-scaled squeezing parameters
@@ -209,9 +212,12 @@ def build_gaussian_jsa(
 ) -> JsaMatrix:
     """Sample and normalize the tilted double-Gaussian amplitude on the grid.
 
-    Refuses (``GridTruncationError``) when more than ``max_truncated_mass`` of
-    the analytic |f|^2 mass falls outside the grid square, since silently
-    clipping the amplitude corrupts the normalization and the mode spectrum.
+    Refuses (``GridTruncationError``) when the rectangle-rule |f|^2 mass on
+    the grid misses the analytic mass by more than ``max_truncated_mass`` of
+    it: short when mass falls outside the grid square (the amplitude would be
+    clipped), over when the grid spacing is too coarse for the widths (the
+    amplitude is under-resolved).  Either corrupts the normalization and the
+    mode spectrum.
 
     The amplitude is built in place in two n x n buffers with the rounding of
     the rotated-coordinate form exp(-u^2 / (2 sigma_a^2)) exp(-v^2 /
@@ -229,8 +235,8 @@ def build_gaussian_jsa(
     grid : FrequencyGrid
         Shared signal/idler axis.
     max_truncated_mass : float
-        Largest acceptable off-grid fraction of the analytic squared-amplitude
-        mass.
+        Largest acceptable deviation of the sampled squared-amplitude mass,
+        as a fraction of the analytic mass, in either direction.
     """
     w = grid.points
     cos, sin = np.cos(params.theta), np.sin(params.theta)
@@ -243,12 +249,16 @@ def build_gaussian_jsa(
     del v
     analytic_mass = float(np.pi * params.sigma_a * params.sigma_b)
     off_grid = 1.0 - grid_mass / analytic_mass
-    if not off_grid <= max_truncated_mass:
-        raise GridTruncationError(
-            f"{off_grid:.3e} of the analytic |f|^2 mass lies outside "
-            f"[{grid.omega_min}, {grid.omega_max}] (limit {max_truncated_mass:.1e}); "
-            "enlarge the grid or shrink the widths"
+    # grid_mass > 0 refuses a grid holding no mass also under a tolerance >= 1
+    if not (abs(off_grid) <= max_truncated_mass and grid_mass > 0):
+        problem = (
+            f"the sampled |f|^2 mass exceeds the analytic mass by {-off_grid:.3e}: the amplitude "
+            f"is under-resolved at d_omega = {grid.d_omega:.3g}; add grid points or widen the widths"
+            if off_grid < 0
+            else f"{off_grid:.3e} of the analytic |f|^2 mass lies outside [{grid.omega_min}, "
+            f"{grid.omega_max}]; enlarge the grid or shrink the widths"
         )
+        raise GridTruncationError(f"{problem} (limit {max_truncated_mass:.1e})")
     raw /= np.sqrt(grid_mass)
     return JsaMatrix(raw, grid)
 

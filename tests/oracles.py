@@ -120,8 +120,7 @@ def dense_effective_basis(jsa, filter_signal, filter_idler, n_retained=10):
     ``quadrature_svd`` so that filters without a zero sample can be
     compared bit for bit.
     """
-    from pdcfilter.basis_opt import EffectiveSchmidt
-    from pdcfilter.spectral import quadrature_svd
+    from pdcfilter.spectral import SchmidtData, quadrature_svd
 
     masked = (
         filter_signal.transmission[:, None]
@@ -129,12 +128,13 @@ def dense_effective_basis(jsa, filter_signal, filter_idler, n_retained=10):
         * jsa.values
     )
     s, signal, idler = quadrature_svd(masked, jsa.grid)
-    return EffectiveSchmidt(
+    return SchmidtData(
         grid=jsa.grid,
         signal_modes=signal,
         idler_modes=idler,
         lambdas=s,
         n_retained=int(n_retained),
+        tail_weight=float(np.sum(s[n_retained:] ** 2)),
     )
 
 

@@ -3,13 +3,16 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import pdcfilter as pf
@@ -513,6 +516,10 @@ class TestMainEntry:
             ("omega_min = 1e155\nomega_max = 1.0000000001e155", 1),
             ("sigma_a = 1e-300", 1),
             ("sigma_b = 1e200", 1),
+            ("sigma_a = 0.01", 1),
+            ("sigma_a = 1e-100", 1),
+            ("n_points = 2\nmass_tolerance = 1\nsigma_a = 1e-100", 1),
+            ("filter_kind = gauss\nfilter_width = 1e300", 1),
         ],
     )
     def test_bad_float_exits_with_one_line(self, tmp_path, line, code):
@@ -565,15 +572,29 @@ def test_validate_reports_all_checks(capsys):
         "uncertainty_products",
     ):
         assert f"[validate] {name}: PASS" in out
+    gap = re.search(r"purity_crosscheck: PASS \(purity = [0-9.]+, \|det - Williamson\| = (\S+)\)", out)
+    assert gap and float(gap.group(1)) <= 1e-9
 
 
-def _count_calls(monkeypatch, names) -> dict:
+def test_validate_fails_on_a_purity_gap(monkeypatch):
+    # the line reports the measured gap of the two routes, not a constant PASS
     import pdcfilter.cli as cli
 
+    monkeypatch.setattr(cli, "purity_routes", lambda cov: (0.5, 0.5 + 2e-9))
+    stream = io.StringIO()
+    assert not validate(RunConfig(n_points=60, n_retained=4), stream=stream)
+    line = "[validate] purity_crosscheck: FAIL (purity = 0.500000000, |det - Williamson| = 2.00e-09)"
+    assert line in stream.getvalue()
+
+
+def _count_calls(monkeypatch, names, module=None) -> dict:
+    import pdcfilter.cli as cli
+
+    module = module or cli
     calls = dict.fromkeys(names, 0)
 
     def counting(name):
-        original = getattr(cli, name)
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -582,8 +603,17 @@ def _count_calls(monkeypatch, names) -> dict:
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(cli, name, counting(name))
+        monkeypatch.setattr(module, name, counting(name))
     return calls
+
+
+@pytest.mark.parametrize("verb, solves", [("run", 1), ("validate", 1), ("sweep", 24)])
+def test_one_eigensolve_per_covariance(verb, solves, tmp_path, monkeypatch, capsys):
+    # assembly, purity, export and validate all read one Williamson spectrum;
+    # the default sweep measures 8 widths x 3 gains
+    calls = _count_calls(monkeypatch, ("eigvals",), module=np.linalg)
+    assert main([verb, "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"eigvals": solves}
 
 
 @pytest.mark.parametrize("basis", ["schmidt", "svd", "ga"])
@@ -629,3 +659,60 @@ def test_sweep_selects_one_effective_basis_per_width(monkeypatch):
     records = sweep_tradeoff(config)
     assert len(records) == len(config.sweep_widths) * len(config.sweep_target_dbs)
     assert calls == {"schmidt_decompose": 1, "svd_effective_basis": len(config.sweep_widths)}
+
+
+# plausible values for each key; a drawn config may also set one float key
+# to an odd value
+_FUZZ_KEYS = {
+    "n_points": st.integers(2, 70),
+    "omega_min": st.floats(-20.0, -5.0),
+    "omega_max": st.floats(5.0, 20.0),
+    "sigma_a": st.floats(0.3, 6.0),
+    "sigma_b": st.floats(0.3, 3.0),
+    "theta": st.floats(-4.0, 4.0),
+    "target_db": st.floats(0.0, 30.0),
+    "n_retained": st.integers(1, 12),
+    "basis": st.sampled_from(["schmidt", "svd", "ga"]),
+    "filter_kind": st.sampled_from(["rect", "gauss", "identity", "blocking", "flat"]),
+    "filter_center": st.floats(-5.0, 5.0),
+    "filter_width": st.floats(0.0, 25.0),
+    "filter_amplitude": st.floats(0.0, 1.0),
+    "mass_tolerance": st.floats(1e-6, 1.0),
+    "ga_modes": st.integers(1, 2),
+    "population": st.integers(1, 8).map(lambda half: 2 * half),
+    "max_generations": st.integers(1, 20),
+}
+_FUZZ_FLOAT_KEYS = [key for key in _FUZZ_KEYS if isinstance(getattr(RunConfig(), key), float)]
+_ODD_FLOATS = st.sampled_from([0.0, -1.0, 1e-300, 1e-100, 0.01, 1e6, 1e300, math.nan, math.inf, -math.inf])
+_FUZZ_FIXED = "n_points = 40\nsweep_widths = 2, 8\nsweep_target_dbs = 3, 6\npopulation = 8\nmax_generations = 10\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    verb=st.sampled_from(["run", "sweep", "validate"]),
+    keys=st.fixed_dictionaries({}, optional=_FUZZ_KEYS),
+    odd=st.none() | st.tuples(st.sampled_from(_FUZZ_FLOAT_KEYS), _ODD_FLOATS),
+)
+def test_main_fuzz_ends_in_a_documented_exit(tmp_path_factory, verb, keys, odd):
+    # every input ends in exit 0-3 without a traceback or a numpy warning,
+    # and a completed run reports finite squeezing and a purity in (0, 1]
+    if odd:
+        keys = {**keys, odd[0]: odd[1]}
+    work = tmp_path_factory.mktemp("main_fuzz")
+    cfg = work / "fuzz.cfg"
+    cfg.write_text(_FUZZ_FIXED + "".join(f"{key} = {value}\n" for key, value in keys.items()))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main([verb, "--config", str(cfg), "--out", str(work / "out")])
+    event(f"{verb} exit {code}")
+    assert code in (0, 1, 2, 3)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    # a failure is one stderr line, but for a failed invariant, which validate reports on stdout
+    lines = err.getvalue().splitlines()
+    assert len(lines) == (code != 0) or (verb, code, lines) == ("validate", 2, [])
+    assert "Traceback" not in err.getvalue()
+    if verb == "run" and code == 0:
+        done = re.search(r"first mode (\S+) dB, purity (\S+),", out.getvalue())
+        assert math.isfinite(float(done.group(1)))
+        assert 0.0 < float(done.group(2)) <= 1.0

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -69,8 +70,17 @@ class TestFilterFactories:
         assert np.min(filt.transmission) > 1 - 1e-9
 
     def test_gauss_bad_fwhm(self, grid100):
-        with pytest.raises(ConfigurationError):
-            pf.make_gauss_filter(0.0, 0.0, grid100)
+        # fwhm^2 would be 0 or overflow the Python float
+        for fwhm in (0.0, 1e-300, 1e300):
+            with pytest.raises(ConfigurationError):
+                pf.make_gauss_filter(0.0, fwhm, grid100)
+
+    @pytest.mark.parametrize("center", [1e160, -1e300])
+    def test_gauss_far_center_blocks_without_warning(self, grid100, center):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            filt = pf.make_gauss_filter(center, 4.0, grid100)
+        assert np.all(filt.transmission == 0.0)
 
     def test_flat_filter(self, grid100):
         filt = pf.make_flat_filter(0.7, grid100)

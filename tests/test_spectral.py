@@ -95,6 +95,14 @@ class TestGaussianJsa:
         with pytest.raises(GridTruncationError):
             pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), tight)
 
+    @pytest.mark.parametrize("sigma_a", [0.01, 1e-100])
+    def test_under_resolution_refused(self, sigma_a):
+        # d_omega = 0.41: the one sample on the ridge carries more |f|^2
+        # mass than the analytic integral, so off_grid is far below zero
+        coarse = pf.build_frequency_grid(50, -10, 10)
+        with pytest.raises(GridTruncationError, match="under-resolved"):
+            pf.build_gaussian_jsa(pf.GaussianJsaParams(sigma_a, 2.0, -np.pi / 4), coarse)
+
     def test_bad_params_rejected(self):
         with pytest.raises(ConfigurationError):
             pf.GaussianJsaParams(0.0, 2.0, 0.0)
