@@ -33,7 +33,8 @@ from .spectral import (
     FrequencyGrid,
     JsaMatrix,
     SchmidtData,
-    _quadrature_modes,
+    _kept_pairs,
+    _schmidt_from_svd,
     _svd_failure,
     quadrature_svd,
 )
@@ -71,10 +72,10 @@ def svd_effective_basis(
 
     The result is a ``SchmidtData`` of the masked amplitude: ``lambdas`` are
     the filtered amplitudes lambda', ``tail_weight`` is sum_{k > n_retained}
-    lambda'_k^2, and no gain is applied.
-    max(n_retained, min(|S|, |I|)) mode pairs are kept; ``n_retained`` marks
-    the reporting cut.  Pairs beyond the block's min(|S|, |I|) singular
-    triples have lambda' = 0, and each arm fills them first with its unused
+    lambda'_k^2, and no gain is applied.  Only its kept pairs (the reported
+    and the excited, as for every ``SchmidtData``) are embedded on the grid.
+    Past the block's min(|S|, |I|) triples, when n_retained is larger, the
+    pairs have lambda' = 0, and each arm fills them first with its unused
     block singular vectors, then with unit vectors 1/sqrt(d_omega) at its
     off-support samples in grid order.
     """
@@ -87,24 +88,13 @@ def svd_effective_basis(
     ta, tb = filter_signal.transmission, filter_idler.transmission
     rows, cols = np.flatnonzero(ta), np.flatnonzero(tb)
     block = ta[rows, None] * tb[None, cols] * jsa.values[np.ix_(rows, cols)]
-    dw = grid.d_omega
     try:
-        u, s, vh = np.linalg.svd(block * dw)
+        u, s, vh = np.linalg.svd(block * grid.d_omega)
     except np.linalg.LinAlgError as exc:
         raise _svd_failure(block) from exc
-    k = max(int(n_retained), len(s))
-    s = np.concatenate([s, np.zeros(k - len(s))])
-    u = _embed(u, rows, n, k)
-    vh = _embed(vh.T, cols, n, k).T
-    s, signal, idler = _quadrature_modes(u, s, vh, dw)
-    return SchmidtData(
-        grid=grid,
-        signal_modes=signal,
-        idler_modes=idler,
-        lambdas=s,
-        n_retained=int(n_retained),
-        tail_weight=float(np.sum(s[n_retained:] ** 2)),
-    )
+    k = _kept_pairs(s, n_retained)
+    s = np.concatenate([s, np.zeros(max(0, k - len(s)))])
+    return _schmidt_from_svd(grid, _embed(u, rows, n, k), s, _embed(vh.T, cols, n, k).T, n_retained)
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,9 @@ class RunConfig:
             raise ConfigurationError("set either gain_b or target_db, not both")
         if self.gain_b is None and self.target_db is None:
             raise ConfigurationError("one of gain_b / target_db is required")
+        # checked here, not where the run uses them, since a sweep reads neither
+        if any(value is not None and value < 0 for value in (self.gain_b, self.target_db)):
+            raise ConfigurationError(f"gain_b and target_db must be >= 0, got {self.gain_b}, {self.target_db}")
         for name in ("sweep_widths", "sweep_target_dbs"):
             values = getattr(self, name)
             if not values:

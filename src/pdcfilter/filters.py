@@ -37,9 +37,6 @@ class Filter:
 
     transmission: np.ndarray
     grid: FrequencyGrid
-    kind: str = "custom"
-    center: float | None = None
-    width: float | None = None
 
     def __post_init__(self):
         t = np.asarray(self.transmission)
@@ -61,7 +58,7 @@ def make_rect_filter(center: float, width: float, grid: FrequencyGrid) -> Filter
     if width < 0:
         raise ConfigurationError(f"width must be >= 0, got {width}")
     t = (np.abs(grid.points - center) <= width / 2).astype(float)
-    return Filter(t, grid, kind="rectangular", center=float(center), width=float(width))
+    return Filter(t, grid)
 
 
 def make_gauss_filter(center: float, fwhm: float, grid: FrequencyGrid) -> Filter:
@@ -74,22 +71,22 @@ def make_gauss_filter(center: float, fwhm: float, grid: FrequencyGrid) -> Filter
         raise ConfigurationError(f"fwhm must lie in [{_SIGMA_MIN:.3g}, {_SIGMA_MAX:.3g}], got {fwhm}")
     with np.errstate(over="ignore"):
         t = np.exp(-4 * np.log(2.0) * (grid.points - center) ** 2 / fwhm**2)
-    return Filter(t, grid, kind="gaussian", center=float(center), width=float(fwhm))
+    return Filter(t, grid)
 
 
 def make_identity_filter(grid: FrequencyGrid) -> Filter:
-    return Filter(np.ones(grid.n_points), grid, kind="identity")
+    return Filter(np.ones(grid.n_points), grid)
 
 
 def make_blocking_filter(grid: FrequencyGrid) -> Filter:
-    return Filter(np.zeros(grid.n_points), grid, kind="blocking")
+    return Filter(np.zeros(grid.n_points), grid)
 
 
 def make_flat_filter(amplitude: float, grid: FrequencyGrid) -> Filter:
     """Frequency-independent loss: T = amplitude everywhere (0 <= T <= 1)."""
     if not 0.0 <= amplitude <= 1.0:
         raise ConfigurationError(f"flat transmission amplitude must be in [0, 1], got {amplitude}")
-    return Filter(np.full(grid.n_points, float(amplitude)), grid, kind="flat")
+    return Filter(np.full(grid.n_points, float(amplitude)), grid)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
 from .filters import Filter
-from .spectral import _NOISE_FLOOR, SchmidtData
+from .spectral import SchmidtData
 
 # largest imaginary part of a mode or transmission sample the real forms accept
 _IMAG_TOL = 1e-12
@@ -89,7 +89,6 @@ class OptimizedBasis:
     generations_used: list[int]
     converged: list[bool]
     convergence_log: list[tuple[int, int, float, float]]  # (mode, generation, best, mean)
-    rng_seed: int
 
 
 @dataclass(frozen=True)
@@ -155,8 +154,8 @@ def make_state_context(
     (S_b mirrors S_a), and the variances of a shared mode q are
     q^T form_-/+ q / d_omega with form_-/+ = (S_a + S_b -/+ (E + E^T)) / 2.
     The context keeps only the factors of those forms (see
-    :class:`StateContext`): the rows whose amplitude is above the noise floor
-    of :func:`schmidt_decompose`, since the rest have r = 0 to round-off.
+    :class:`StateContext`) over the ``schmidt.n_excited`` rows above the
+    noise floor, since the rest have r = 0 to round-off.
 
     The real parts are exact only for real Schmidt modes and real
     transmissions; an imaginary part above 1e-12 in any of them raises
@@ -165,7 +164,7 @@ def make_state_context(
     grid = schmidt.grid
     if filter_signal.grid != grid or filter_idler.grid != grid:
         raise ConfigurationError("filter grids do not match the decomposition grid")
-    m = int(np.count_nonzero(schmidt.lambdas > _NOISE_FLOOR * schmidt.lambdas[0]))
+    m = schmidt.n_excited
     psi = schmidt.signal_modes[:m]
     phi = schmidt.idler_modes[:m]
     ta = filter_signal.transmission
@@ -292,7 +291,6 @@ def ga_optimize_basis(ctx: StateContext, k_max: int, params: GaParams) -> Optimi
         generations_used=gens_used,
         converged=converged,
         convergence_log=log,
-        rng_seed=params.rng_seed,
     )
 
 

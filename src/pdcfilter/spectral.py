@@ -17,8 +17,11 @@ sketch of at least ``_SKETCH_MIN`` columns from a fixed seed, so reruns are
 byte-identical, is doubled until its smallest amplitude reaches the noise
 floor, or replaced by the dense SVD once the rungs together would take more
 than an eighth of the grid in columns (the first 48-column rung fits from
-n = 384).  Every mode beyond the sketch has r ~ 0 and enters the squeezer
-only through the exact identity part of its Bogoliubov transformation.
+n = 384).  Every decomposition, here or of the filter-masked amplitude in
+``basis_opt``, keeps max(n_retained, #{lambda_k > 1e-14 lambda_1}) pairs
+whatever route made it.  Every mode beyond them has r = 0 to round-off and
+enters the squeezer only through the exact identity part of its Bogoliubov
+transformation.
 """
 
 from __future__ import annotations
@@ -107,7 +110,7 @@ def state_working_set_bytes(n_points: int) -> int:
 
 @dataclass(frozen=True)
 class GaussianJsaParams:
-    """Widths, tilt, and optical gain of the double-Gaussian amplitude.
+    """Widths and tilt of the double-Gaussian amplitude.
 
     sigma_a and sigma_b are the 1/e half-widths of the two principal-axis
     Gaussians, theta the tilt of those axes in the (w_s, w_i) plane.  The
@@ -118,7 +121,6 @@ class GaussianJsaParams:
     sigma_a: float
     sigma_b: float
     theta: float
-    gain_b: float = 0.0
 
     def __post_init__(self):
         widths = (self.sigma_a, self.sigma_b)
@@ -127,8 +129,6 @@ class GaussianJsaParams:
                 f"sigma_a and sigma_b must lie in [{_SIGMA_MIN:.3g}, {_SIGMA_MAX:.3g}], "
                 f"got {self.sigma_a}, {self.sigma_b}"
             )
-        if self.gain_b < 0:
-            raise ConfigurationError(f"gain_b must be >= 0, got {self.gain_b}")
 
 
 @dataclass(frozen=True)
@@ -162,15 +162,13 @@ class SchmidtData:
     """Broadband-mode decomposition of a joint spectral amplitude.
 
     ``signal_modes`` / ``idler_modes`` hold one mode function per row, paired
-    with the descending amplitudes ``lambdas``: every triple the decomposition
-    computed, those below the noise floor (r zero to round-off) included.
-    :func:`schmidt_decompose` keeps all n rows of a dense SVD or the k rows
-    of its last sketch; ``svd_effective_basis`` decomposes the filter-masked
-    amplitude the same way, its ``lambdas`` being the filtered lambda'_k.
-    ``n_retained`` marks how many leading modes the analysis reports on and
-    ``tail_weight`` is the spectral weight sum_{k > n_retained} lambda_k^2
-    beyond them.  ``r_values`` are the gain-scaled squeezing parameters
-    r_k = B * lambda_k, present only after :func:`apply_gain`.
+    with the descending amplitudes ``lambdas`` (the filtered lambda'_k for
+    ``svd_effective_basis``).  Whatever SVD route made them, the rows are the
+    ``n_retained`` pairs the analysis reports on and the ``n_excited`` pairs
+    above the noise floor.  ``tail_weight`` is sum_{k > n_retained}
+    lambda_k^2 over the full computed spectrum.  ``r_values`` are the
+    gain-scaled squeezing parameters r_k = B * lambda_k, present only after
+    :func:`apply_gain`.
     """
 
     grid: FrequencyGrid
@@ -185,6 +183,11 @@ class SchmidtData:
     def n_modes(self) -> int:
         """Number of decomposed modes (the rows of the mode arrays)."""
         return len(self.lambdas)
+
+    @property
+    def n_excited(self) -> int:
+        """Number of amplitudes above the noise floor: the modes with r > 0."""
+        return _excited_count(self.lambdas)
 
     def require_gain(self) -> np.ndarray:
         if self.r_values is None:
@@ -231,7 +234,7 @@ def build_gaussian_jsa(
     Parameters
     ----------
     params : GaussianJsaParams
-        Widths and tilt; the gain entry is not used here.
+        Widths and tilt.
     grid : FrequencyGrid
         Shared signal/idler axis.
     max_truncated_mass : float
@@ -286,13 +289,29 @@ def _svd_failure(values: np.ndarray) -> NumericsError:
     )
 
 
-def _quadrature_modes(
-    u: np.ndarray, s: np.ndarray, vh: np.ndarray, dw: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    signal = u.T / np.sqrt(dw)
-    idler = vh.conj() / np.sqrt(dw)
-    signal, idler = _fix_phases(signal, idler)
-    return s, signal, idler
+def _excited_count(s: np.ndarray) -> int:
+    # s descends, so its first entry (if any) is lambda_1
+    return int(np.count_nonzero(s > _NOISE_FLOOR * np.max(s, initial=0.0)))
+
+
+def _kept_pairs(s: np.ndarray, n_retained: int) -> int:
+    """Pairs a decomposition with amplitudes ``s`` keeps: the reported and the excited."""
+    return max(int(n_retained), _excited_count(s))
+
+
+def _schmidt_from_svd(
+    grid: FrequencyGrid, u: np.ndarray, s: np.ndarray, vh: np.ndarray, n_retained: int
+) -> SchmidtData:
+    """The kept pairs of the SVD ``u, s, vh`` of ``values * d_omega`` as quadrature modes.
+
+    ``s`` is the full spectrum, which ``tail_weight`` sums over; ``u`` and
+    ``vh`` need hold only the kept columns and rows.  The phase convention
+    of :func:`_fix_phases` is applied.
+    """
+    k = _kept_pairs(s, n_retained)
+    sqrt_dw = np.sqrt(grid.d_omega)
+    signal, idler = _fix_phases(u[:, :k].T / sqrt_dw, vh[:k].conj() / sqrt_dw)
+    return SchmidtData(grid, signal, idler, s[:k], int(n_retained), float(np.sum(s[n_retained:] ** 2)))
 
 
 def quadrature_svd(
@@ -305,12 +324,12 @@ def quadrature_svd(
     Returns ``(s, signal_modes, idler_modes)`` with modes as rows, singular
     values descending, and the leading-sample phase convention applied.
     """
-    dw = grid.d_omega
     try:
-        u, s, vh = np.linalg.svd(np.asarray(values) * dw)
+        u, s, vh = np.linalg.svd(np.asarray(values) * grid.d_omega)
     except np.linalg.LinAlgError as exc:
         raise _svd_failure(values) from exc
-    return _quadrature_modes(u, s, vh, dw)
+    modes = _schmidt_from_svd(grid, u, s, vh, len(s))
+    return s, modes.signal_modes, modes.idler_modes
 
 
 def _orthonormal_range(m: np.ndarray) -> np.ndarray:
@@ -340,16 +359,16 @@ def schmidt_decompose(jsa: JsaMatrix, n_retained: int = 10) -> SchmidtData:
     The sketch starts at max(48, n_retained) modes and doubles until its
     smallest amplitude is at the noise floor (<= 1e-14 lambda_1).  All rungs
     together may use at most n/8 columns; once the next rung would pass that
-    budget the exact dense SVD is taken instead, so grids below 384 points
-    and high-rank amplitudes keep all n modes.  ``n_retained`` marks
-    the modes the analysis reports on.  Amplitudes are descending and satisfy
+    budget the exact dense SVD is taken instead, as it is on grids below 384
+    points and for high-rank amplitudes.  Either way the result keeps the
+    ``n_retained`` reported pairs and every pair above the noise floor.
+    Amplitudes are descending and the computed spectrum satisfies
     sum lambda^2 = 1 to 1e-10.
     """
     n = jsa.grid.n_points
     if not 1 <= n_retained <= n:
         raise ConfigurationError(f"n_retained must lie in [1, {n}], got {n_retained}")
-    dw = jsa.grid.d_omega
-    a = np.asarray(jsa.values) * dw
+    a = np.asarray(jsa.values) * jsa.grid.d_omega
     rng = np.random.default_rng(_SKETCH_SEED)
     k = max(_SKETCH_MIN, n_retained)
     spent = 0
@@ -364,19 +383,10 @@ def schmidt_decompose(jsa: JsaMatrix, n_retained: int = 10) -> SchmidtData:
             u, s, vh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:
         raise _svd_failure(jsa.values) from exc
-    lambdas, signal, idler = _quadrature_modes(u, s, vh, dw)
-    total = float(np.sum(lambdas**2))
+    total = float(np.sum(s**2))
     if not abs(total - 1.0) <= 1e-10:
         raise NumericsError(f"Schmidt amplitudes violate Parseval: sum lambda^2 = {total!r}")
-    tail = float(np.sum(lambdas[n_retained:] ** 2))
-    return SchmidtData(
-        grid=jsa.grid,
-        signal_modes=signal,
-        idler_modes=idler,
-        lambdas=lambdas,
-        n_retained=int(n_retained),
-        tail_weight=tail,
-    )
+    return _schmidt_from_svd(jsa.grid, u, s, vh, n_retained)
 
 
 def apply_gain(schmidt: SchmidtData, gain_b: float) -> SchmidtData:

@@ -364,5 +364,4 @@ def reference_ga(ctx, k_max, params):
         generations_used=gens_used,
         converged=converged,
         convergence_log=log,
-        rng_seed=params.rng_seed,
     )

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,28 @@ class TestSvdEffectiveBasis:
         eff = pf.svd_effective_basis(jsa, rect4_200, rect4_200, n_retained=5)
         outside = np.abs(schmidt.grid.points) > 2.0
         assert np.max(np.abs(eff.signal_modes[:5][:, outside])) < 1e-12
+
+    def test_large_grid_embeds_only_reported_and_excited_pairs(self):
+        # width 8 at n = 1600: a 640 x 640 passband block, of whose triples
+        # only max(n_retained, excited) are embedded on the grid
+        n = 1600
+        grid = pf.build_frequency_grid(n, -10.0, 10.0)
+        jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
+        rect = pf.make_rect_filter(0.0, 8.0, grid)
+        on = np.flatnonzero(rect.transmission)
+        s = np.linalg.svd(jsa.values[np.ix_(on, on)] * grid.d_omega, compute_uv=False)
+        excited = int(np.sum(s > 1e-14 * s[0]))
+        tracemalloc.start()
+        try:
+            eff = pf.svd_effective_basis(jsa, rect, rect, n_retained=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(on) == 640 and excited > 10
+        assert eff.n_modes == eff.n_excited == excited
+        assert eff.signal_modes.shape == eff.idler_modes.shape == (excited, n)
+        # the block and its factors stay below one n x n float array
+        assert peak < n * n * 8
 
     def test_contraction_of_amplitudes(self, reference_200, rect4_200):
         jsa, schmidt, gain = reference_200
@@ -171,10 +194,13 @@ class TestPassbandSvd:
         dense = dense_effective_basis(jsa, fa, fb, n_retained=n_ret)
         on_s = np.flatnonzero(fa.transmission)
         on_i = np.flatnonzero(fb.transmission)
-        k = max(n_ret, min(len(on_s), len(on_i)))
-        assert eff.n_modes == k
+        # the reported pairs and every pair above the oracle's noise floor
+        excited = int(np.sum(dense.lambdas > 1e-14 * dense.lambdas[0]))
+        k = max(n_ret, excited)
+        assert eff.n_modes == k and eff.n_excited == excited
         assert np.max(np.abs(gain * (eff.lambdas - dense.lambdas[:k]))) < 1e-12
         assert np.all(eff.lambdas[min(len(on_s), len(on_i)) :] == 0.0)
+        assert abs(eff.tail_weight - dense.tail_weight) < 1e-15
 
         dw = grid.d_omega
         for modes in (eff.signal_modes, eff.idler_modes):
@@ -204,9 +230,13 @@ class TestPassbandSvd:
         assert np.all(filt.transmission != 0)
         eff = pf.svd_effective_basis(jsa, filt, filt, n_retained=10)
         dense = dense_effective_basis(jsa, filt, filt, n_retained=10)
-        assert np.array_equal(eff.lambdas, dense.lambdas)
-        assert np.array_equal(eff.signal_modes, dense.signal_modes)
-        assert np.array_equal(eff.idler_modes, dense.idler_modes)
+        # the same SVD, cut after the pairs above the noise floor
+        k = int(np.sum(dense.lambdas > 1e-14 * dense.lambdas[0]))
+        assert eff.n_modes == eff.n_excited == k > 10
+        assert np.array_equal(eff.lambdas, dense.lambdas[:k])
+        assert np.array_equal(eff.signal_modes, dense.signal_modes[:k])
+        assert np.array_equal(eff.idler_modes, dense.idler_modes[:k])
+        assert eff.tail_weight == dense.tail_weight
 
     def test_completion_order(self, reference_200):
         # |S| < |I| < n_retained: past the block's |S| triples the idler fills

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import typing
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -365,7 +366,7 @@ class TestSweep:
         original = cli.svd_effective_basis
 
         def flaky(jsa, fa, fb, n_retained=10):
-            if fa.width == 2.0:
+            if np.array_equal(fa.transmission, pf.make_rect_filter(0.0, 2.0, jsa.grid).transmission):
                 raise pf.NumericsError("synthetic failure")
             return original(jsa, fa, fb, n_retained=n_retained)
 
@@ -455,6 +456,17 @@ class TestMainEntry:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = 1\n")
         assert main(["run", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("verb", ["run", "sweep", "validate"])
+    @pytest.mark.parametrize("line, got", [("gain_b = -1", "-1.0, None"), ("target_db = -5", "None, -5.0")])
+    def test_negative_gain_exits_one_on_every_verb(self, tmp_path, capsys, verb, line, got):
+        # a sweep takes its gains from sweep_target_dbs, yet refuses these too
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"n_points = 50\n{line}\n")
+        assert main([verb, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        error = capsys.readouterr().err.splitlines()
+        assert error == [f"configuration error: gain_b and target_db must be >= 0, got {got}"]
+        assert not (tmp_path / "out").exists()
 
     def test_truncation_refusal_exit_code(self, tmp_path):
         # reference widths cannot fit this window: refused as a config error
@@ -662,15 +674,18 @@ def test_sweep_selects_one_effective_basis_per_width(monkeypatch):
 
 
 # plausible values for each key; a drawn config may also set one float key
-# to an odd value
+# to an odd value.  About one drawn grid in five is large enough (n >= 384)
+# for the Schmidt sketch or just below it, and a gain_b above about 13 puts
+# r_1 past 9.18
 _FUZZ_KEYS = {
-    "n_points": st.integers(2, 70),
+    "n_points": st.integers(0, 4).flatmap(lambda d: st.integers(380, 400) if d == 4 else st.integers(2, 70)),
     "omega_min": st.floats(-20.0, -5.0),
     "omega_max": st.floats(5.0, 20.0),
     "sigma_a": st.floats(0.3, 6.0),
     "sigma_b": st.floats(0.3, 3.0),
     "theta": st.floats(-4.0, 4.0),
     "target_db": st.floats(0.0, 30.0),
+    "gain_b": st.floats(0.0, 50.0),
     "n_retained": st.integers(1, 12),
     "basis": st.sampled_from(["schmidt", "svd", "ga"]),
     "filter_kind": st.sampled_from(["rect", "gauss", "identity", "blocking", "flat"]),
@@ -682,7 +697,7 @@ _FUZZ_KEYS = {
     "population": st.integers(1, 8).map(lambda half: 2 * half),
     "max_generations": st.integers(1, 20),
 }
-_FUZZ_FLOAT_KEYS = [key for key in _FUZZ_KEYS if isinstance(getattr(RunConfig(), key), float)]
+_FUZZ_FLOAT_KEYS = [key for key in _FUZZ_KEYS if typing.get_type_hints(RunConfig)[key] in (float, float | None)]
 _ODD_FLOATS = st.sampled_from([0.0, -1.0, 1e-300, 1e-100, 0.01, 1e6, 1e300, math.nan, math.inf, -math.inf])
 _FUZZ_FIXED = "n_points = 40\nsweep_widths = 2, 8\nsweep_target_dbs = 3, 6\npopulation = 8\nmax_generations = 10\n"
 
@@ -705,8 +720,10 @@ def test_main_fuzz_ends_in_a_documented_exit(tmp_path_factory, verb, keys, odd):
     with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
         warnings.simplefilter("always")
         code = main([verb, "--config", str(cfg), "--out", str(work / "out")])
-    event(f"{verb} exit {code}")
+    event(f"{verb} exit {code} at n_points {'>= 380' if keys.get('n_points', 40) >= 380 else '<= 70'}")
     assert code in (0, 1, 2, 3)
+    if any(keys.get(key, 0.0) < 0 for key in ("gain_b", "target_db")):
+        assert code == 1
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     # a failure is one stderr line, but for a failed invariant, which validate reports on stdout
     lines = err.getvalue().splitlines()

@@ -8,7 +8,7 @@ import pdcfilter as pf
 from pdcfilter.errors import ConfigurationError
 from pdcfilter.genetic import _orthonormal_columns
 
-from oracles import dense_forms, objective_squeezing, reference_ga
+from oracles import dense_forms, full_schmidt, objective_squeezing, reference_ga
 
 
 @pytest.fixture(scope="module")
@@ -50,11 +50,12 @@ class TestStateContext:
 
     @pytest.mark.parametrize("n", [100, 800])
     def test_holds_only_factors(self, n):
-        # n = 100 takes the dense SVD (all n Schmidt rows), n = 800 the sketch
+        # n = 100 takes the dense SVD, n = 800 the sketch; both keep the 30
+        # reported Schmidt rows, of which only the 23 excited enter the context
         grid = pf.build_frequency_grid(n, -10.0, 10.0)
         jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
-        schmidt = pf.schmidt_decompose(jsa)
-        assert (schmidt.n_modes == n) == (n == 100)
+        schmidt = pf.schmidt_decompose(jsa, 30)
+        assert schmidt.n_modes == 30
         schmidt = pf.apply_gain(schmidt, pf.gain_for_target_db(schmidt, 6.0))
         rect = pf.make_rect_filter(0.0, 4.0, grid)
         tracemalloc.start()
@@ -67,7 +68,7 @@ class TestStateContext:
         # would exceed that on both routes
         assert peak < 3 * ctx.factors.nbytes
         m = int(np.sum(schmidt.lambdas > 1e-14 * schmidt.lambdas[0]))
-        assert m < schmidt.n_modes
+        assert m == schmidt.n_excited == 23 < schmidt.n_modes
         assert ctx.factors.shape == (n, 2 * m)
         assert ctx.weight_sq.shape == ctx.weight_cross.shape == (m,)
         arrays = [getattr(ctx, f.name) for f in dataclasses.fields(ctx)]
@@ -120,9 +121,9 @@ class TestObjective:
         assert value == pytest.approx(pf.squeezing_db(schmidt.r_values[0]), abs=1e-8)
 
     def test_mode_outside_retained_span_sees_vacuum(self, ctx_identity, reference_100):
-        _, schmidt, _ = reference_100
-        # orthogonal to the first 10 modes: only the feeble r-tail remains
-        col = schmidt.signal_modes[30] * np.sqrt(schmidt.grid.d_omega)
+        jsa, _, _ = reference_100
+        # orthogonal to every excited mode: only the feeble r-tail remains
+        col = full_schmidt(jsa)[1][30] * np.sqrt(jsa.grid.d_omega)
         value = objective_squeezing(ctx_identity, np.real(col)[:, None], 1)
         assert abs(value) < 0.01
 

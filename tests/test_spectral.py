@@ -106,8 +106,31 @@ class TestGaussianJsa:
     def test_bad_params_rejected(self):
         with pytest.raises(ConfigurationError):
             pf.GaussianJsaParams(0.0, 2.0, 0.0)
-        with pytest.raises(ConfigurationError):
-            pf.GaussianJsaParams(6.0, 2.0, 0.0, gain_b=-1.0)
+
+
+# amplitudes of the reference state (sigma_a 6, sigma_b 2, [-10, 10]) above
+# the 1e-14 lambda_1 noise floor, at n = 100, 383, 384 and 800 alike
+_REFERENCE_EXCITED = 23
+
+
+def _count_routes(monkeypatch, n) -> dict:
+    """Sketch widths and dense n x n SVDs that the decompositions take from now on."""
+    import pdcfilter.spectral as spectral
+
+    calls = {"rungs": [], "dense": 0}
+    sketched_svd, svd = spectral._sketched_svd, np.linalg.svd
+
+    def sketch(a, k, rng):
+        calls["rungs"].append(k)
+        return sketched_svd(a, k, rng)
+
+    def dense(a, *args, **kwargs):
+        calls["dense"] += np.shape(a) == (n, n)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_sketched_svd", sketch)
+    monkeypatch.setattr(np.linalg, "svd", dense)
+    return calls
 
 
 class TestSchmidtDecompose:
@@ -239,11 +262,32 @@ class TestSchmidtDecompose:
         # the 48-column rung fits the n/8 budget from n = 384
         self._assert_sketch_matches_dense_svd(n)
 
-    @pytest.mark.parametrize("n, sketched", [(383, False), (384, True)])
-    def test_sketch_budget_boundary(self, n, sketched):
+    # ids: n, whether the sketch runs
+    @pytest.mark.parametrize(
+        "n, rungs, dense", [pytest.param(383, [], 1, id="383-False"), pytest.param(384, [48], 0, id="384-True")]
+    )
+    def test_sketch_budget_boundary(self, n, rungs, dense, monkeypatch):
         grid = pf.build_frequency_grid(n, -10, 10)
         jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
-        assert pf.schmidt_decompose(jsa, 10).n_modes == (48 if sketched else n)
+        calls = _count_routes(monkeypatch, n)
+        assert pf.schmidt_decompose(jsa, 10).n_modes == _REFERENCE_EXCITED
+        assert calls == {"rungs": rungs, "dense": dense}
+
+    @pytest.mark.parametrize("n", [100, 800])
+    def test_keeps_reported_and_excited_pairs_on_every_route(self, n):
+        # the dense SVD at n = 100 computes 100 triples and the sketch at
+        # n = 800 48; both keep the 23 above the noise floor
+        grid = pf.build_frequency_grid(n, -10, 10)
+        jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
+        s = np.linalg.svd(jsa.values * grid.d_omega, compute_uv=False)
+        assert int(np.sum(s > 1e-14 * s[0])) == _REFERENCE_EXCITED
+        for n_retained, rows in ((10, _REFERENCE_EXCITED), (30, 30)):
+            schmidt = pf.schmidt_decompose(jsa, n_retained)
+            assert schmidt.n_modes == rows
+            assert schmidt.n_excited == _REFERENCE_EXCITED
+            assert schmidt.signal_modes.shape == schmidt.idler_modes.shape == (rows, n)
+        tail = pf.schmidt_decompose(jsa, 10).tail_weight
+        assert tail == pytest.approx(np.sum(s[10:] ** 2), rel=1e-12, abs=0)
 
     def test_rerun_bit_identical(self):
         grid = pf.build_frequency_grid(800, -10, 10)
@@ -254,8 +298,16 @@ class TestSchmidtDecompose:
         for name in ("lambdas", "signal_modes", "idler_modes"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
-    @pytest.mark.parametrize("n, rank, rows", [(1600, 80, 96), (800, 80, 800), (1200, 80, 96)])
-    def test_sketch_grows_with_numerical_rank(self, n, rank, rows):
+    # ids: n, rank, triples the route computes
+    @pytest.mark.parametrize(
+        "n, rank, rungs, dense",
+        [
+            pytest.param(1600, 80, [48, 96], 0, id="1600-80-96"),
+            pytest.param(800, 80, [48], 1, id="800-80-800"),
+            pytest.param(1200, 80, [48, 96], 0, id="1200-80-96"),
+        ],
+    )
+    def test_sketch_grows_with_numerical_rank(self, n, rank, rungs, dense, monkeypatch):
         # slowly decaying spectrum of the given rank: the first 48-column
         # sketch ends above the noise floor, so it must double; the rungs
         # 48 + 96 fit the n/8 budget at n = 1200 but exceed it at n = 800,
@@ -267,20 +319,27 @@ class TestSchmidtDecompose:
         values = (u * 0.95 ** np.arange(rank)) @ v.T
         values /= np.sqrt(np.sum(values**2) * grid.d_omega**2)
         jsa = pf.JsaMatrix(values, grid)
+        calls = _count_routes(monkeypatch, n)
         schmidt = pf.schmidt_decompose(jsa, 5)
-        assert schmidt.n_modes == rows
+        assert calls == {"rungs": rungs, "dense": dense}
+        # every route keeps the rank's excited pairs and none below the floor
+        assert schmidt.n_modes == schmidt.n_excited == rank
         s = np.linalg.svd(values * grid.d_omega, compute_uv=False)
-        assert np.max(np.abs(schmidt.lambdas - s[: schmidt.n_modes])) < 1e-12
+        assert np.max(np.abs(schmidt.lambdas - s[:rank])) < 1e-12
 
-    def test_small_grid_takes_dense_svd(self, grid100):
+    def test_small_grid_takes_dense_svd(self, grid100, monkeypatch):
         # a 48-column sketch exceeds n/8 of a 100-point grid
         jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid100)
+        calls = _count_routes(monkeypatch, grid100.n_points)
         schmidt = pf.schmidt_decompose(jsa, 10)
+        assert calls == {"rungs": [], "dense": 1}
         lambdas, signal, idler = quadrature_svd(jsa.values, grid100)
-        assert schmidt.n_modes == grid100.n_points
-        assert np.array_equal(schmidt.lambdas, lambdas)
-        assert np.array_equal(schmidt.signal_modes, signal)
-        assert np.array_equal(schmidt.idler_modes, idler)
+        k = schmidt.n_modes
+        assert k == _REFERENCE_EXCITED
+        assert np.array_equal(schmidt.lambdas, lambdas[:k])
+        assert np.array_equal(schmidt.signal_modes, signal[:k])
+        assert np.array_equal(schmidt.idler_modes, idler[:k])
+        assert schmidt.tail_weight == float(np.sum(lambdas[10:] ** 2))
 
     def test_n_retained_bounds(self, grid100):
         jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid100)
