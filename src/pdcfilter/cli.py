@@ -521,7 +521,7 @@ def _dispatch(args) -> int:
             written = export_report(report, args.out)
             first = report.squeezing[0].squeezing_db
             print(
-                f"run complete: first mode {first:.4f} dB, purity {report.purity:.6f}, "
+                f"run complete: first mode {first:.4f} dB, purity {report.purity:.6g}, "
                 f"single-mode character {report.single_mode_character:.4f}"
             )
             for path in written:
