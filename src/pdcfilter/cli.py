@@ -354,7 +354,8 @@ def _manifest(config: RunConfig, **entries) -> dict:
 def _export(out_dir, artifacts: dict) -> list[Path]:
     """Write each named artifact into ``out_dir``; the paths written, in order.
 
-    A dict is written as JSON, a ``(header, rows)`` pair as a CSV table.
+    A dict is written as strict JSON (RFC 8259: a non-finite float raises),
+    a ``(header, rows)`` pair as a CSV table.
     Each goes to ``name.tmp`` first, which then replaces ``name``, so no
     artifact is ever seen half written.
     """
@@ -365,7 +366,7 @@ def _export(out_dir, artifacts: dict) -> list[Path]:
         path = out / name
         tmp = path.with_name(name + ".tmp")
         if isinstance(content, dict):
-            tmp.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
+            tmp.write_text(json.dumps(content, indent=2, sort_keys=True, allow_nan=False) + "\n")
         else:
             _write_csv(tmp, *content)
         os.replace(tmp, path)
@@ -402,12 +403,14 @@ def export_report(report: RunReport, out_dir) -> list[Path]:
         (i, lam, r, squeezing_db(r))
         for i, (lam, r) in enumerate(zip(schmidt.lambdas[:n], schmidt.r_values[:n]), start=1)
     ]
+    smc = report.single_mode_character
     results = {
         "basis_method": report.config.basis,
         "gain_b": report.gain_b,
         "tail_weight": schmidt.tail_weight,
         "purity": report.purity,
-        "single_mode_character": report.single_mode_character,
+        # null stands for the infinite sentinel: no mode but the first squeezes
+        "single_mode_character": smc if math.isfinite(smc) else None,
         "first_mode_squeezing_db": report.squeezing[0].squeezing_db,
         "min_symplectic_eigenvalue": check_physicality(report.covariance)[1],
     }

@@ -5,22 +5,21 @@ X_b^N, Y_b^N): four quadratures per measured mode index, signal arm first.
 Vacuum variance is 1/2, so the vacuum covariance matrix is identity/2 and
 physical states have every symplectic eigenvalue >= 1/2.
 
-A measured-mode pair (k, l) contributes a 4x4 block whose entries are
-quadrature inner products of the six projection-kernel families.  With the
-shorthand Gram integrals
+A measured-mode pair (k, l) contributes a 4x4 block.  With the overlaps
+c_a, c_b (N x k) and vacuum Grams K_a, K_b (N x N) of a ``ProjectionSet``,
+S = diag sinh^2 r and C = diag cosh r sinh r, the orthonormality of the
+Schmidt modes reduces every quadrature inner product to
 
-    UU_a(k,l) = int u_a^k conj(u_a^l),   RR_a, VV_a, ... analogously,
-    W(k,l)    = int u_a^k v_b^l,         M(k,l) = int v_a^k u_b^l,
+    N_a = K_a + 2 c_a S c_a^H,    P = 2 c_a C c_b^T,
 
-the block reads (prefactor 1/2 included in the stored entries)
+and the block reads (prefactor 1/2 included in the stored entries)
 
     [[ a,  c,  e,  g],
-     [-c,  a,  g, -e],      a = Re(UU_a + RR_a + conj(VV_a))(k,l)
-     [ f,  h,  b,  d],      c = -Im(UU_a + RR_a - conj(VV_a))(k,l)
-     [ h, -f, -d,  b]] / 2  e = Re(W + M)(k,l),  g = Im(W + M)(k,l)
-                            f(k,l) = e(l,k),     h(k,l) = g(l,k)
+     [-c,  a,  g, -e],      a = Re N_a(k,l),   c = -Im N_a(k,l)
+     [ f,  h,  b,  d],      e = Re P(k,l),     g = Im P(k,l)
+     [ h, -f, -d,  b]] / 2  f(k,l) = e(l,k),   h(k,l) = g(l,k)
 
-and b, d mirror a, c with idler-arm Grams.  The numbers here are actual
+and b, d mirror a, c with N_b = K_b + 2 c_b S c_b^H.  The numbers here are actual
 covariance entries: at r = 0 the diagonal is 1/2 and the difference-quadrature
 variance a + b - e - f equals 1 (0 dB), consistent with the dB conversion.
 """
@@ -140,37 +139,29 @@ def check_physicality(sigma, tol: float = 1e-9) -> tuple[bool, float]:
 def assemble_covariance(projections: ProjectionSet) -> CovarianceMatrix:
     """Build the 4N x 4N covariance matrix from a projection set.
 
-    All Gram integrals are rectangle-rule quadratures; the result is
-    symmetrized (the construction is symmetric up to BLAS rounding, recorded
-    as ``asymmetry``) and validated against the bosonic uncertainty bound.
+    The blocks are contractions of the overlaps over the k Schmidt pairs
+    (see the module docstring); no product runs over the grid.  The result
+    is symmetrized (the construction is symmetric up to BLAS rounding,
+    recorded as ``asymmetry``) and validated against the bosonic
+    uncertainty bound.
 
     Raises
     ------
     PhysicalityError
         If the smallest symplectic eigenvalue drops below 1/2 - 1e-6,
-        signalling kernel truncation or quadrature failure upstream.
+        signalling non-orthonormal modes or quadrature failure upstream.
     """
-    n = projections.n_modes
-    dw = projections.grid.d_omega
-    ua, ub = projections.u_signal, projections.u_idler
-    va, vb = projections.v_signal, projections.v_idler
-    ra, rb = projections.r_signal, projections.r_idler
-
-    uu_a = dw * (ua @ ua.conj().T)
-    rr_a = dw * (ra @ ra.conj().T)
-    vv_a = dw * (va @ va.conj().T).conj()
-    uu_b = dw * (ub @ ub.conj().T)
-    rr_b = dw * (rb @ rb.conj().T)
-    vv_b = dw * (vb @ vb.conj().T).conj()
-    w = dw * (ua @ vb.T)
-    m = dw * (va @ ub.T)
-
-    a = np.real(uu_a + rr_a + vv_a)
-    c = -np.imag(uu_a + rr_a - vv_a)
-    b = np.real(uu_b + rr_b + vv_b)
-    d = -np.imag(uu_b + rr_b - vv_b)
-    e = np.real(w + m)
-    g = np.imag(w + m)
+    p = projections
+    n = p.n_modes
+    r = p.schmidt.require_gain()
+    sq, cs = np.sinh(r) ** 2, np.cosh(r) * np.sinh(r)
+    ca, cb = p.overlap_signal, p.overlap_idler
+    n_a = p.vacuum_signal + 2 * (ca * sq) @ ca.conj().T
+    n_b = p.vacuum_idler + 2 * (cb * sq) @ cb.conj().T
+    pair = 2 * (ca * cs) @ cb.T
+    a, c = np.real(n_a), -np.imag(n_a)
+    b, d = np.real(n_b), -np.imag(n_b)
+    e, g = np.real(pair), np.imag(pair)
 
     sigma = np.zeros((4 * n, 4 * n))
     sigma[0::4, 0::4] = a / 2

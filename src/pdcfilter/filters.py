@@ -8,15 +8,13 @@ weights) of the broadband modes Psi (signal) and Phi (idler):
 
     U_a = 1 / d_omega + Psi^H diag(cosh r - 1) Psi,   V_a = Psi^H diag(sinh r) Phi^*
 
-and the idler kernels with Psi and Phi exchanged.  They are never formed as
-n x n matrices: the identity part is applied exactly and the rest through
-the k Schmidt factors, so the cost is O(n k) per measured mode and the
-commutators hold exactly for any number k of decomposed modes.
-
-Projecting the filtered output onto measurement modes f_k / g_k yields, per
-mode, six one-frequency kernels: the U, V contractions against T_a f_k
-(resp. T_b g_k) plus the reflected-vacuum amplitudes f_k R_a and g_k R_b.
-Those six families are all the covariance assembly needs.
+and the idler kernels with Psi and Phi exchanged.  They are never formed:
+since the Schmidt modes are orthonormal, a measured mode f sees the filtered
+squeezer only through its overlaps c = d_omega (T_a f) Psi^H with the k
+Schmidt pairs and through the vacuum its filter passes and reflects.  Those
+N x k overlaps and N x N vacuum Grams per arm are all the covariance
+assembly needs, and the genetic search scores with the same filtered
+Schmidt rows (:func:`filtered_schmidt_rows`).
 """
 
 from __future__ import annotations
@@ -127,29 +125,50 @@ class MeasurementBasis:
 
 @dataclass(frozen=True)
 class ProjectionSet:
-    """Per-measurement-mode kernels of the filtered squeezer.
+    """The filtered squeezer as seen by N measured mode pairs.
 
-    Rows of ``u_signal``/``v_signal`` are the signal-arm contractions of the
-    measurement modes (through the signal filter) against the U and V
-    kernels; ``r_signal`` rows are the pointwise products f_k(w) * R_a(w).
-    Idler quantities mirror them with g_k and the idler filter.
+    ``overlap_signal`` = d_omega (T_a f) Psi^H and ``overlap_idler`` =
+    d_omega (T_b g) Phi^H (N x k) are the overlaps of the filtered
+    measurement modes with the k Schmidt pairs.  ``vacuum_signal`` =
+    d_omega f diag(|T_a|^2 + R_a^2) f^H and ``vacuum_idler`` (N x N) are the
+    Grams of the vacuum the filters pass and reflect.  No array has a grid
+    axis.
     """
 
-    u_signal: np.ndarray
-    u_idler: np.ndarray
-    v_signal: np.ndarray
-    v_idler: np.ndarray
-    r_signal: np.ndarray
-    r_idler: np.ndarray
-    grid: FrequencyGrid
+    overlap_signal: np.ndarray
+    overlap_idler: np.ndarray
+    vacuum_signal: np.ndarray
+    vacuum_idler: np.ndarray
     schmidt: SchmidtData = field(repr=False)
     filter_signal: Filter = field(repr=False)
     filter_idler: Filter = field(repr=False)
     basis: MeasurementBasis = field(repr=False)
 
     @property
+    def grid(self) -> FrequencyGrid:
+        return self.schmidt.grid
+
+    @property
     def n_modes(self) -> int:
-        return self.u_signal.shape[0]
+        return self.overlap_signal.shape[0]
+
+
+def filtered_schmidt_rows(
+    schmidt: SchmidtData, filter_signal: Filter, filter_idler: Filter
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Schmidt rows seen through the filters: P_a = Psi conj(T_a), P_b = Phi conj(T_b).
+
+    A measurement mode f overlaps the filtered signal pairs as
+    d_omega f P_a^H, and the idler mode g the filtered idler pairs as
+    d_omega g P_b^H.
+    """
+    grid = schmidt.grid
+    if filter_signal.grid != grid or filter_idler.grid != grid:
+        raise ConfigurationError("filter grids do not match the decomposition grid")
+    return (
+        schmidt.signal_modes * filter_signal.transmission.conj(),
+        schmidt.idler_modes * filter_idler.transmission.conj(),
+    )
 
 
 def filtered_projections(
@@ -160,37 +179,26 @@ def filtered_projections(
 ) -> ProjectionSet:
     """Project the filtered squeezer output onto a measurement basis.
 
-    With c = d_omega (T f) Psi^H the overlaps of the filtered measurement
-    modes with the signal Schmidt modes, the signal arm is
-
-        u = T f + (c * (cosh r - 1)) Psi,    v = (c * sinh r) Phi^*
-
-    and the idler arm mirrors it with g, Phi and Psi^*.  The contraction
-    integrals use the measurement modes as written (not conjugated); for the
-    real-valued reference scenario the distinction is immaterial.
+    The overlaps are c_a = d_omega f P_a^H and c_b = d_omega g P_b^H with
+    the rows of :func:`filtered_schmidt_rows`, and the vacuum Grams
+    d_omega f diag(|T|^2 + R^2) f^H per arm.  The measurement modes are
+    contracted as written (not conjugated); for the real-valued reference
+    scenario the distinction is immaterial.
     """
-    grid = schmidt.grid
-    for obj, name in ((filter_signal, "signal filter"), (filter_idler, "idler filter"), (basis, "basis")):
-        if obj.grid != grid:
-            raise ConfigurationError(f"{name} grid does not match the decomposition grid")
-    r = schmidt.require_gain()
-    ch1 = 2.0 * np.sinh(r / 2) ** 2  # cosh(r) - 1 without cancellation
-    sh = np.sinh(r)
-    psi, phi = schmidt.signal_modes, schmidt.idler_modes
+    pa, pb = filtered_schmidt_rows(schmidt, filter_signal, filter_idler)
+    if basis.grid != schmidt.grid:
+        raise ConfigurationError("basis grid does not match the decomposition grid")
+    schmidt.require_gain()
+    dw = schmidt.grid.d_omega
 
-    dw = grid.d_omega
-    fa = basis.signal_fns * filter_signal.transmission
-    gb = basis.idler_fns * filter_idler.transmission
-    ca = dw * (fa @ psi.conj().T)
-    cb = dw * (gb @ phi.conj().T)
+    def vacuum(fns, filt):
+        return dw * ((fns * (np.abs(filt.transmission) ** 2 + filt.reflection**2)) @ fns.conj().T)
+
     return ProjectionSet(
-        u_signal=fa + (ca * ch1) @ psi,
-        v_signal=(ca * sh) @ phi.conj(),
-        u_idler=gb + (cb * ch1) @ phi,
-        v_idler=(cb * sh) @ psi.conj(),
-        r_signal=basis.signal_fns * filter_signal.reflection,
-        r_idler=basis.idler_fns * filter_idler.reflection,
-        grid=grid,
+        overlap_signal=dw * (basis.signal_fns @ pa.conj().T),
+        overlap_idler=dw * (basis.idler_fns @ pb.conj().T),
+        vacuum_signal=vacuum(basis.signal_fns, filter_signal),
+        vacuum_idler=vacuum(basis.idler_fns, filter_idler),
         schmidt=schmidt,
         filter_signal=filter_signal,
         filter_idler=filter_idler,
@@ -201,22 +209,33 @@ def filtered_projections(
 def commutator_defects(projections: ProjectionSet) -> np.ndarray:
     """Per-mode deviation of the bosonic commutators from one, on both arms.
 
-    For each measured mode the combination
-    integral |u|^2 - integral |v|^2 + integral |r|^2 must equal 1.  Returns a
-    (2, N) array of that expression minus 1: row 0 the signal arm, row 1 the
-    idler arm.
+    A measured signal mode's commutator is
+
+        diag(K_a) + diag(c_a [ch1 (G_Psi - I) ch1 - sh (conj(G_Phi) - I) sh] c_a^H)
+
+    with K_a the vacuum Gram, c_a the overlaps, ch1 = diag(cosh r - 1),
+    sh = diag(sinh r) and G_Psi = d_omega Psi Psi^H, G_Phi = d_omega Phi Phi^H;
+    the idler arm swaps Psi and Phi.  It is 1 when the measurement modes and
+    the Schmidt modes are orthonormal, which the covariance formula assumes.
+    Returns a (2, N) array of that expression minus 1: row 0 the signal arm,
+    row 1 the idler arm.
     """
     p = projections
+    r = p.schmidt.require_gain()
+    ch1 = 2.0 * np.sinh(r / 2) ** 2  # cosh(r) - 1 without cancellation
+    sh = np.sinh(r)
+    dw = p.grid.d_omega
+    eye = np.eye(len(r))
+    dev_psi = dw * (p.schmidt.signal_modes @ p.schmidt.signal_modes.conj().T) - eye
+    dev_phi = dw * (p.schmidt.idler_modes @ p.schmidt.idler_modes.conj().T) - eye
 
-    def defect(u, v, r):
-        u2 = np.sum(np.abs(u) ** 2, axis=1)
-        v2 = np.sum(np.abs(v) ** 2, axis=1)
-        r2 = np.sum(np.abs(r) ** 2, axis=1)
-        return p.grid.d_omega * (u2 - v2 + r2) - 1.0
+    def defect(c, vacuum, dev_u, dev_v):
+        inner = ch1[:, None] * dev_u * ch1 - sh[:, None] * dev_v.conj() * sh
+        return np.real(np.diag(vacuum) + np.einsum("ij,jk,ik->i", c, inner, c.conj())) - 1.0
 
     return np.stack(
         [
-            defect(p.u_signal, p.v_signal, p.r_signal),
-            defect(p.u_idler, p.v_idler, p.r_idler),
+            defect(p.overlap_signal, p.vacuum_signal, dev_psi, dev_phi),
+            defect(p.overlap_idler, p.vacuum_idler, dev_phi, dev_psi),
         ]
     )

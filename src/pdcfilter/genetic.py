@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
-from .filters import Filter
+from .filters import Filter, filtered_schmidt_rows
 from .spectral import SchmidtData
 
 # largest imaginary part of a mode or transmission sample the real forms accept
@@ -102,13 +102,14 @@ class StateContext:
         cross = 2 (a b) w_cross,
 
     with ``factors`` F = [P_a^T | P_b^T] (n x 2m) the filtered Schmidt rows
-    P_a = Psi conj(T_a), P_b = Phi conj(T_b) of the m amplitudes above the
-    noise floor, ``weight_sq`` = d_omega sinh^2 r and ``weight_cross`` =
-    d_omega cosh r sinh r.  The 1 is the vacuum the filters transmit and
-    reflect, sum_i c_i^2 (|T_a|^2 + R_a^2 + |T_b|^2 + R_b^2)_i / 2, which
-    is |c|^2 = 1 because R = sqrt(1 - |T|^2).  This is the
-    n x n quadratic form of :func:`make_state_context` contracted with c, so
-    a generation is scored by one n x 2m product and no n x n form exists.
+    of :func:`~pdcfilter.filters.filtered_schmidt_rows` for the m amplitudes
+    above the noise floor, ``weight_sq`` = d_omega sinh^2 r and
+    ``weight_cross`` = d_omega cosh r sinh r.  This is the diagonal of the
+    covariance formula of :mod:`pdcfilter.covariance` for that column: the
+    overlaps are c_a = sqrt(d_omega) a and c_b = sqrt(d_omega) b, and the 1
+    is the vacuum Gram, sum_i c_i^2 (|T_a|^2 + R_a^2 + |T_b|^2 + R_b^2)_i / 2
+    = |c|^2 = 1 because R = sqrt(1 - |T|^2).  A generation is scored by one
+    n x 2m product and no n x n form exists.
     """
 
     schmidt: SchmidtData = field(repr=False)
@@ -144,36 +145,22 @@ def make_state_context(
 ) -> StateContext:
     """Factored joint-quadrature forms of the filtered squeezer for a shared mode.
 
-    With P_a = Psi conj(T_a) and P_b = Phi conj(T_b) (the filtered Schmidt
-    factors), the orthonormality of the mode rows reduces the kernel
-    products to
-
-        S_a = d_omega diag(|T_a|^2 + R_a^2) + 2 d_omega^2 Re(P_a^H sinh^2 r P_a)
-        E   = 2 d_omega^2 Re(P_a^H (cosh r sinh r) conj(P_b))
-
-    (S_b mirrors S_a), and the variances of a shared mode q are
-    q^T form_-/+ q / d_omega with form_-/+ = (S_a + S_b -/+ (E + E^T)) / 2.
-    The context keeps only the factors of those forms (see
-    :class:`StateContext`) over the ``schmidt.n_excited`` rows above the
+    The factors are the real filtered Schmidt rows P_a = Psi conj(T_a) and
+    P_b = Phi conj(T_b) that the covariance overlaps are built from (see
+    :class:`StateContext`), over the ``schmidt.n_excited`` rows above the
     noise floor, since the rest have r = 0 to round-off.
 
     The real parts are exact only for real Schmidt modes and real
     transmissions; an imaginary part above 1e-12 in any of them raises
     ``ConfigurationError`` instead of being dropped.
     """
-    grid = schmidt.grid
-    if filter_signal.grid != grid or filter_idler.grid != grid:
-        raise ConfigurationError("filter grids do not match the decomposition grid")
+    pa, pb = filtered_schmidt_rows(schmidt, filter_signal, filter_idler)
     m = schmidt.n_excited
-    psi = schmidt.signal_modes[:m]
-    phi = schmidt.idler_modes[:m]
-    ta = filter_signal.transmission
-    tb = filter_idler.transmission
     for name, values in (
-        ("signal Schmidt modes", psi),
-        ("idler Schmidt modes", phi),
-        ("signal transmission", ta),
-        ("idler transmission", tb),
+        ("signal Schmidt modes", schmidt.signal_modes[:m]),
+        ("idler Schmidt modes", schmidt.idler_modes[:m]),
+        ("signal transmission", filter_signal.transmission),
+        ("idler transmission", filter_idler.transmission),
     ):
         imag = float(np.max(np.abs(values.imag))) if np.iscomplexobj(values) else 0.0
         if imag > _IMAG_TOL:
@@ -182,14 +169,12 @@ def make_state_context(
                 "needs real modes and transmissions"
             )
     r = schmidt.require_gain()[:m]
-    dw = grid.d_omega
-    pa = np.real(psi * ta.conj())
-    pb = np.real(phi * tb.conj())
+    dw = schmidt.grid.d_omega
     return StateContext(
         schmidt=schmidt,
         filter_signal=filter_signal,
         filter_idler=filter_idler,
-        factors=np.hstack([pa.T, pb.T]),
+        factors=np.hstack([np.real(pa[:m]).T, np.real(pb[:m]).T]),
         weight_sq=dw * np.sinh(r) ** 2,
         weight_cross=dw * np.cosh(r) * np.sinh(r),
     )

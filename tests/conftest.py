@@ -3,7 +3,7 @@ import pytest
 
 import pdcfilter as pf
 
-from oracles import dense_uv_kernels, full_schmidt
+from oracles import complete_kernels
 
 
 @pytest.fixture(scope="session")
@@ -45,21 +45,11 @@ def reference_wide(wide_grid):
     return _reference_state(wide_grid)
 
 
-def _dense_kernels(reference):
-    jsa, _, gain = reference
-    lambdas, signal, idler = full_schmidt(jsa)
-    return dense_uv_kernels(signal, idler, gain * lambdas)
-
-
 @pytest.fixture(scope="session")
 def kernels_200(reference_200):
     """Dense oracle kernels of the 200-point reference state at 6 dB."""
-    return _dense_kernels(reference_200)
-
-
-@pytest.fixture(scope="session")
-def kernels_100(reference_100):
-    return _dense_kernels(reference_100)
+    jsa, _, gain = reference_200
+    return complete_kernels(jsa, gain)
 
 
 @pytest.fixture(scope="session")

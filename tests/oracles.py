@@ -5,7 +5,6 @@ recurrences, Wick contractions) rather than through the library's own code
 paths, so that agreement is meaningful.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,51 +163,116 @@ def dense_uv_kernels(signal_modes, idler_modes, r_values) -> DenseKernels:
     )
 
 
-def dense_projections(proj, kernels: DenseKernels):
-    """``proj`` with its u/v rows recomputed by contraction with dense kernels."""
-    dw = proj.grid.d_omega
-    fa = proj.basis.signal_fns * proj.filter_signal.transmission
-    gb = proj.basis.idler_fns * proj.filter_idler.transmission
-    return dataclasses.replace(
-        proj,
+def complete_kernels(jsa, gain) -> DenseKernels:
+    """Dense kernels of ``jsa`` at gain B over its complete Schmidt family."""
+    lambdas, signal, idler = full_schmidt(jsa)
+    return dense_uv_kernels(signal, idler, gain * lambdas)
+
+
+@dataclass(frozen=True)
+class LadderRows:
+    """Per-measured-mode ladder coefficients over the grid, one row per mode.
+
+    ``u`` rows multiply the arm's own annihilation operators, ``v`` rows the
+    other arm's creation operators and ``r`` rows the arm's reflected vacuum.
+    """
+
+    u_signal: np.ndarray
+    u_idler: np.ndarray
+    v_signal: np.ndarray
+    v_idler: np.ndarray
+    r_signal: np.ndarray
+    r_idler: np.ndarray
+
+
+def ladder_rows(kernels: DenseKernels, filter_signal, filter_idler, basis) -> LadderRows:
+    """Ladder rows of the filtered measured modes, contracted with dense kernels.
+
+    The signal mode f sees u = d_omega (T_a f) U_a and v = d_omega (T_a f) V_a
+    through its filter and r = f R_a from the reflected vacuum; the idler
+    arm mirrors it with g and T_b.  The modes are contracted as written, as
+    the library contracts them, so a complex phase defect of that convention
+    shows in the local-phase tests, not against this oracle.
+    """
+    dw = basis.grid.d_omega
+    fa = basis.signal_fns * filter_signal.transmission
+    gb = basis.idler_fns * filter_idler.transmission
+    return LadderRows(
         u_signal=dw * (fa @ kernels.u_signal),
-        v_signal=dw * (fa @ kernels.v_signal),
         u_idler=dw * (gb @ kernels.u_idler),
+        v_signal=dw * (fa @ kernels.v_signal),
         v_idler=dw * (gb @ kernels.v_idler),
+        r_signal=basis.signal_fns * filter_signal.reflection,
+        r_idler=basis.idler_fns * filter_idler.reflection,
     )
 
 
-def wick_covariance(proj) -> np.ndarray:
+def factored_ladder_rows(schmidt, filter_signal, filter_idler, basis) -> LadderRows:
+    """Ladder rows over the grid from the identity-plus-rank-k kernels of ``schmidt``.
+
+    U = 1 / d_omega + Psi^H diag(cosh r - 1) Psi and V = Psi^H diag(sinh r) Phi^*
+    applied to T f without assuming the rows orthonormal, so that a
+    corrupted Schmidt family shows in the integrals of these rows.
+    """
+    dw = basis.grid.d_omega
+    r = schmidt.r_values
+    ch1, sh = np.cosh(r) - 1.0, np.sinh(r)
+    psi, phi = schmidt.signal_modes, schmidt.idler_modes
+    fa = basis.signal_fns * filter_signal.transmission
+    gb = basis.idler_fns * filter_idler.transmission
+    ca = dw * (fa @ psi.conj().T)
+    cb = dw * (gb @ phi.conj().T)
+    return LadderRows(
+        u_signal=fa + (ca * ch1) @ psi,
+        u_idler=gb + (cb * ch1) @ phi,
+        v_signal=(ca * sh) @ phi.conj(),
+        v_idler=(cb * sh) @ psi.conj(),
+        r_signal=basis.signal_fns * filter_signal.reflection,
+        r_idler=basis.idler_fns * filter_idler.reflection,
+    )
+
+
+def row_commutator_defects(rows: LadderRows, dw: float) -> np.ndarray:
+    """int |u|^2 - int |v|^2 + int |r|^2 - 1 per measured mode, signal arm then idler."""
+
+    def defect(u, v, r):
+        return dw * np.sum(np.abs(u) ** 2 - np.abs(v) ** 2 + np.abs(r) ** 2, axis=1) - 1.0
+
+    return np.stack(
+        [defect(rows.u_signal, rows.v_signal, rows.r_signal), defect(rows.u_idler, rows.v_idler, rows.r_idler)]
+    )
+
+
+def wick_covariance(kernels: DenseKernels, filter_signal, filter_idler, basis) -> np.ndarray:
     """Covariance matrix by explicit Wick contraction of ladder coefficients.
 
     Each measured operator is written as a row of annihilation and creation
     coefficients over the discretized (signal, idler, two vacua) ladder
-    operators; quadrature rows follow, and every covariance entry is the
-    symmetrized vacuum two-point function.  Shares no code with the library's
-    block-formula assembly.
+    operators, from :func:`ladder_rows`; quadrature rows follow, and every
+    covariance entry is the symmetrized vacuum two-point function.  Shares
+    no code with the library's projections or block-formula assembly.
     """
-    n = proj.grid.n_points
-    dw = proj.grid.d_omega
-    n_modes = proj.n_modes
-    sq = np.sqrt(dw)
+    rows = ladder_rows(kernels, filter_signal, filter_idler, basis)
+    n = basis.grid.n_points
+    sq = np.sqrt(basis.grid.d_omega)
 
     # column layout of the ladder space: [a, b, v_a, v_b], each of size n
     def op_coeffs(k, arm):
         ann = np.zeros(4 * n, dtype=complex)
         cre = np.zeros(4 * n, dtype=complex)
         if arm == "signal":
-            ann[0:n] = proj.u_signal[k] * sq
-            cre[n : 2 * n] = proj.v_signal[k] * sq
-            ann[2 * n : 3 * n] = proj.r_signal[k] * sq
+            ann[0:n] = rows.u_signal[k] * sq
+            cre[n : 2 * n] = rows.v_signal[k] * sq
+            ann[2 * n : 3 * n] = rows.r_signal[k] * sq
         else:
-            ann[n : 2 * n] = proj.u_idler[k] * sq
-            cre[0:n] = proj.v_idler[k] * sq
-            ann[3 * n :] = proj.r_idler[k] * sq
+            ann[n : 2 * n] = rows.u_idler[k] * sq
+            cre[0:n] = rows.v_idler[k] * sq
+            ann[3 * n :] = rows.r_idler[k] * sq
         return ann, cre
 
     ann_rows = []
     cre_rows = []
-    for k in range(n_modes):
+    for k in range(basis.n_modes):
         for arm in ("signal", "idler"):
             ann, cre = op_coeffs(k, arm)
             # X = (O + O^dag)/sqrt2 ; Y = (O - O^dag)/(i sqrt2)
@@ -217,13 +281,9 @@ def wick_covariance(proj) -> np.ndarray:
             ann_rows.append((ann - np.conj(cre)) / (1j * np.sqrt(2)))
             cre_rows.append((cre - np.conj(ann)) / (1j * np.sqrt(2)))
 
-    # interleaved (X_a, Y_a, X_b, Y_b) per mode matches the library ordering
-    order = []
-    for k in range(n_modes):
-        base = 4 * k
-        order += [base, base + 1, base + 2, base + 3]
-    ann_m = np.asarray(ann_rows)[order]
-    cre_m = np.asarray(cre_rows)[order]
+    # rows are already in the library ordering (X_a, Y_a, X_b, Y_b) per mode
+    ann_m = np.asarray(ann_rows)
+    cre_m = np.asarray(cre_rows)
 
     # <O_i O_j>_vac = sum_m ann_i[m] cre_j[m]; symmetrize
     two_point = ann_m @ cre_m.T

@@ -36,6 +36,15 @@ _MAIN = "import sys; from pdcfilter.cli import main; sys.exit(main(sys.argv[1:])
 _KEYS = [f.name for f in dataclasses.fields(RunConfig)]
 
 
+def _strict_json(path):
+    """``path`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"{path.name}: {constant} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def _config_text(config: RunConfig) -> str:
     """Every field of ``config`` but the unset ones as a ``key = value`` line."""
     lines = []
@@ -311,6 +320,17 @@ class TestExport:
         ):
             assert manifest["config"][key] == value
         assert 0 < manifest["results"]["purity"] <= 1
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"filter_kind": "blocking"}, {"filter_width": 0.0}, {"filter_kind": "gauss", "filter_width": 0.01}],
+    )
+    def test_manifest_is_strict_json(self, tmp_path, overrides):
+        # a run with no squeezing beyond the first mode has an infinite
+        # single-mode character, written as null rather than Infinity
+        export_report(run_single(RunConfig(n_retained=4, **overrides)), tmp_path)
+        manifest = _strict_json(tmp_path / "manifest.json")
+        assert manifest["results"]["single_mode_character"] is None
 
     def test_ga_convergence_log_written(self, tmp_path):
         config = RunConfig(
@@ -735,3 +755,4 @@ def test_main_fuzz_ends_in_a_documented_exit(tmp_path_factory, verb, keys, odd):
         done = re.search(r"first mode (\S+) dB, purity (\S+),", out.getvalue())
         assert math.isfinite(float(done.group(1)))
         assert 0.0 < float(done.group(2)) <= 1.0
+        _strict_json(work / "out" / "manifest.json")

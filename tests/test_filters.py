@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 import pdcfilter as pf
 from pdcfilter.errors import ConfigurationError
 
-from oracles import dense_projections, dense_uv_kernels, full_schmidt
+from oracles import (
+    complete_kernels,
+    dense_uv_kernels,
+    factored_ladder_rows,
+    full_schmidt,
+    ladder_rows,
+    row_commutator_defects,
+    wick_covariance,
+)
 
 
 class TestFilterFactories:
@@ -152,7 +160,38 @@ _FILTERS = {
     "rect": lambda g: pf.make_rect_filter(0.0, 4.0, g),
     "gauss": lambda g: pf.make_gauss_filter(0.5, 3.0, g),
     "flat": lambda g: pf.make_flat_filter(0.6, g),
+    "blocking": lambda g: pf.make_blocking_filter(g),
 }
+
+
+def _gram_sums(proj):
+    """The record's Gram sums per arm: UU + RR, VV, and the cross term W + M."""
+    r = proj.schmidt.r_values
+    ca, cb = proj.overlap_signal, proj.overlap_idler
+    vv_a = (ca * np.sinh(r) ** 2) @ ca.conj().T
+    vv_b = (cb * np.sinh(r) ** 2) @ cb.conj().T
+    return {
+        "uu_rr_signal": proj.vacuum_signal + vv_a,
+        "uu_rr_idler": proj.vacuum_idler + vv_b,
+        "vv_signal": vv_a,
+        "vv_idler": vv_b,
+        "cross": 2 * (ca * np.cosh(r) * np.sinh(r)) @ cb.T,
+    }
+
+
+def _oracle_gram_sums(rows, dw):
+    """The same Gram sums integrated over the grid from the oracle's ladder rows."""
+
+    def gram(x, y):
+        return dw * (x @ y.conj().T)
+
+    return {
+        "uu_rr_signal": gram(rows.u_signal, rows.u_signal) + gram(rows.r_signal, rows.r_signal),
+        "uu_rr_idler": gram(rows.u_idler, rows.u_idler) + gram(rows.r_idler, rows.r_idler),
+        "vv_signal": gram(rows.v_signal, rows.v_signal),
+        "vv_idler": gram(rows.v_idler, rows.v_idler),
+        "cross": dw * (rows.u_signal @ rows.v_idler.T + rows.v_signal @ rows.u_idler.T),
+    }
 
 
 class TestFactoredAgainstDense:
@@ -160,56 +199,74 @@ class TestFactoredAgainstDense:
     @pytest.mark.parametrize("target_db", [0.0, 6.0])
     @pytest.mark.parametrize("basis_kind", ["schmidt", "complex"])
     def test_projections_and_covariance_match(self, reference_200, kind, target_db, basis_kind):
-        # factored identity-plus-rank-k kernels against dense n x n kernels
-        # summed over the complete mode family
+        # the record's k-pair Gram sums and covariance against the ladder rows
+        # of dense kernels summed over the complete mode family
         jsa, schmidt0, _ = reference_200
         grid = schmidt0.grid
         gain = pf.gain_for_target_db(schmidt0, target_db)
         schmidt = pf.apply_gain(schmidt0, gain)
-        lambdas, signal, idler = full_schmidt(jsa)
-        kernels = dense_uv_kernels(signal, idler, gain * lambdas)
+        kernels = complete_kernels(jsa, gain)
         filt = _FILTERS[kind](grid)
         if basis_kind == "schmidt":
             basis = pf.MeasurementBasis.from_schmidt(schmidt, 5)
         else:
             basis = _complex_basis(grid, 5)
         proj = pf.filtered_projections(schmidt, filt, filt, basis)
-        dense = dense_projections(proj, kernels)
-        for name in ("u_signal", "v_signal", "u_idler", "v_idler"):
-            assert np.max(np.abs(getattr(proj, name) - getattr(dense, name))) < 1e-12
+        record = _gram_sums(proj)
+        oracle = _oracle_gram_sums(ladder_rows(kernels, filt, filt, basis), grid.d_omega)
+        for name in record:
+            assert np.max(np.abs(record[name] - oracle[name])) < 1e-12, name
         sigma = pf.assemble_covariance(proj).sigma
-        assert np.max(np.abs(sigma - pf.assemble_covariance(dense).sigma)) <= 1e-12
+        assert np.max(np.abs(sigma - wick_covariance(kernels, filt, filt, basis))) <= 1e-12
 
 
 class TestFilteredProjections:
+    def test_record_has_no_grid_axis(self, reference_200, rect4_200):
+        _, schmidt, _ = reference_200
+        basis = pf.MeasurementBasis.from_schmidt(schmidt, 4)
+        proj = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis)
+        k = schmidt.n_modes
+        assert proj.overlap_signal.shape == proj.overlap_idler.shape == (4, k)
+        assert proj.vacuum_signal.shape == proj.vacuum_idler.shape == (4, 4)
+        assert proj.grid is schmidt.grid and proj.n_modes == 4
+        arrays = [v for v in vars(proj).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 4
+        assert all(schmidt.grid.n_points not in a.shape for a in arrays)
+
     def test_identity_filter_schmidt_basis(self, reference_200):
+        # unfiltered, the Schmidt modes overlap only their own pair and see
+        # exactly one vacuum: the record of an ideal EPR source
         _, schmidt, _ = reference_200
         ident = pf.make_identity_filter(schmidt.grid)
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 4)
         proj = pf.filtered_projections(schmidt, ident, ident, basis)
-        for k in range(4):
-            r = schmidt.r_values[k]
-            assert np.max(np.abs(proj.u_signal[k] - np.cosh(r) * schmidt.signal_modes[k])) < 1e-10
-            assert np.max(
-                np.abs(proj.v_signal[k] - np.sinh(r) * schmidt.idler_modes[k].conj())
-            ) < 1e-10
-            assert np.max(np.abs(proj.r_signal[k])) == 0.0
+        own = np.eye(4, schmidt.n_modes)
+        assert np.max(np.abs(proj.overlap_signal - own)) < 1e-10
+        assert np.max(np.abs(proj.overlap_idler - own)) < 1e-10
+        assert np.max(np.abs(proj.vacuum_signal - np.eye(4))) < 1e-10
+        assert np.max(np.abs(proj.vacuum_idler - np.eye(4))) < 1e-10
 
     def test_blocking_filter(self, reference_200):
         _, schmidt, _ = reference_200
         block = pf.make_blocking_filter(schmidt.grid)
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 3)
         proj = pf.filtered_projections(schmidt, block, block, basis)
-        assert np.max(np.abs(proj.u_signal)) == 0.0
-        assert np.max(np.abs(proj.v_idler)) == 0.0
-        assert np.max(np.abs(proj.r_signal - basis.signal_fns)) == 0.0
+        assert np.max(np.abs(proj.overlap_signal)) == 0.0
+        assert np.max(np.abs(proj.overlap_idler)) == 0.0
+        dw = schmidt.grid.d_omega
+        assert np.array_equal(proj.vacuum_signal, dw * (basis.signal_fns @ basis.signal_fns.conj().T))
 
-    def test_reflected_amplitude_pointwise(self, reference_200, rect4_200):
+    def test_reflected_amplitude_pointwise(self, reference_200, kernels_200, rect4_200):
+        # the vacuum Gram is what the oracle's passed and reflected rows integrate to
         _, schmidt, _ = reference_200
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 3)
         proj = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis)
-        expected = basis.signal_fns * rect4_200.reflection
-        assert np.array_equal(proj.r_signal, expected)
+        rows = ladder_rows(kernels_200, rect4_200, rect4_200, basis)
+        assert np.array_equal(rows.r_signal, basis.signal_fns * rect4_200.reflection)
+        dw = schmidt.grid.d_omega
+        passed = basis.signal_fns * rect4_200.transmission
+        oracle = dw * (passed @ passed.conj().T + rows.r_signal @ rows.r_signal.conj().T)
+        assert np.max(np.abs(proj.vacuum_signal - oracle)) < 1e-15
 
     def test_grid_mismatch_rejected(self, reference_200, grid100):
         _, schmidt, _ = reference_200
@@ -217,8 +274,12 @@ class TestFilteredProjections:
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 2)
         with pytest.raises(ConfigurationError):
             pf.filtered_projections(schmidt, filt, filt, basis)
+        ident = pf.make_identity_filter(schmidt.grid)
+        unit_modes = pf.MeasurementBasis.from_shared(np.eye(2, 100) / np.sqrt(grid100.d_omega), grid100)
+        with pytest.raises(ConfigurationError):
+            pf.filtered_projections(schmidt, ident, ident, unit_modes)
 
-    def test_overlap_quadrature_against_loop(self, reference_200, kernels_200, rect4_200):
+    def test_overlap_quadrature_against_loop(self, reference_200, rect4_200):
         # same integrals evaluated through an explicit python loop; guards the
         # vectorized contraction against transcription slips
         _, schmidt, _ = reference_200
@@ -227,13 +288,15 @@ class TestFilteredProjections:
         dw = schmidt.grid.d_omega
         n = schmidt.grid.n_points
         for k in range(3):
-            reference = np.zeros(n, dtype=kernels_200.u_signal.dtype)
-            for j in range(n):
+            for j in range(schmidt.n_modes):
                 acc = 0.0
                 for i in range(n):
-                    acc += basis.signal_fns[k, i] * rect4_200.transmission[i] * kernels_200.u_signal[i, j]
-                reference[j] = acc * dw
-            assert np.max(np.abs(proj.u_signal[k] - reference)) < 1e-12
+                    acc += (
+                        basis.signal_fns[k, i]
+                        * rect4_200.transmission[i]
+                        * np.conj(schmidt.signal_modes[j, i])
+                    )
+                assert abs(proj.overlap_signal[k, j] - acc * dw) < 1e-12
 
     def test_commutators_exact_with_full_kernels(self, reference_200, rect4_200):
         # bosonic commutation constraint: int|u|^2 - int|v|^2 + int|r|^2 = 1
@@ -246,22 +309,52 @@ class TestFilteredProjections:
         _, schmidt, _ = reference_200
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 3)
         proj = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis)
-        bad = dataclasses.replace(proj, u_idler=1.01 * proj.u_idler)
+        bad = dataclasses.replace(proj, vacuum_idler=1.01 * proj.vacuum_idler)
         defects = pf.commutator_defects(bad)
         assert defects.shape == (2, 3)
         assert np.max(np.abs(defects[0])) < 1e-12
         assert np.min(np.abs(defects[1])) > 1e-3
 
+    def test_commutator_defects_match_oracle_rows(self, reference_200, kernels_200, rect4_200):
+        # the k-pair formula against the grid integrals of the oracle's rows
+        _, schmidt, _ = reference_200
+        basis = pf.MeasurementBasis.from_schmidt(schmidt, 3)
+        proj = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis)
+        rows = ladder_rows(kernels_200, rect4_200, rect4_200, basis)
+        oracle = row_commutator_defects(rows, schmidt.grid.d_omega)
+        assert np.max(np.abs(pf.commutator_defects(proj) - oracle)) < 1e-12
+
+    @pytest.mark.parametrize("arm", ["signal_modes", "idler_modes"])
+    def test_scaled_schmidt_row_caught(self, reference_200, rect4_200, arm):
+        # a Schmidt row of norm 1.01 breaks the orthonormality the covariance
+        # formula assumes: both measured arms see it, as the grid integrals
+        # of the identity-plus-rank-k rows do
+        _, schmidt, _ = reference_200
+        modes = getattr(schmidt, arm).copy()
+        modes[0] *= 1.01
+        bad = dataclasses.replace(schmidt, **{arm: modes})
+        basis = pf.MeasurementBasis.from_schmidt(schmidt, 3)
+        defects = pf.commutator_defects(pf.filtered_projections(bad, rect4_200, rect4_200, basis))
+        rows = factored_ladder_rows(bad, rect4_200, rect4_200, basis)
+        assert np.max(np.abs(defects - row_commutator_defects(rows, schmidt.grid.d_omega))) < 1e-12
+        assert np.max(np.abs(defects[0])) > 1e-4
+        assert np.max(np.abs(defects[1])) > 1e-4
+
     def test_contraction_bounds(self, reference_200, rect4_200):
+        # int |u_k|^2 = int |T f_k|^2 + sum_j |c_kj|^2 sinh^2 r_j: filtering
+        # cannot raise it, and the kernel norm cosh r_max bounds it
         _, schmidt, _ = reference_200
         dw = schmidt.grid.d_omega
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 5)
         ident = pf.make_identity_filter(schmidt.grid)
-        filtered = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis)
-        unfiltered = pf.filtered_projections(schmidt, ident, ident, basis)
+        sh2 = np.sinh(schmidt.r_values) ** 2
+
+        def u_norms(filt):
+            proj = pf.filtered_projections(schmidt, filt, filt, basis)
+            passed = dw * np.sum(np.abs(basis.signal_fns * filt.transmission) ** 2, axis=1)
+            return passed + np.abs(proj.overlap_signal) ** 2 @ sh2
+
+        filtered, unfiltered = u_norms(rect4_200), u_norms(ident)
         r_max = float(np.max(schmidt.r_values))
-        for k in range(5):
-            norm_f = np.sum(np.abs(filtered.u_signal[k]) ** 2) * dw
-            norm_u = np.sum(np.abs(unfiltered.u_signal[k]) ** 2) * dw
-            assert norm_f <= norm_u + 1e-12
-            assert norm_f <= np.cosh(r_max) ** 2 + 1e-12
+        assert np.all(filtered <= unfiltered + 1e-12)
+        assert np.all(filtered <= np.cosh(r_max) ** 2 + 1e-12)
