@@ -1,13 +1,13 @@
 """Keep numpy's OpenBLAS on the calling thread while a command runs.
 
-The arrays of a run are at most a few thousand samples on a side.  OpenBLAS
-threads the level-2 steps inside every LAPACK panel of such an array, so a
-QR or SVD of an n x k sketch wakes and joins its pool once per column.  On a
-2-vCPU machine that made no run faster: a 96 x 800 SVD took 15 ms on two
-threads against 7 ms on one, and with one CPU busy elsewhere the 600-point
-sweep fell from 223 points/s on one thread to 84 on two.  ``cli.main``
-therefore runs its verb under ``calling_thread()``.  Library calls keep the
-library default; nothing here changes a result, only which thread computes it.
+OpenBLAS threads the level-2 steps inside every LAPACK panel, so the QR of a
+Schmidt skeleton factor or the SVD of a passband block wakes its pool once
+per column.  On a 2-vCPU machine one thread was faster for both (0.31 against
+0.66 ms for a 600 x 26 QR, 1.4 against 2.5 ms for the width-4 passband SVD at
+n = 600), and with one CPU busy elsewhere the default 600-point sweep took
+176 ms on one thread against 265 ms on two.  ``cli.main`` therefore runs its
+verb under ``calling_thread()``.  Library calls keep the library default;
+nothing here changes a result, only which thread computes it.
 
 Only the OpenBLAS that numpy wheels bundle in ``numpy.libs`` is found; with
 any other BLAS both functions do nothing.

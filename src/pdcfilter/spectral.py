@@ -11,17 +11,12 @@ Everything here is discretized on a uniform frequency grid with rectangle-rule
 quadrature weight d_omega; mode functions are normalized so that
 sum |psi|^2 d_omega = 1.
 
-Only the leading Schmidt triples are computed, by randomized subspace
-iteration (Halko, Martinsson & Tropp, SIAM Rev. 53, 217 (2011)): a Gaussian
-sketch of at least ``_SKETCH_MIN`` columns from a fixed seed, so reruns are
-byte-identical, is doubled until its smallest amplitude reaches the noise
-floor, or replaced by the dense SVD once the rungs together would take more
-than an eighth of the grid in columns (the first 48-column rung fits from
-n = 384).  Every decomposition, here or of the filter-masked amplitude in
-``basis_opt``, keeps max(n_retained, #{lambda_k > 1e-14 lambda_1}) pairs
-whatever route made it.  Every mode beyond them has r = 0 to round-off and
-enters the squeezer only through the exact identity part of its Bogoliubov
-transformation.
+Only the leading Schmidt triples are computed, on one route for every grid
+and rank: adaptive cross approximation (Bebendorf, Numer. Math. 86, 565
+(2000)) checked against every sample.  Every decomposition, here or in
+``basis_opt``, keeps max(n_retained, #{lambda_k > 1e-14 lambda_1}) pairs;
+every mode beyond them has r = 0 to round-off and enters the squeezer only
+through the exact identity part of its Bogoliubov transformation.
 """
 
 from __future__ import annotations
@@ -36,19 +31,13 @@ from .errors import ConfigurationError, GridTruncationError, NumericsError
 _LOG10_E = float(np.log10(np.e))
 _LN10 = float(np.log(10.0))
 
-_SKETCH_MIN = 48
-_SKETCH_SEED = 20110531
-_POWER_STEPS = 2
-# an amplitude at or below this fraction of lambda_1 is round-off of the SVD
+# an amplitude at or below this fraction of lambda_1 is round-off of the SVD; cross
+# approximation pivots down to this fraction of the largest sample, as its residual
+# rows are exact to about 1e-15 of it and a lower stop pivots on round-off
 _NOISE_FLOOR = 1e-14
-# a sketch of k columns costs about 2k/n of the dense SVD; the rungs of one
-# decomposition together take at most this share of the grid in columns, so
-# the rungs a high-rank amplitude fails on cost about a quarter of the dense SVD
-_SKETCH_BUDGET = 0.125
-# n x n float arrays alive at once at the peak of a run, at most: a dense SVD
-# (a high-rank amplitude, or the effective basis of a filter with no zero
-# sample) holds its operand, both factor matrices and the LAPACK work beside
-# the amplitude, about 9 in all by peak RSS at n = 1500 and 2500
+# n x n float arrays alive at once at the peak of a run, at most: the dense SVD
+# of a zero-free filter's effective basis holds its operand, both factors and
+# the LAPACK work beside the amplitude, about 9 in all by peak RSS (n = 1500, 2500)
 _STATE_ARRAYS = 10
 # the widths for which 2 sigma^2, the Gaussians' divisor, is a normal finite float
 _SIGMA_MIN = float(np.sqrt(np.finfo(float).tiny / 2))
@@ -161,14 +150,13 @@ class JsaMatrix:
 class SchmidtData:
     """Broadband-mode decomposition of a joint spectral amplitude.
 
-    ``signal_modes`` / ``idler_modes`` hold one mode function per row, paired
-    with the descending amplitudes ``lambdas`` (the filtered lambda'_k for
-    ``svd_effective_basis``).  Whatever SVD route made them, the rows are the
-    ``n_retained`` pairs the analysis reports on and the ``n_excited`` pairs
-    above the noise floor.  ``tail_weight`` is sum_{k > n_retained}
-    lambda_k^2 over the full computed spectrum.  ``r_values`` are the
-    gain-scaled squeezing parameters r_k = B * lambda_k, present only after
-    :func:`apply_gain`.
+    ``signal_modes`` psi_k / ``idler_modes`` phi_k hold one mode function per
+    row, paired with the descending amplitudes ``lambdas`` (the filtered
+    lambda'_k for ``svd_effective_basis``) as f(w_s, w_i) = sum_k lambda_k
+    psi_k(w_s) phi_k(w_i): the ``n_retained`` reported pairs and the
+    ``n_excited`` pairs above the noise floor.  ``tail_weight`` is
+    sum_{k > n_retained} lambda_k^2 over the computed spectrum; the squeezing
+    parameters ``r_values`` = B * lambda_k exist only after :func:`apply_gain`.
     """
 
     grid: FrequencyGrid
@@ -310,7 +298,7 @@ def _schmidt_from_svd(
     """
     k = _kept_pairs(s, n_retained)
     sqrt_dw = np.sqrt(grid.d_omega)
-    signal, idler = _fix_phases(u[:, :k].T / sqrt_dw, vh[:k].conj() / sqrt_dw)
+    signal, idler = _fix_phases(u[:, :k].T / sqrt_dw, vh[:k] / sqrt_dw)
     return SchmidtData(grid, signal, idler, s[:k], int(n_retained), float(np.sum(s[n_retained:] ** 2)))
 
 
@@ -332,61 +320,73 @@ def quadrature_svd(
     return s, modes.signal_modes, modes.idler_modes
 
 
-def _orthonormal_range(m: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(m)
-    return q
+def _cross_approximation(values: np.ndarray, dw: float, n_retained: int) -> tuple[np.ndarray, np.ndarray]:
+    """Factors ``ut``, ``v`` (k x n) with values * dw = ut.T @ v to the noise floor, k >= n_retained.
 
-
-def _sketched_svd(
-    a: np.ndarray, k: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Leading ``k`` singular triples of ``a`` by randomized subspace iteration.
-
-    Every multiply by ``a`` or its adjoint is followed by a QR
-    re-orthonormalization; without it the power steps collapse the sketch
-    onto the first few modes and the weaker ones lose all precision.
+    Partial pivoting (a residual row's largest sample is the pivot, the pivot
+    column's largest residual on an unvisited row picks the next row) stalls on
+    rows it never reads, so each pass starts at the worst residual sample of
+    every row block above the floor, worst first.  The first always becomes a
+    pivot and the rank is at most n, so this ends; rows past the rank are zero.
     """
-    q = _orthonormal_range(a @ rng.standard_normal((a.shape[1], k)))
-    for _ in range(_POWER_STEPS):
-        q = _orthonormal_range(a @ _orthonormal_range(a.conj().T @ q))
-    ub, s, vh = np.linalg.svd(q.conj().T @ a, full_matrices=False)
-    return q @ ub, s, vh
+    n = values.shape[0]
+    rows = max(1, (1 << 16) // n)  # the check reads 2^16 samples at a time
+    ut, v = np.zeros((2, max(16, n_retained), n), np.result_type(values.dtype, float))
+    k = 0
+
+    def missed_rows(floor):
+        # (size, row) of each block's largest residual sample above floor, largest first
+        peaks = []
+        for start in range(0, n, rows):
+            r = (ut[:k, start : start + rows].T / dw) @ v[:k]
+            r -= values[start : start + rows]
+            mag = np.abs(r, out=r)  # a complex residual holds its magnitude in the real part
+            at = int(np.argmax(mag))
+            peaks.append((float(mag.flat[at].real) * dw, start + at // n))
+        return sorted((p for p in peaks if p[0] > floor), reverse=True)
+
+    missed = missed_rows(0.0)
+    floor = _NOISE_FLOOR * missed[0][0]
+    while missed and k < n:
+        visited, first = np.zeros(n, dtype=bool), k
+        for _, i in missed:
+            row = values[i] * dw - ut[:k, i] @ v[:k]
+            while k < n and (k == first or np.max(np.abs(row)) > floor):
+                visited[i] = True
+                if k == len(ut):
+                    ut, v = np.concatenate([ut, 0 * ut]), np.concatenate([v, 0 * v])
+                j = int(np.argmax(np.abs(row)))
+                v[k] = row / row[j]
+                ut[k] = values[:, j] * dw - ut[:k].T @ v[:k, j]
+                k += 1
+                i = int(np.argmax(np.where(visited, -1.0, np.abs(ut[k - 1]))))
+                row = values[i] * dw - ut[:k, i] @ v[:k]
+        missed = missed_rows(floor)
+    return ut[: max(k, n_retained)], v[: max(k, n_retained)]
 
 
 def schmidt_decompose(jsa: JsaMatrix, n_retained: int = 10) -> SchmidtData:
-    """Decompose a normalized amplitude into its leading broadband mode pairs.
+    """Decompose a normalized amplitude into its reported and excited broadband mode pairs.
 
-    The sketch starts at max(48, n_retained) modes and doubles until its
-    smallest amplitude is at the noise floor (<= 1e-14 lambda_1).  All rungs
-    together may use at most n/8 columns; once the next rung would pass that
-    budget the exact dense SVD is taken instead, as it is on grids below 384
-    points and for high-rank amplitudes.  Either way the result keeps the
-    ``n_retained`` reported pairs and every pair above the noise floor.
-    Amplitudes are descending and the computed spectrum satisfies
-    sum lambda^2 = 1 to 1e-10.
+    A QR of each cross-approximation factor and one SVD of the k x k core give
+    the triples; the QRs complete the zero rows of factors of rank below
+    ``n_retained`` to orthonormal pairs of amplitude 0.  Amplitudes descend
+    and satisfy sum lambda^2 = 1 to 1e-10.
     """
     n = jsa.grid.n_points
     if not 1 <= n_retained <= n:
         raise ConfigurationError(f"n_retained must lie in [1, {n}], got {n_retained}")
-    a = np.asarray(jsa.values) * jsa.grid.d_omega
-    rng = np.random.default_rng(_SKETCH_SEED)
-    k = max(_SKETCH_MIN, n_retained)
-    spent = 0
+    ut, v = _cross_approximation(np.asarray(jsa.values), jsa.grid.d_omega, n_retained)
     try:
-        while spent + k <= _SKETCH_BUDGET * n:
-            spent += k
-            u, s, vh = _sketched_svd(a, k, rng)
-            if s[-1] <= _NOISE_FLOOR * s[0]:
-                break
-            k *= 2
-        else:
-            u, s, vh = np.linalg.svd(a)
+        qu, ru = np.linalg.qr(ut.T)
+        qv, rv = np.linalg.qr(v.T)
+        w, s, zh = np.linalg.svd(ru @ rv.T)
     except np.linalg.LinAlgError as exc:
         raise _svd_failure(jsa.values) from exc
     total = float(np.sum(s**2))
     if not abs(total - 1.0) <= 1e-10:
         raise NumericsError(f"Schmidt amplitudes violate Parseval: sum lambda^2 = {total!r}")
-    return _schmidt_from_svd(jsa.grid, u, s, vh, n_retained)
+    return _schmidt_from_svd(jsa.grid, qu @ w, s, zh @ qv.T, n_retained)
 
 
 def apply_gain(schmidt: SchmidtData, gain_b: float) -> SchmidtData:

@@ -72,6 +72,19 @@ def meshgrid_gaussian_jsa(params, grid):
     return raw / np.sqrt(grid_mass)
 
 
+def chirped_jsa(grid, rate):
+    """The reference amplitude (sigma_a 6, sigma_b 2, theta -pi/4) times exp(i rate (w_s^2 + w_i^2)).
+
+    A local spectral phase on each arm: its Schmidt pairs are complex, with
+    the reference state's amplitudes.
+    """
+    import pdcfilter as pf
+
+    base = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
+    w = grid.points
+    return pf.JsaMatrix(base.values * np.exp(1j * rate * (w[:, None] ** 2 + w[None, :] ** 2)), grid)
+
+
 def loop_modes_csv(grid, modes, path):
     """``modes.csv`` written sample by sample, as the library did before it built one table."""
     import csv
@@ -107,7 +120,7 @@ def full_schmidt(jsa):
     """
     dw = jsa.grid.d_omega
     u, s, vh = np.linalg.svd(np.asarray(jsa.values) * dw)
-    return s, u.T / np.sqrt(dw), vh.conj() / np.sqrt(dw)
+    return s, u.T / np.sqrt(dw), vh / np.sqrt(dw)
 
 
 def dense_effective_basis(jsa, filter_signal, filter_idler, n_retained=10):

@@ -694,9 +694,8 @@ def test_sweep_selects_one_effective_basis_per_width(monkeypatch):
 
 
 # plausible values for each key; a drawn config may also set one float key
-# to an odd value.  About one drawn grid in five is large enough (n >= 384)
-# for the Schmidt sketch or just below it, and a gain_b above about 13 puts
-# r_1 past 9.18
+# to an odd value.  About one drawn grid in five has 380 to 400 points, and a
+# gain_b above about 13 puts r_1 past 9.18
 _FUZZ_KEYS = {
     "n_points": st.integers(0, 4).flatmap(lambda d: st.integers(380, 400) if d == 4 else st.integers(2, 70)),
     "omega_min": st.floats(-20.0, -5.0),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import pdcfilter as pf
 from pdcfilter.errors import ConfigurationError, NumericsError, PhysicalityError
 
-from oracles import complete_kernels, lossy_epr_block, wick_covariance
+from oracles import chirped_jsa, complete_kernels, lossy_epr_block, wick_covariance
 
 
 class TestAnalyticBlock:
@@ -149,24 +149,22 @@ class TestAssembleCovariance:
         cov = pf.assemble_covariance(proj)
         assert np.max(np.abs(cov.sigma - wick_covariance(kernels_200, gauss, gauss, basis))) < 1e-12
 
-    def test_complex_chirped_amplitude(self, grid100):
+    def test_complex_chirped_amplitude(self):
         # a frequency chirp makes modes and kernels complex, exercising the
         # imaginary parts of every block entry; the Wick oracle still applies
-        params = pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4)
-        base = pf.build_gaussian_jsa(params, grid100)
-        w = grid100.points
-        chirp = np.exp(0.05j * (w[:, None] ** 2 + w[None, :] ** 2))
-        jsa = pf.JsaMatrix(base.values * chirp, grid100)
-        schmidt = pf.apply_gain(pf.schmidt_decompose(jsa, 5), 0.8)
-        gauss = pf.make_gauss_filter(0.3, 4.0, grid100)
-        basis = pf.MeasurementBasis.from_schmidt(schmidt, 4)
-        proj = pf.filtered_projections(schmidt, gauss, gauss, basis)
-        cov = pf.assemble_covariance(proj)
-        oracle = wick_covariance(complete_kernels(jsa, 0.8), gauss, gauss, basis)
-        assert np.max(np.abs(cov.sigma - oracle)) < 1e-12
-        assert pf.check_physicality(cov)[0]
-        assert np.max(np.abs(pf.commutator_defects(proj))) < 1e-12
-        assert 0 < pf.purity(cov) <= 1 + 1e-12
+        for n in (100, 400):
+            grid = pf.build_frequency_grid(n, -10.0, 10.0)
+            jsa = chirped_jsa(grid, 0.05)
+            schmidt = pf.apply_gain(pf.schmidt_decompose(jsa, 5), 0.8)
+            gauss = pf.make_gauss_filter(0.3, 4.0, grid)
+            basis = pf.MeasurementBasis.from_schmidt(schmidt, 4)
+            proj = pf.filtered_projections(schmidt, gauss, gauss, basis)
+            cov = pf.assemble_covariance(proj)
+            oracle = wick_covariance(complete_kernels(jsa, 0.8), gauss, gauss, basis)
+            assert np.max(np.abs(cov.sigma - oracle)) < 1e-12
+            assert pf.check_physicality(cov)[0]
+            assert np.max(np.abs(pf.commutator_defects(proj))) < 1e-12
+            assert 0 < pf.purity(cov) <= 1 + 1e-12
 
     def test_symmetry_and_asymmetry_diagnostic(self, reference_200, rect4_200):
         _, schmidt, _ = reference_200
@@ -211,7 +209,7 @@ def _phased_run(phase: str) -> tuple[float, float]:
     filt = pf.make_rect_filter(0.0, 4.0, grid)
     w = grid.points
     if phase == "chirp":
-        jsa = pf.JsaMatrix(jsa.values * np.exp(0.3j * (w[:, None] ** 2 + w[None, :] ** 2)), grid)
+        jsa = chirped_jsa(grid, 0.3)
     elif phase == "delay":
         filt = pf.Filter(filt.transmission * np.exp(0.7j * w), grid)
     schmidt = pf.schmidt_decompose(jsa, 10)
@@ -228,11 +226,19 @@ class TestLocalPhases:
     def test_purity_unchanged(self, phase):
         assert abs(_phased_run(phase)[0] - _phased_run("plain")[0]) < 1e-11
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 3: a complex mode or transmission loses the pair's quadrature "
-        "phase reference and is contracted unconjugated, so the dB drops",
+    @pytest.mark.parametrize(
+        "phase",
+        [
+            "chirp",
+            pytest.param(
+                "delay",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="ROADMAP item 6: a complex transmission is contracted unconjugated, "
+                    "so the dB drops",
+                ),
+            ),
+        ],
     )
-    @pytest.mark.parametrize("phase", ["chirp", "delay"])
     def test_first_mode_db_unchanged(self, phase):
         assert abs(_phased_run(phase)[1] - _phased_run("plain")[1]) < 1e-9

@@ -50,8 +50,8 @@ class TestStateContext:
 
     @pytest.mark.parametrize("n", [100, 800])
     def test_holds_only_factors(self, n):
-        # n = 100 takes the dense SVD, n = 800 the sketch; both keep the 30
-        # reported Schmidt rows, of which only the 23 excited enter the context
+        # both grids keep the 30 reported Schmidt rows, of which only the 23
+        # excited enter the context
         grid = pf.build_frequency_grid(n, -10.0, 10.0)
         jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
         schmidt = pf.schmidt_decompose(jsa, 30)

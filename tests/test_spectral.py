@@ -13,6 +13,7 @@ from oracles import (
     GAIN_6DB,
     R_3DB,
     R_6DB,
+    chirped_jsa,
     geometric_lambdas,
     hermite_functions,
     mehler_mode_scale,
@@ -109,28 +110,8 @@ class TestGaussianJsa:
 
 
 # amplitudes of the reference state (sigma_a 6, sigma_b 2, [-10, 10]) above
-# the 1e-14 lambda_1 noise floor, at n = 100, 383, 384 and 800 alike
+# the 1e-14 lambda_1 noise floor, at every n from 100 to 1600
 _REFERENCE_EXCITED = 23
-
-
-def _count_routes(monkeypatch, n) -> dict:
-    """Sketch widths and dense n x n SVDs that the decompositions take from now on."""
-    import pdcfilter.spectral as spectral
-
-    calls = {"rungs": [], "dense": 0}
-    sketched_svd, svd = spectral._sketched_svd, np.linalg.svd
-
-    def sketch(a, k, rng):
-        calls["rungs"].append(k)
-        return sketched_svd(a, k, rng)
-
-    def dense(a, *args, **kwargs):
-        calls["dense"] += np.shape(a) == (n, n)
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(spectral, "_sketched_svd", sketch)
-    monkeypatch.setattr(np.linalg, "svd", dense)
-    return calls
 
 
 class TestSchmidtDecompose:
@@ -149,11 +130,15 @@ class TestSchmidtDecompose:
         assert schmidt.tail_weight == pytest.approx(tail, abs=0)
 
     def test_reconstruction_residual(self, reference_200):
+        # f = sum_k lambda_k psi_k(w_s) phi_k(w_i), also for the complex
+        # pairs of a chirped amplitude
         jsa, schmidt, _ = reference_200
-        k = schmidt.n_retained
-        approx = (schmidt.signal_modes[:k].T * schmidt.lambdas[:k]) @ schmidt.idler_modes[:k]
-        resid = float(np.sum(np.abs(jsa.values - approx) ** 2) * schmidt.grid.d_omega**2)
-        assert resid <= schmidt.tail_weight + 1e-10
+        chirped = chirped_jsa(jsa.grid, 0.05)
+        for jsa, schmidt in ((jsa, schmidt), (chirped, pf.schmidt_decompose(chirped, 10))):
+            k = schmidt.n_retained
+            approx = (schmidt.signal_modes[:k].T * schmidt.lambdas[:k]) @ schmidt.idler_modes[:k]
+            resid = float(np.sum(np.abs(jsa.values - approx) ** 2) * schmidt.grid.d_omega**2)
+            assert resid <= schmidt.tail_weight + 1e-10
 
     def test_geometric_spectrum(self, reference_wide):
         # closed-form oracle: amplitude ratio (6-2)/(6+2) = 0.5, lambda_1 = sqrt(3)/2
@@ -237,48 +222,41 @@ class TestSchmidtDecompose:
         assert np.max(np.abs(lams[200] - lams[100])) < 1e-6
 
     @staticmethod
-    def _assert_sketch_matches_dense_svd(n):
-        grid = pf.build_frequency_grid(n, -10, 10)
-        jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
+    def _assert_matches_dense_svd(jsa):
+        """The decomposition keeps the dense SVD's excited pairs, with its amplitudes and modes."""
         schmidt = pf.schmidt_decompose(jsa, 10)
+        s, signal, idler = quadrature_svd(jsa.values, jsa.grid)
         k = schmidt.n_modes
-        assert k < grid.n_points
-        dw = grid.d_omega
-        u, s, vh = np.linalg.svd(jsa.values * dw)
+        assert k == max(10, int(np.sum(s > 1e-14 * s[0])))
         assert np.max(np.abs(schmidt.lambdas - s[:k])) < 1e-12
         # same phase convention on both routes, so the modes coincide.  Modes
         # below 1e-3 lambda_1 are left out: there the dense SVD's own vector
         # error, eps lambda_1 / gap, reaches 1e-12
-        _, signal, idler = quadrature_svd(jsa.values, grid)
         m = int(np.sum(s >= 1e-3 * s[0]))
         assert np.max(np.abs(schmidt.signal_modes[:m] - signal[:m])) < 1e-12
         assert np.max(np.abs(schmidt.idler_modes[:m] - idler[:m])) < 1e-12
+        return schmidt
+
+    @staticmethod
+    def _reference_jsa(n):
+        grid = pf.build_frequency_grid(n, -10, 10)
+        return pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
 
     def test_leading_triples_match_dense_svd(self):
-        self._assert_sketch_matches_dense_svd(800)
+        schmidt = self._assert_matches_dense_svd(self._reference_jsa(800))
+        assert schmidt.n_modes == _REFERENCE_EXCITED
 
-    @pytest.mark.parametrize("n", [400, 600])
-    def test_small_grid_sketch_matches_dense_svd(self, n):
-        # the 48-column rung fits the n/8 budget from n = 384
-        self._assert_sketch_matches_dense_svd(n)
-
-    # ids: n, whether the sketch runs
-    @pytest.mark.parametrize(
-        "n, rungs, dense", [pytest.param(383, [], 1, id="383-False"), pytest.param(384, [48], 0, id="384-True")]
-    )
-    def test_sketch_budget_boundary(self, n, rungs, dense, monkeypatch):
-        grid = pf.build_frequency_grid(n, -10, 10)
-        jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
-        calls = _count_routes(monkeypatch, n)
-        assert pf.schmidt_decompose(jsa, 10).n_modes == _REFERENCE_EXCITED
-        assert calls == {"rungs": rungs, "dense": dense}
+    @pytest.mark.parametrize("n", [100, 383, 384, 400, 600, 1600])
+    def test_every_grid_matches_dense_svd(self, n):
+        schmidt = self._assert_matches_dense_svd(self._reference_jsa(n))
+        assert schmidt.n_modes == _REFERENCE_EXCITED
 
     @pytest.mark.parametrize("n", [100, 800])
     def test_keeps_reported_and_excited_pairs_on_every_route(self, n):
-        # the dense SVD at n = 100 computes 100 triples and the sketch at
-        # n = 800 48; both keep the 23 above the noise floor
-        grid = pf.build_frequency_grid(n, -10, 10)
-        jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
+        # the decomposition computes about 25 triples; 30 reported pairs
+        # take every excited one and 7 more at the noise floor
+        jsa = self._reference_jsa(n)
+        grid = jsa.grid
         s = np.linalg.svd(jsa.values * grid.d_omega, compute_uv=False)
         assert int(np.sum(s > 1e-14 * s[0])) == _REFERENCE_EXCITED
         for n_retained, rows in ((10, _REFERENCE_EXCITED), (30, 30)):
@@ -290,56 +268,58 @@ class TestSchmidtDecompose:
         assert tail == pytest.approx(np.sum(s[10:] ** 2), rel=1e-12, abs=0)
 
     def test_rerun_bit_identical(self):
-        grid = pf.build_frequency_grid(800, -10, 10)
-        jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
+        jsa = self._reference_jsa(800)
         a = pf.schmidt_decompose(jsa, 10)
         b = pf.schmidt_decompose(jsa, 10)
-        assert a.n_modes < grid.n_points
+        assert a.n_modes < jsa.grid.n_points
         for name in ("lambdas", "signal_modes", "idler_modes"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
-    # ids: n, rank, triples the route computes
-    @pytest.mark.parametrize(
-        "n, rank, rungs, dense",
-        [
-            pytest.param(1600, 80, [48, 96], 0, id="1600-80-96"),
-            pytest.param(800, 80, [48], 1, id="800-80-800"),
-            pytest.param(1200, 80, [48, 96], 0, id="1200-80-96"),
-        ],
-    )
-    def test_sketch_grows_with_numerical_rank(self, n, rank, rungs, dense, monkeypatch):
-        # slowly decaying spectrum of the given rank: the first 48-column
-        # sketch ends above the noise floor, so it must double; the rungs
-        # 48 + 96 fit the n/8 budget at n = 1200 but exceed it at n = 800,
-        # where the dense SVD takes over
+    @pytest.mark.parametrize("n", [800, 1200, 1600])
+    def test_keeps_every_pair_of_a_numerical_rank(self, n):
+        # slowly decaying spectrum of rank 80: every pair is excited
         grid = pf.build_frequency_grid(n, -10, 10)
         rng = np.random.default_rng(1)
-        u, _ = np.linalg.qr(rng.standard_normal((n, rank)))
-        v, _ = np.linalg.qr(rng.standard_normal((n, rank)))
-        values = (u * 0.95 ** np.arange(rank)) @ v.T
+        u, _ = np.linalg.qr(rng.standard_normal((n, 80)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, 80)))
+        values = (u * 0.95 ** np.arange(80)) @ v.T
         values /= np.sqrt(np.sum(values**2) * grid.d_omega**2)
-        jsa = pf.JsaMatrix(values, grid)
-        calls = _count_routes(monkeypatch, n)
-        schmidt = pf.schmidt_decompose(jsa, 5)
-        assert calls == {"rungs": rungs, "dense": dense}
-        # every route keeps the rank's excited pairs and none below the floor
-        assert schmidt.n_modes == schmidt.n_excited == rank
+        schmidt = pf.schmidt_decompose(pf.JsaMatrix(values, grid), 5)
+        assert schmidt.n_modes == schmidt.n_excited == 80
         s = np.linalg.svd(values * grid.d_omega, compute_uv=False)
-        assert np.max(np.abs(schmidt.lambdas - s[:rank])) < 1e-12
+        assert np.max(np.abs(schmidt.lambdas - s[:80])) < 1e-12
 
-    def test_small_grid_takes_dense_svd(self, grid100, monkeypatch):
-        # a 48-column sketch exceeds n/8 of a 100-point grid
-        jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid100)
-        calls = _count_routes(monkeypatch, grid100.n_points)
-        schmidt = pf.schmidt_decompose(jsa, 10)
-        assert calls == {"rungs": [], "dense": 1}
-        lambdas, signal, idler = quadrature_svd(jsa.values, grid100)
-        k = schmidt.n_modes
-        assert k == _REFERENCE_EXCITED
-        assert np.array_equal(schmidt.lambdas, lambdas[:k])
-        assert np.array_equal(schmidt.signal_modes, signal[:k])
-        assert np.array_equal(schmidt.idler_modes, idler[:k])
-        assert schmidt.tail_weight == float(np.sum(lambdas[10:] ** 2))
+    def test_high_rank_amplitude_matches_dense_svd(self):
+        # 211 pairs above the noise floor, about nine times the reference's
+        grid = pf.build_frequency_grid(800, -60, 60)
+        jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(20.0, 1.0, -np.pi / 4), grid)
+        assert self._assert_matches_dense_svd(jsa).n_excited == 211
+
+    def test_two_lobe_amplitude_matches_dense_svd(self):
+        # two lobes on disjoint signal and idler bands: partial pivoting from
+        # the stronger lobe never reads a row of the weaker one and stalls
+        # there, so the weaker lobe's pairs come from the check of every sample
+        grid = pf.build_frequency_grid(400, -10, 10)
+        lobe = meshgrid_gaussian_jsa(
+            pf.GaussianJsaParams(1.5, 0.5, -np.pi / 4), pf.build_frequency_grid(200, -5, 5)
+        )
+        values = np.zeros((400, 400))
+        values[:200, :200] = lobe
+        values[200:, 200:] = 0.3 * lobe
+        values /= np.sqrt(np.sum(values**2) * grid.d_omega**2)
+        self._assert_matches_dense_svd(pf.JsaMatrix(values, grid))
+
+    def test_rank_below_n_retained_completes_orthonormal_pairs(self, grid100):
+        # a separable amplitude has one pair; the other reported pairs have
+        # lambda = 0 and complete both mode families orthonormally
+        jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(3.0, 3.0, 0.0), grid100)
+        schmidt = pf.schmidt_decompose(jsa, 5)
+        assert schmidt.n_modes == 5 and schmidt.n_excited == 1
+        assert schmidt.lambdas[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.max(schmidt.lambdas[1:]) < 1e-14
+        dw = grid100.d_omega
+        for modes in (schmidt.signal_modes, schmidt.idler_modes):
+            assert np.max(np.abs(dw * modes @ modes.conj().T - np.eye(5))) < 1e-12
 
     def test_n_retained_bounds(self, grid100):
         jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid100)
