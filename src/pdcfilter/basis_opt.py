@@ -33,10 +33,10 @@ from .spectral import (
     FrequencyGrid,
     JsaMatrix,
     SchmidtData,
+    _factored_schmidt,
     _kept_pairs,
     _schmidt_from_svd,
     _svd_failure,
-    quadrature_svd,
 )
 
 
@@ -117,6 +117,8 @@ def filtered_projector_decomposition(
 ) -> FilteredProjectorModes:
     """SVD of the filtered projector onto the retained (identical, real) modes.
 
+    The kernel T(w) sum_k psi_k(w) psi_k(w') has rank m = n_retained and is
+    decomposed from its m x n factors T psi and psi, never formed.
     Preconditions of the special case are enforced: the retained signal and
     idler mode functions must be real and identical to within ``mode_tol``.
     The filter has |T| <= 1 by construction.  Transmissions are descending
@@ -133,13 +135,12 @@ def filtered_projector_decomposition(
         raise ConfigurationError(
             "retained signal and idler modes must be identical for the uniform-loss decomposition"
         )
-    psi = np.real(psi)
-    kernel = filt.transmission[:, None] * (psi.T @ psi)
-    s, out_modes, in_modes = quadrature_svd(kernel, schmidt.grid)
+    rows = np.sqrt(schmidt.grid.d_omega) * np.real(psi)
+    dec = _factored_schmidt(schmidt.grid, rows * filt.transmission, rows, m)
     return FilteredProjectorModes(
         grid=schmidt.grid,
-        transmissions=s[:m],
-        out_modes=out_modes[:m],
-        in_modes=in_modes[:m],
+        transmissions=dec.lambdas,
+        out_modes=dec.signal_modes,
+        in_modes=dec.idler_modes,
     )
 

@@ -10,7 +10,7 @@ weights) of the broadband modes Psi (signal) and Phi (idler):
 
 and the idler kernels with Psi and Phi exchanged.  They are never formed:
 since the Schmidt modes are orthonormal, a measured mode f sees the filtered
-squeezer only through its overlaps c = d_omega (T_a f) Psi^H with the k
+squeezer only through its overlaps c = d_omega (conj(T_a) f) Psi^H with the k
 Schmidt pairs and through the vacuum its filter passes and reflects.  Those
 N x k overlaps and N x N vacuum Grams per arm are all the covariance
 assembly needs, and the genetic search scores with the same filtered
@@ -127,8 +127,8 @@ class MeasurementBasis:
 class ProjectionSet:
     """The filtered squeezer as seen by N measured mode pairs.
 
-    ``overlap_signal`` = d_omega (T_a f) Psi^H and ``overlap_idler`` =
-    d_omega (T_b g) Phi^H (N x k) are the overlaps of the filtered
+    ``overlap_signal`` = d_omega (conj(T_a) f) Psi^H and ``overlap_idler`` =
+    d_omega (conj(T_b) g) Phi^H (N x k) are the overlaps of the filtered
     measurement modes with the k Schmidt pairs.  ``vacuum_signal`` =
     d_omega f diag(|T_a|^2 + R_a^2) f^H and ``vacuum_idler`` (N x N) are the
     Grams of the vacuum the filters pass and reflect.  No array has a grid
@@ -156,7 +156,7 @@ class ProjectionSet:
 def filtered_schmidt_rows(
     schmidt: SchmidtData, filter_signal: Filter, filter_idler: Filter
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The Schmidt rows seen through the filters: P_a = Psi conj(T_a), P_b = Phi conj(T_b).
+    """The Schmidt rows seen through the filters: P_a = Psi T_a, P_b = Phi T_b.
 
     A measurement mode f overlaps the filtered signal pairs as
     d_omega f P_a^H, and the idler mode g the filtered idler pairs as
@@ -166,8 +166,8 @@ def filtered_schmidt_rows(
     if filter_signal.grid != grid or filter_idler.grid != grid:
         raise ConfigurationError("filter grids do not match the decomposition grid")
     return (
-        schmidt.signal_modes * filter_signal.transmission.conj(),
-        schmidt.idler_modes * filter_idler.transmission.conj(),
+        schmidt.signal_modes * filter_signal.transmission,
+        schmidt.idler_modes * filter_idler.transmission,
     )
 
 
@@ -182,8 +182,9 @@ def filtered_projections(
     The overlaps are c_a = d_omega f P_a^H and c_b = d_omega g P_b^H with
     the rows of :func:`filtered_schmidt_rows`, and the vacuum Grams
     d_omega f diag(|T|^2 + R^2) f^H per arm.  The measurement modes are
-    contracted as written (not conjugated); for the real-valued reference
-    scenario the distinction is immaterial.
+    contracted as written (not conjugated) with the conjugated transmission,
+    so a local spectral phase on a filter and the same phase on the
+    measurement mode cancel.
     """
     pa, pb = filtered_schmidt_rows(schmidt, filter_signal, filter_idler)
     if basis.grid != schmidt.grid:

@@ -145,8 +145,8 @@ def make_state_context(
 ) -> StateContext:
     """Factored joint-quadrature forms of the filtered squeezer for a shared mode.
 
-    The factors are the real filtered Schmidt rows P_a = Psi conj(T_a) and
-    P_b = Phi conj(T_b) that the covariance overlaps are built from (see
+    The factors are the real filtered Schmidt rows P_a = Psi T_a and
+    P_b = Phi T_b that the covariance overlaps are built from (see
     :class:`StateContext`), over the ``schmidt.n_excited`` rows above the
     noise floor, since the rest have r = 0 to round-off.
 

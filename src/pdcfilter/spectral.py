@@ -302,22 +302,20 @@ def _schmidt_from_svd(
     return SchmidtData(grid, signal, idler, s[:k], int(n_retained), float(np.sum(s[n_retained:] ** 2)))
 
 
-def quadrature_svd(
-    values: np.ndarray, grid: FrequencyGrid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular-value decomposition under the rectangle-rule inner product.
+def _factored_schmidt(grid: FrequencyGrid, left: np.ndarray, right: np.ndarray, n_retained: int) -> SchmidtData:
+    """The kept pairs of the kernel K with K d_omega = left.T @ right, from its k x n factors.
 
-    Decomposes ``values[i, j] = sum_k s_k * signal_k(w_i) * idler_k(w_j)``
-    with both mode families orthonormal under the d_omega quadrature.
-    Returns ``(s, signal_modes, idler_modes)`` with modes as rows, singular
-    values descending, and the leading-sample phase convention applied.
+    A QR of each factor and one SVD of the k x k product of their triangles
+    give the triples without forming K.  The QRs complete factors of rank
+    below k (k >= n_retained) with orthonormal pairs of amplitude 0.
     """
     try:
-        u, s, vh = np.linalg.svd(np.asarray(values) * grid.d_omega)
+        qu, ru = np.linalg.qr(left.T)
+        qv, rv = np.linalg.qr(right.T)
+        w, s, zh = np.linalg.svd(ru @ rv.T)
     except np.linalg.LinAlgError as exc:
-        raise _svd_failure(values) from exc
-    modes = _schmidt_from_svd(grid, u, s, vh, len(s))
-    return s, modes.signal_modes, modes.idler_modes
+        raise _svd_failure(np.concatenate([left, right])) from exc
+    return _schmidt_from_svd(grid, qu @ w, s, zh @ qv.T, n_retained)
 
 
 def _cross_approximation(values: np.ndarray, dw: float, n_retained: int) -> tuple[np.ndarray, np.ndarray]:
@@ -377,23 +375,22 @@ def schmidt_decompose(jsa: JsaMatrix, n_retained: int = 10) -> SchmidtData:
     if not 1 <= n_retained <= n:
         raise ConfigurationError(f"n_retained must lie in [1, {n}], got {n_retained}")
     ut, v = _cross_approximation(np.asarray(jsa.values), jsa.grid.d_omega, n_retained)
-    try:
-        qu, ru = np.linalg.qr(ut.T)
-        qv, rv = np.linalg.qr(v.T)
-        w, s, zh = np.linalg.svd(ru @ rv.T)
-    except np.linalg.LinAlgError as exc:
-        raise _svd_failure(jsa.values) from exc
-    total = float(np.sum(s**2))
+    schmidt = _factored_schmidt(jsa.grid, ut, v, n_retained)
+    total = float(np.sum(schmidt.lambdas[:n_retained] ** 2)) + schmidt.tail_weight
     if not abs(total - 1.0) <= 1e-10:
         raise NumericsError(f"Schmidt amplitudes violate Parseval: sum lambda^2 = {total!r}")
-    return _schmidt_from_svd(jsa.grid, qu @ w, s, zh @ qv.T, n_retained)
+    return schmidt
 
 
 def apply_gain(schmidt: SchmidtData, gain_b: float) -> SchmidtData:
     """Scale the mode amplitudes by the optical gain: r_k = B * lambda_k.
 
-    Raises ``NumericsError`` when r_1 is so large (about 80 dB) that the
+    Raises ``NumericsError`` when r_1 exceeds 9.18 (about 80 dB), where the
     squeezed variance e^(-2 r_1) is lost in the round-off of the covariance.
+    The covariance checks reject a strongly squeezed state long before: its
+    entries have size cosh 2r, so its determinant and Williamson spectrum
+    lose about eps e^(4r), and an unfiltered state measured in its Schmidt
+    basis already fails them (exit 2) from about r_1 = 5 (45 dB).
     """
     if not gain_b >= 0:
         raise ConfigurationError(f"gain must be >= 0, got {gain_b}")

@@ -112,15 +112,21 @@ def loop_modes_csv(grid, modes, path):
                 )
 
 
-def full_schmidt(jsa):
-    """Complete discrete Schmidt family (lambdas, signal, idler) by a dense SVD.
+def full_schmidt(values, grid):
+    """Complete discrete Schmidt family (lambdas, signal, idler) of ``values`` by a dense SVD.
 
-    Modes are rows, normalized under the d_omega quadrature; no phase
-    convention is applied (the dense kernels below do not depend on it).
+    Decomposes values[i, j] = sum_k s_k signal_k(w_i) idler_k(w_j) with both
+    families orthonormal under the d_omega quadrature: modes are rows,
+    singular values descend, and the library's phase convention is applied,
+    so the leading pairs compare with the library's pair for pair.  The
+    dense kernels below do not depend on the convention.
     """
-    dw = jsa.grid.d_omega
-    u, s, vh = np.linalg.svd(np.asarray(jsa.values) * dw)
-    return s, u.T / np.sqrt(dw), vh / np.sqrt(dw)
+    from pdcfilter.spectral import _fix_phases
+
+    dw = grid.d_omega
+    u, s, vh = np.linalg.svd(np.asarray(values) * dw)
+    signal, idler = _fix_phases(u.T / np.sqrt(dw), vh / np.sqrt(dw))
+    return s, signal, idler
 
 
 def dense_effective_basis(jsa, filter_signal, filter_idler, n_retained=10):
@@ -128,18 +134,17 @@ def dense_effective_basis(jsa, filter_signal, filter_idler, n_retained=10):
 
     The route the library took before it decomposed only the passband
     block: all n mode pairs, rows beyond the filter rank an arbitrary
-    completion from LAPACK.  Uses the library's phase convention through
-    ``quadrature_svd`` so that filters without a zero sample can be
-    compared bit for bit.
+    completion from LAPACK, with the library's phase convention so that
+    filters without a zero sample can be compared bit for bit.
     """
-    from pdcfilter.spectral import SchmidtData, quadrature_svd
+    from pdcfilter.spectral import SchmidtData
 
     masked = (
         filter_signal.transmission[:, None]
         * filter_idler.transmission[None, :]
         * jsa.values
     )
-    s, signal, idler = quadrature_svd(masked, jsa.grid)
+    s, signal, idler = full_schmidt(masked, jsa.grid)
     return SchmidtData(
         grid=jsa.grid,
         signal_modes=signal,
@@ -178,7 +183,7 @@ def dense_uv_kernels(signal_modes, idler_modes, r_values) -> DenseKernels:
 
 def complete_kernels(jsa, gain) -> DenseKernels:
     """Dense kernels of ``jsa`` at gain B over its complete Schmidt family."""
-    lambdas, signal, idler = full_schmidt(jsa)
+    lambdas, signal, idler = full_schmidt(jsa.values, jsa.grid)
     return dense_uv_kernels(signal, idler, gain * lambdas)
 
 
@@ -201,15 +206,16 @@ class LadderRows:
 def ladder_rows(kernels: DenseKernels, filter_signal, filter_idler, basis) -> LadderRows:
     """Ladder rows of the filtered measured modes, contracted with dense kernels.
 
-    The signal mode f sees u = d_omega (T_a f) U_a and v = d_omega (T_a f) V_a
-    through its filter and r = f R_a from the reflected vacuum; the idler
-    arm mirrors it with g and T_b.  The modes are contracted as written, as
-    the library contracts them, so a complex phase defect of that convention
-    shows in the local-phase tests, not against this oracle.
+    The signal mode f sees u = d_omega (conj(T_a) f) U_a and
+    v = d_omega (conj(T_a) f) V_a through its filter and r = f R_a from the
+    reflected vacuum; the idler arm mirrors it with g and T_b.  The modes
+    are contracted as written and the transmissions conjugated, as the
+    library contracts them, so a defect of that convention shows in the
+    local-phase tests, not against this oracle.
     """
     dw = basis.grid.d_omega
-    fa = basis.signal_fns * filter_signal.transmission
-    gb = basis.idler_fns * filter_idler.transmission
+    fa = basis.signal_fns * filter_signal.transmission.conj()
+    gb = basis.idler_fns * filter_idler.transmission.conj()
     return LadderRows(
         u_signal=dw * (fa @ kernels.u_signal),
         u_idler=dw * (gb @ kernels.u_idler),
@@ -224,15 +230,15 @@ def factored_ladder_rows(schmidt, filter_signal, filter_idler, basis) -> LadderR
     """Ladder rows over the grid from the identity-plus-rank-k kernels of ``schmidt``.
 
     U = 1 / d_omega + Psi^H diag(cosh r - 1) Psi and V = Psi^H diag(sinh r) Phi^*
-    applied to T f without assuming the rows orthonormal, so that a
+    applied to conj(T) f without assuming the rows orthonormal, so that a
     corrupted Schmidt family shows in the integrals of these rows.
     """
     dw = basis.grid.d_omega
     r = schmidt.r_values
     ch1, sh = np.cosh(r) - 1.0, np.sinh(r)
     psi, phi = schmidt.signal_modes, schmidt.idler_modes
-    fa = basis.signal_fns * filter_signal.transmission
-    gb = basis.idler_fns * filter_idler.transmission
+    fa = basis.signal_fns * filter_signal.transmission.conj()
+    gb = basis.idler_fns * filter_idler.transmission.conj()
     ca = dw * (fa @ psi.conj().T)
     cb = dw * (gb @ phi.conj().T)
     return LadderRows(
@@ -345,8 +351,8 @@ def dense_forms(ctx):
     dw = schmidt.grid.d_omega
     ta = ctx.filter_signal.transmission
     tb = ctx.filter_idler.transmission
-    pa = schmidt.signal_modes * ta.conj()
-    pb = schmidt.idler_modes * tb.conj()
+    pa = schmidt.signal_modes * ta
+    pb = schmidt.idler_modes * tb
     sa = 2 * dw**2 * np.real(pa.conj().T @ (sh2[:, None] * pa)) + dw * np.diag(
         np.abs(ta) ** 2 + ctx.filter_signal.reflection**2
     )

@@ -166,6 +166,23 @@ class TestAssembleCovariance:
             assert np.max(np.abs(pf.commutator_defects(proj))) < 1e-12
             assert 0 < pf.purity(cov) <= 1 + 1e-12
 
+    @pytest.mark.parametrize("chirped", [False, True], ids=["plain", "chirped"])
+    def test_complex_transmissions_on_both_arms(self, grid200, chirped):
+        # a delay on the signal filter and an advance on the idler filter, so
+        # both transmissions are complex and their phases differ
+        w = grid200.points
+        if chirped:
+            jsa = chirped_jsa(grid200, 0.05)
+        else:
+            jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid200)
+        schmidt = pf.apply_gain(pf.schmidt_decompose(jsa, 5), 0.8)
+        fa = pf.Filter(pf.make_rect_filter(0.0, 4.0, grid200).transmission * np.exp(0.7j * w), grid200)
+        fb = pf.Filter(pf.make_gauss_filter(0.3, 4.0, grid200).transmission * np.exp(-0.4j * w), grid200)
+        basis = pf.MeasurementBasis.from_schmidt(schmidt, 4)
+        cov = pf.assemble_covariance(pf.filtered_projections(schmidt, fa, fb, basis))
+        oracle = wick_covariance(complete_kernels(jsa, 0.8), fa, fb, basis)
+        assert np.max(np.abs(cov.sigma - oracle)) < 1e-12
+
     def test_symmetry_and_asymmetry_diagnostic(self, reference_200, rect4_200):
         _, schmidt, _ = reference_200
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 4)
@@ -226,19 +243,6 @@ class TestLocalPhases:
     def test_purity_unchanged(self, phase):
         assert abs(_phased_run(phase)[0] - _phased_run("plain")[0]) < 1e-11
 
-    @pytest.mark.parametrize(
-        "phase",
-        [
-            "chirp",
-            pytest.param(
-                "delay",
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="ROADMAP item 6: a complex transmission is contracted unconjugated, "
-                    "so the dB drops",
-                ),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("phase", ["chirp", "delay"])
     def test_first_mode_db_unchanged(self, phase):
         assert abs(_phased_run(phase)[1] - _phased_run("plain")[1]) < 1e-9
