@@ -55,6 +55,7 @@ from .metrics import (
 )
 from .spectral import (
     FrequencyGrid,
+    GaussianJsa,
     GaussianJsaParams,
     JsaMatrix,
     SchmidtData,
@@ -83,6 +84,7 @@ __all__ = [
     "FilteredProjectorModes",
     "FrequencyGrid",
     "GaParams",
+    "GaussianJsa",
     "GaussianJsaParams",
     "GridTruncationError",
     "JsaMatrix",

@@ -31,6 +31,7 @@ from .errors import ConfigurationError
 from .filters import Filter
 from .spectral import (
     FrequencyGrid,
+    GaussianJsa,
     JsaMatrix,
     SchmidtData,
     _factored_schmidt,
@@ -55,17 +56,17 @@ def _embed(vectors: np.ndarray, support: np.ndarray, n: int, k: int) -> np.ndarr
 
 
 def svd_effective_basis(
-    jsa: JsaMatrix,
+    jsa: GaussianJsa | JsaMatrix,
     filter_signal: Filter,
     filter_idler: Filter,
     n_retained: int = 10,
 ) -> SchmidtData:
     """Decompose the filter-masked amplitude into the effective basis.
 
-    Only the passband block T_a[S] T_b[I] f[S, I] is decomposed, with S and I
-    the samples where the signal and idler filters transmit; its singular
-    vectors are embedded back onto the grid, so every mode with r' > 0 is
-    exactly zero outside its arm's passband.  A filter with no zero sample
+    Only the passband block T_a[S] T_b[I] f[S, I] is sampled and decomposed,
+    with S and I the samples where the signal and idler filters transmit;
+    its singular vectors are embedded back onto the grid, so every mode with
+    r' > 0 is exactly zero outside its arm's passband.  A filter with no zero sample
     decomposes the whole masked amplitude.  The SVD is taken of the unscaled
     block: a global positive gain changes no singular vector, so the basis
     holds for every gain B and the squeezing amplitudes are r' = B lambda'.
@@ -87,7 +88,7 @@ def svd_effective_basis(
         raise ConfigurationError(f"n_retained must lie in [1, {n}]")
     ta, tb = filter_signal.transmission, filter_idler.transmission
     rows, cols = np.flatnonzero(ta), np.flatnonzero(tb)
-    block = ta[rows, None] * tb[None, cols] * jsa.values[np.ix_(rows, cols)]
+    block = ta[rows, None] * tb[None, cols] * jsa.sample(rows, cols)
     try:
         u, s, vh = np.linalg.svd(block * grid.d_omega)
     except np.linalg.LinAlgError as exc:

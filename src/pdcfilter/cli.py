@@ -49,8 +49,9 @@ from .genetic import (
 )
 from .metrics import SqueezingEntry, purity, purity_routes, single_mode_character, squeezing_report
 from .spectral import (
+    FrequencyGrid,
+    GaussianJsa,
     GaussianJsaParams,
-    JsaMatrix,
     SchmidtData,
     apply_gain,
     build_frequency_grid,
@@ -58,13 +59,15 @@ from .spectral import (
     gain_for_target_db,
     schmidt_decompose,
     squeezing_db,
-    state_working_set_bytes,
 )
 
 _BASIS_CHOICES = ("schmidt", "svd", "ga")
 # bases that do not read the gain: a sweep selects them once per filter
 _GAIN_FREE_BASES = ("schmidt", "svd")
 _FILTER_CHOICES = ("rect", "gauss", "identity", "blocking", "flat")
+# passband-sized float arrays alive at once in the svd basis's decomposition, at
+# most: the block, its masked product, both SVD factors and the LAPACK work
+_PASSBAND_ARRAYS = 10
 
 
 @dataclass(frozen=True)
@@ -135,12 +138,6 @@ class RunConfig:
                 f"population {self.population} at n_points {self.n_points} needs about "
                 f"{need / 2**30:.3g} GiB for the genetic search, above its "
                 f"{GA_MEMORY_LIMIT / 2**30:g} GiB limit"
-            )
-        need = state_working_set_bytes(self.n_points)
-        if need > GA_MEMORY_LIMIT:
-            raise ConfigurationError(
-                f"n_points {self.n_points} needs about {need / 2**30:.3g} GiB for its "
-                f"n x n arrays, above the {GA_MEMORY_LIMIT / 2**30:g} GiB limit"
             )
 
     def ga_params(self) -> GaParams:
@@ -219,21 +216,46 @@ class RunReport:
     squeezing: list
     purity: float
     single_mode_character: float
-    jsa: JsaMatrix = field(repr=False)
+    jsa: GaussianJsa = field(repr=False)
     projections: ProjectionSet = field(repr=False)
     ga_result: OptimizedBasis | None = field(default=None, repr=False)
 
 
-def _prepare_state(config: RunConfig) -> tuple[JsaMatrix, SchmidtData]:
-    """Stage 1: the grid, the amplitude and its ungained Schmidt decomposition."""
+def _require_passband_memory(config: RunConfig, grid: FrequencyGrid, widths) -> None:
+    """Refuse an svd basis whose widest passband block would outgrow the memory limit.
+
+    The estimate is arithmetic on the config, |S| x |I| x 8 B x
+    ``_PASSBAND_ARRAYS``, with |S| = |I| the samples the filter transmits:
+    at most width / d_omega + 1 for a rect filter, every sample for a gauss,
+    identity or flat filter, none for the blocking filter.
+    """
+    if config.basis != "svd" or config.filter_kind == "blocking":
+        return
+    n = grid.n_points
+    width = max(widths)
+    side = int(min(n, max(0.0, width / grid.d_omega + 1))) if config.filter_kind == "rect" else n
+    need = side * side * 8 * _PASSBAND_ARRAYS
+    if need > GA_MEMORY_LIMIT:
+        raise ConfigurationError(
+            f"the {config.filter_kind} filter's {side} x {side} passband block at n_points {n} needs "
+            f"about {need / 2**30:.3g} GiB for the svd basis, above the {GA_MEMORY_LIMIT / 2**30:g} GiB limit"
+        )
+
+
+def _prepare_state(config: RunConfig, widths) -> tuple[GaussianJsa, SchmidtData]:
+    """Stage 1: the grid, the amplitude and its ungained Schmidt decomposition.
+
+    ``widths`` are the filter widths the run will decompose the passband of.
+    """
     grid = build_frequency_grid(config.n_points, config.omega_min, config.omega_max)
+    _require_passband_memory(config, grid, widths)
     params = GaussianJsaParams(config.sigma_a, config.sigma_b, config.theta)
     jsa = build_gaussian_jsa(params, grid, max_truncated_mass=config.mass_tolerance)
     return jsa, schmidt_decompose(jsa, n_retained=config.n_retained)
 
 
 def _select_basis(
-    config: RunConfig, jsa: JsaMatrix, schmidt: SchmidtData, filt: Filter
+    config: RunConfig, jsa: GaussianJsa, schmidt: SchmidtData, filt: Filter
 ) -> tuple[MeasurementBasis, OptimizedBasis | None]:
     """Stage 2: the measurement basis ``config.basis`` names for one filter.
 
@@ -261,7 +283,7 @@ def _measure(
 
 def run_single(config: RunConfig) -> RunReport:
     """Execute decomposition -> filtering -> basis selection -> covariance -> metrics."""
-    jsa, schmidt = _prepare_state(config)
+    jsa, schmidt = _prepare_state(config, (config.filter_width,))
     gain = config.gain_b if config.gain_b is not None else gain_for_target_db(schmidt, config.target_db)
     schmidt = apply_gain(schmidt, gain)
     filt = _make_filter(config, jsa.grid)
@@ -302,7 +324,7 @@ def sweep_tradeoff(config: RunConfig) -> list[TradeoffRecord]:
     A failing point is recorded with its error message and the sweep
     continues.
     """
-    jsa, schmidt0 = _prepare_state(config)
+    jsa, schmidt0 = _prepare_state(config, config.sweep_widths)
     gains = [gain_for_target_db(schmidt0, target) for target in config.sweep_target_dbs]
     gain_free = config.basis in _GAIN_FREE_BASES
 

@@ -41,7 +41,7 @@ _BLOCK_MULADDS = 2**18
 # every Schmidt row is above the noise floor
 _LIVE_ARRAYS = 9
 # the largest working set a run may ask for, in bytes (2 GiB): of the
-# genetic search, and of the n x n arrays (``spectral.state_working_set_bytes``)
+# genetic search, and of the svd basis's passband block (``cli._require_passband_memory``)
 GA_MEMORY_LIMIT = 2**31
 
 

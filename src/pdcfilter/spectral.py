@@ -9,7 +9,8 @@ squeezing[dB] = -10 log10(exp(-2 r)).
 
 Everything here is discretized on a uniform frequency grid with rectangle-rule
 quadrature weight d_omega; mode functions are normalized so that
-sum |psi|^2 d_omega = 1.
+sum |psi|^2 d_omega = 1.  The double-Gaussian amplitude is not stored: it is
+evaluated from its closed form on whatever rows and columns a step reads.
 
 Only the leading Schmidt triples are computed, on one route for every grid
 and rank: adaptive cross approximation (Bebendorf, Numer. Math. 86, 565
@@ -21,8 +22,9 @@ through the exact identity part of its Bogoliubov transformation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,10 +37,10 @@ _LN10 = float(np.log(10.0))
 # approximation pivots down to this fraction of the largest sample, as its residual
 # rows are exact to about 1e-15 of it and a lower stop pivots on round-off
 _NOISE_FLOOR = 1e-14
-# n x n float arrays alive at once at the peak of a run, at most: the dense SVD
-# of a zero-free filter's effective basis holds its operand, both factors and
-# the LAPACK work beside the amplitude, about 9 in all by peak RSS (n = 1500, 2500)
-_STATE_ARRAYS = 10
+# an amplitude is read a row block of at most this many samples (or one row) at a time
+_BLOCK_SAMPLES = 1 << 16
+# parts of numpy's pairwise summation tree small enough to sum on arrival
+_PAIRWISE_PART = 8192
 # the widths for which 2 sigma^2, the Gaussians' divisor, is a normal finite float
 _SIGMA_MIN = float(np.sqrt(np.finfo(float).tiny / 2))
 _SIGMA_MAX = float(np.sqrt(np.finfo(float).max / 2))
@@ -92,11 +94,6 @@ def build_frequency_grid(n_points: int, omega_min: float, omega_max: float) -> F
     return FrequencyGrid(int(n_points), float(omega_min), float(omega_max))
 
 
-def state_working_set_bytes(n_points: int) -> int:
-    """Estimated bytes of the n x n arrays a run keeps alive at its peak."""
-    return n_points * n_points * 8 * _STATE_ARRAYS
-
-
 @dataclass(frozen=True)
 class GaussianJsaParams:
     """Widths and tilt of the double-Gaussian amplitude.
@@ -120,11 +117,29 @@ class GaussianJsaParams:
             )
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """The row blocks of an n x n amplitude, each at most _BLOCK_SAMPLES samples or one row."""
+    rows = max(1, _BLOCK_SAMPLES // n)
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+
+
+def _block_peak(mag: np.ndarray, start: int) -> tuple[float, int]:
+    """(largest, row) of a row block's magnitudes, its first row ``start``; the first maximum wins.
+
+    A complex ``mag`` holds the magnitudes in its real part.
+    """
+    at = int(np.argmax(mag))
+    return float(mag.flat[at].real), start + at // mag.shape[1]
+
+
 @dataclass(frozen=True)
 class JsaMatrix:
-    """Joint spectral amplitude sampled on grid x grid (rows = signal axis).
+    """Joint spectral amplitude stored as samples on grid x grid (rows = signal axis).
 
     Normalized so that the discrete L2 norm sum |f|^2 d_omega^2 equals one.
+    Any amplitude (chirped, multi-lobe, high-rank) can be given this way;
+    it is read only through :meth:`sample` and ``row_block_peaks``, as the
+    closed-form :class:`GaussianJsa` is.
     """
 
     values: np.ndarray
@@ -141,9 +156,147 @@ class JsaMatrix:
             )
 
     @property
+    def dtype(self) -> np.dtype:
+        return self.values.dtype
+
+    @property
     def l2_norm_sq(self) -> float:
         v = self.values
         return float(np.vdot(v, v).real) * self.grid.d_omega**2
+
+    def sample(self, rows, cols) -> np.ndarray:
+        """The samples f[rows, cols]; ``rows`` and ``cols`` are slices or index arrays."""
+        return self.values[rows][:, cols]
+
+    @cached_property
+    def row_block_peaks(self) -> tuple[tuple[float, int], ...]:
+        """(largest |f|, its row) of each row block of :func:`_row_blocks`, in order."""
+        blocks = _row_blocks(self.grid.n_points)
+        return tuple(_block_peak(np.abs(self.values[block]), block.start) for block in blocks)
+
+
+def _gaussian_in_place(x: np.ndarray, sigma: float) -> np.ndarray:
+    """x <- exp(x^2 / (-2 sigma^2)), elementwise and in place.
+
+    That is exp(-(x^2) / (2 sigma^2)) to the bit: a quotient's sign does not
+    change its rounding.  An exponent that overflows to -inf gives exp = 0,
+    the Gaussian's value to double precision, so overflow there is not an
+    error.
+    """
+    with np.errstate(over="ignore"):
+        np.square(x, out=x)
+        x /= -(2 * sigma**2)
+    return np.exp(x, out=x)
+
+
+def _raw_gaussian(params: GaussianJsaParams, w: np.ndarray, rows, cols) -> np.ndarray:
+    """exp(-u^2 / (2 sigma_a^2)) exp(-v^2 / (2 sigma_b^2)) on w[rows] x w[cols], unnormalized.
+
+    u and v are the rotated coordinates w_s cos(theta) + w_i sin(theta) and
+    -w_s sin(theta) + w_i cos(theta).  Every sample is rounded as in the
+    meshgrid construction, whatever block it is evaluated in.
+    """
+    ws, wi = w[rows], w[cols]
+    cos, sin = np.cos(params.theta), np.sin(params.theta)
+    raw = np.add(ws[:, None] * cos, wi[None, :] * sin)
+    v = np.add(-ws[:, None] * sin, wi[None, :] * cos)
+    _gaussian_in_place(raw, params.sigma_a)
+    raw *= _gaussian_in_place(v, params.sigma_b)
+    return raw
+
+
+@dataclass(frozen=True)
+class GaussianJsa:
+    """The tilted double-Gaussian amplitude in closed form, normalized on the grid.
+
+    No sample is stored: :meth:`sample` evaluates any block of rows and
+    columns as the raw Gaussian over sqrt(``grid_mass``), with the rounding
+    of the meshgrid construction, so every sample equals the dense
+    amplitude's bit for bit.  ``grid_mass`` is the rectangle-rule mass
+    sum |raw|^2 d_omega^2 of the raw samples, and ``row_block_peaks`` the
+    largest sample of each row block with its row, as :class:`JsaMatrix`
+    reports them.  Build it with :func:`build_gaussian_jsa`.
+    """
+
+    params: GaussianJsaParams
+    grid: FrequencyGrid
+    grid_mass: float
+    row_block_peaks: tuple[tuple[float, int], ...] = field(repr=False)
+
+    dtype: ClassVar[np.dtype] = np.dtype(float)
+
+    def sample(self, rows, cols) -> np.ndarray:
+        """The samples f[rows, cols]; ``rows`` and ``cols`` are slices or index arrays."""
+        out = _raw_gaussian(self.params, self.grid.points, rows, cols)
+        out /= np.sqrt(self.grid_mass)
+        return out
+
+    @property
+    def l2_norm_sq(self) -> float:
+        """sum |f|^2 d_omega^2 over every sample, read a row block at a time."""
+        blocks = (self.sample(block, slice(None)) for block in _row_blocks(self.grid.n_points))
+        return sum(float(np.vdot(f, f)) for f in blocks) * self.grid.d_omega**2
+
+
+class _PairwiseSquareSum:
+    """``np.sum(np.square(x))`` of a float array x that arrives in order, a chunk at a time.
+
+    numpy sums a contiguous array pairwise: it splits the terms at half
+    their count, rounded down to a multiple of 8, until a part holds at most
+    128, and adds such a part in 8 interleaved accumulators.  A part's sum
+    depends only on its own terms, so ``np.sum`` of it alone reproduces it.
+    The tree of the whole array is cut into parts of at most
+    ``_PAIRWISE_PART`` terms; each is summed as soon as it has arrived, and
+    the tree above them is added in its own order, so the total is
+    ``np.sum``'s to the bit while the memory stays O(part + chunk).
+    """
+
+    def __init__(self, size: int, chunk: int):
+        # the tree level by level: (starts, counts) of its nodes, children in order
+        self._levels = []
+        starts, counts = np.zeros(1, np.int64), np.array([size], np.int64)
+        while len(starts):
+            self._levels.append((starts, counts))
+            split = counts > _PAIRWISE_PART
+            starts, counts, half = starts[split], counts[split], counts[split] // 2
+            half -= half % 8
+            starts = np.stack([starts, starts + half], axis=1).ravel()
+            counts = np.stack([half, counts - half], axis=1).ravel()
+        parts = np.concatenate([s[c <= _PAIRWISE_PART] for s, c in self._levels])
+        lengths = np.concatenate([c[c <= _PAIRWISE_PART] for s, c in self._levels])
+        order = np.argsort(parts)
+        self._starts, self._stops = parts[order], (parts + lengths)[order]
+        self._sums = np.empty(len(parts))
+        self._done = 0
+        # squares from grid index self._base on, not yet summed
+        self._buffer = np.empty(_PAIRWISE_PART + chunk)
+        self._base = self._filled = 0
+
+    def add(self, x: np.ndarray) -> None:
+        """Square the next ``x.size`` terms (at most ``chunk``) into the sum."""
+        np.square(x.ravel(), out=self._buffer[self._filled : self._filled + x.size])
+        self._filled += x.size
+        end = self._base + self._filled
+        while self._done < len(self._sums) and self._stops[self._done] <= end:
+            start, stop = self._starts[self._done] - self._base, self._stops[self._done] - self._base
+            self._sums[self._done] = np.add.reduce(self._buffer[start:stop])  # np.sum, without its wrapper
+            self._done += 1
+        keep = int(self._starts[self._done]) - self._base if self._done < len(self._sums) else self._filled
+        self._buffer[: self._filled - keep] = self._buffer[keep : self._filled]
+        self._base += keep
+        self._filled -= keep
+
+    def total(self) -> float:
+        """The sum, once every term has been added."""
+        below = None
+        for starts, counts in reversed(self._levels):
+            part = counts <= _PAIRWISE_PART
+            sums = np.empty(len(starts))
+            sums[part] = self._sums[np.searchsorted(self._starts, starts[part])]
+            if below is not None:
+                sums[~part] = below[0::2] + below[1::2]
+            below = sums
+        return float(below[0])
 
 
 @dataclass(frozen=True)
@@ -183,25 +336,12 @@ class SchmidtData:
         return self.r_values
 
 
-def _gaussian_in_place(x: np.ndarray, sigma: float) -> np.ndarray:
-    """x <- exp(-(x^2) / (2 sigma^2)), elementwise and in place.
-
-    An exponent that overflows to -inf gives exp = 0, the Gaussian's value
-    to double precision, so overflow there is not an error.
-    """
-    with np.errstate(over="ignore"):
-        np.square(x, out=x)
-        np.negative(x, out=x)
-        x /= 2 * sigma**2
-    return np.exp(x, out=x)
-
-
 def build_gaussian_jsa(
     params: GaussianJsaParams,
     grid: FrequencyGrid,
     max_truncated_mass: float = 1e-2,
-) -> JsaMatrix:
-    """Sample and normalize the tilted double-Gaussian amplitude on the grid.
+) -> GaussianJsa:
+    """The tilted double-Gaussian amplitude on the grid, normalized, in closed form.
 
     Refuses (``GridTruncationError``) when the rectangle-rule |f|^2 mass on
     the grid misses the analytic mass by more than ``max_truncated_mass`` of
@@ -210,14 +350,17 @@ def build_gaussian_jsa(
     amplitude is under-resolved).  Either corrupts the normalization and the
     mode spectrum.
 
-    The amplitude is built in place in two n x n buffers with the rounding of
-    the rotated-coordinate form exp(-u^2 / (2 sigma_a^2)) exp(-v^2 /
-    (2 sigma_b^2)), so its values are those of the meshgrid construction bit
-    for bit.  The equivalent single exponential of the quadratic form
-    A w_s^2 + 2 B w_s w_i + C w_i^2 would need one buffer and one ``exp``,
-    but it rounds differently (by about 1e-16 per sample), so every
-    downstream result would move at round-off; it is not used, and runs
-    reproduce earlier outputs exactly.
+    One pass over the row blocks evaluates every raw sample once and keeps
+    none: it sums the mass in ``np.sum``'s pairwise order, so the
+    normalization equals that of the dense amplitude to the bit, and records
+    each block's largest sample for the first pass of
+    :func:`schmidt_decompose`.  The samples keep the rounding of the
+    rotated-coordinate form exp(-u^2 / (2 sigma_a^2)) exp(-v^2 /
+    (2 sigma_b^2)); the equivalent single exponential of the quadratic form
+    A w_s^2 + 2 B w_s w_i + C w_i^2 would be cheaper, but it rounds
+    differently (by about 1e-16 per sample), so every downstream result
+    would move at round-off; it is not used, and runs reproduce earlier
+    outputs exactly.
 
     Parameters
     ----------
@@ -229,15 +372,20 @@ def build_gaussian_jsa(
         Largest acceptable deviation of the sampled squared-amplitude mass,
         as a fraction of the analytic mass, in either direction.
     """
-    w = grid.points
-    cos, sin = np.cos(params.theta), np.sin(params.theta)
-    # raw starts as u; v's buffer later holds raw^2 for the mass
-    raw = np.add(w[:, None] * cos, w[None, :] * sin)
-    v = np.add(-w[:, None] * sin, w[None, :] * cos)
-    _gaussian_in_place(raw, params.sigma_a)
-    raw *= _gaussian_in_place(v, params.sigma_b)
-    grid_mass = float(np.sum(np.square(raw, out=v)) * grid.d_omega**2)
-    del v
+    n = grid.n_points
+    blocks = _row_blocks(n)
+    mass = _PairwiseSquareSum(n * n, (blocks[0].stop - blocks[0].start) * n)
+    near_peaks = []
+    for block in blocks:
+        raw = _raw_gaussian(params, grid.points, block, slice(None))
+        # the raw samples that may tie the peak once divided by the norm: the
+        # first maximum and the earlier samples within a rounding step of it
+        flat = raw.ravel()
+        at = int(np.argmax(flat))
+        near = np.flatnonzero(flat[: at + 1] >= flat[at] * (1 - 4 * np.finfo(float).eps))
+        near_peaks.append((block.start + near // n, flat[near]))
+        mass.add(flat)
+    grid_mass = mass.total() * grid.d_omega**2
     analytic_mass = float(np.pi * params.sigma_a * params.sigma_b)
     off_grid = 1.0 - grid_mass / analytic_mass
     # grid_mass > 0 refuses a grid holding no mass also under a tolerance >= 1
@@ -250,8 +398,12 @@ def build_gaussian_jsa(
             f"{grid.omega_max}]; enlarge the grid or shrink the widths"
         )
         raise GridTruncationError(f"{problem} (limit {max_truncated_mass:.1e})")
-    raw /= np.sqrt(grid_mass)
-    return JsaMatrix(raw, grid)
+    peaks = []
+    for rows, values in near_peaks:
+        f = values / np.sqrt(grid_mass)
+        first = int(np.argmax(f == f[-1]))
+        peaks.append((float(f[first]), int(rows[first])))
+    return GaussianJsa(params, grid, grid_mass, tuple(peaks))
 
 
 def _fix_phases(signal: np.ndarray, idler: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,52 +470,56 @@ def _factored_schmidt(grid: FrequencyGrid, left: np.ndarray, right: np.ndarray, 
     return _schmidt_from_svd(grid, qu @ w, s, zh @ qv.T, n_retained)
 
 
-def _cross_approximation(values: np.ndarray, dw: float, n_retained: int) -> tuple[np.ndarray, np.ndarray]:
-    """Factors ``ut``, ``v`` (k x n) with values * dw = ut.T @ v to the noise floor, k >= n_retained.
+def _cross_approximation(jsa: GaussianJsa | JsaMatrix, n_retained: int) -> tuple[np.ndarray, np.ndarray]:
+    """Factors ``ut``, ``v`` (k x n) with f * d_omega = ut.T @ v to the noise floor, k >= n_retained.
 
     Partial pivoting (a residual row's largest sample is the pivot, the pivot
     column's largest residual on an unvisited row picks the next row) stalls on
     rows it never reads, so each pass starts at the worst residual sample of
     every row block above the floor, worst first.  The first always becomes a
     pivot and the rank is at most n, so this ends; rows past the rank are zero.
+    The first pass reads the amplitude's own ``row_block_peaks``; every later
+    pass samples the amplitude a row block at a time.
     """
-    n = values.shape[0]
-    rows = max(1, (1 << 16) // n)  # the check reads 2^16 samples at a time
-    ut, v = np.zeros((2, max(16, n_retained), n), np.result_type(values.dtype, float))
+    n, dw = jsa.grid.n_points, jsa.grid.d_omega
+    everything = slice(None)
+    ut, v = np.zeros((2, max(16, n_retained), n), np.result_type(jsa.dtype, float))
     k = 0
 
-    def missed_rows(floor):
-        # (size, row) of each block's largest residual sample above floor, largest first
-        peaks = []
-        for start in range(0, n, rows):
-            r = (ut[:k, start : start + rows].T / dw) @ v[:k]
-            r -= values[start : start + rows]
-            mag = np.abs(r, out=r)  # a complex residual holds its magnitude in the real part
-            at = int(np.argmax(mag))
-            peaks.append((float(mag.flat[at].real) * dw, start + at // n))
-        return sorted((p for p in peaks if p[0] > floor), reverse=True)
+    def residual_peaks():
+        for block in _row_blocks(n):
+            r = (ut[:k, block].T / dw) @ v[:k]
+            r -= jsa.sample(block, everything)
+            yield _block_peak(np.abs(r, out=r), block.start)
 
-    missed = missed_rows(0.0)
+    def missed_rows(peaks, floor):
+        # (size, row) of each block's largest residual sample above floor, largest first
+        return sorted((p for p in ((size * dw, row) for size, row in peaks) if p[0] > floor), reverse=True)
+
+    def residual_row(i):
+        return jsa.sample([i], everything)[0] * dw - ut[:k, i] @ v[:k]
+
+    missed = missed_rows(jsa.row_block_peaks, 0.0)
     floor = _NOISE_FLOOR * missed[0][0]
     while missed and k < n:
         visited, first = np.zeros(n, dtype=bool), k
         for _, i in missed:
-            row = values[i] * dw - ut[:k, i] @ v[:k]
+            row = residual_row(i)
             while k < n and (k == first or np.max(np.abs(row)) > floor):
                 visited[i] = True
                 if k == len(ut):
                     ut, v = np.concatenate([ut, 0 * ut]), np.concatenate([v, 0 * v])
                 j = int(np.argmax(np.abs(row)))
                 v[k] = row / row[j]
-                ut[k] = values[:, j] * dw - ut[:k].T @ v[:k, j]
+                ut[k] = jsa.sample(everything, [j])[:, 0] * dw - ut[:k].T @ v[:k, j]
                 k += 1
                 i = int(np.argmax(np.where(visited, -1.0, np.abs(ut[k - 1]))))
-                row = values[i] * dw - ut[:k, i] @ v[:k]
-        missed = missed_rows(floor)
+                row = residual_row(i)
+        missed = missed_rows(residual_peaks(), floor)
     return ut[: max(k, n_retained)], v[: max(k, n_retained)]
 
 
-def schmidt_decompose(jsa: JsaMatrix, n_retained: int = 10) -> SchmidtData:
+def schmidt_decompose(jsa: GaussianJsa | JsaMatrix, n_retained: int = 10) -> SchmidtData:
     """Decompose a normalized amplitude into its reported and excited broadband mode pairs.
 
     A QR of each cross-approximation factor and one SVD of the k x k core give
@@ -374,7 +530,7 @@ def schmidt_decompose(jsa: JsaMatrix, n_retained: int = 10) -> SchmidtData:
     n = jsa.grid.n_points
     if not 1 <= n_retained <= n:
         raise ConfigurationError(f"n_retained must lie in [1, {n}], got {n_retained}")
-    ut, v = _cross_approximation(np.asarray(jsa.values), jsa.grid.d_omega, n_retained)
+    ut, v = _cross_approximation(jsa, n_retained)
     schmidt = _factored_schmidt(jsa.grid, ut, v, n_retained)
     total = float(np.sum(schmidt.lambdas[:n_retained] ** 2)) + schmidt.tail_weight
     if not abs(total - 1.0) <= 1e-10:

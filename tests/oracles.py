@@ -58,8 +58,9 @@ def lossy_epr_block(eta: float, r: float) -> np.ndarray:
 def meshgrid_gaussian_jsa(params, grid):
     """Normalized double-Gaussian amplitude built on meshgrids, without the truncation guard.
 
-    The construction the library used before it built the amplitude in place;
-    the in-place builder must return these values bit for bit.
+    The dense oracle of the closed-form amplitude: the construction the
+    library used before it sampled the amplitude block by block, whose
+    values every sample must equal bit for bit.
     """
     w = grid.points
     ws, wi = np.meshgrid(w, w, indexing="ij")
@@ -72,6 +73,13 @@ def meshgrid_gaussian_jsa(params, grid):
     return raw / np.sqrt(grid_mass)
 
 
+def dense_values(jsa):
+    """Every sample of an amplitude as one n x n array: a stored one's values, a Gaussian's meshgrid."""
+    if hasattr(jsa, "values"):
+        return jsa.values
+    return meshgrid_gaussian_jsa(jsa.params, jsa.grid)
+
+
 def chirped_jsa(grid, rate):
     """The reference amplitude (sigma_a 6, sigma_b 2, theta -pi/4) times exp(i rate (w_s^2 + w_i^2)).
 
@@ -80,9 +88,9 @@ def chirped_jsa(grid, rate):
     """
     import pdcfilter as pf
 
-    base = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
+    base = meshgrid_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
     w = grid.points
-    return pf.JsaMatrix(base.values * np.exp(1j * rate * (w[:, None] ** 2 + w[None, :] ** 2)), grid)
+    return pf.JsaMatrix(base * np.exp(1j * rate * (w[:, None] ** 2 + w[None, :] ** 2)), grid)
 
 
 def loop_modes_csv(grid, modes, path):
@@ -142,7 +150,7 @@ def dense_effective_basis(jsa, filter_signal, filter_idler, n_retained=10):
     masked = (
         filter_signal.transmission[:, None]
         * filter_idler.transmission[None, :]
-        * jsa.values
+        * dense_values(jsa)
     )
     s, signal, idler = full_schmidt(masked, jsa.grid)
     return SchmidtData(
@@ -183,7 +191,7 @@ def dense_uv_kernels(signal_modes, idler_modes, r_values) -> DenseKernels:
 
 def complete_kernels(jsa, gain) -> DenseKernels:
     """Dense kernels of ``jsa`` at gain B over its complete Schmidt family."""
-    lambdas, signal, idler = full_schmidt(jsa.values, jsa.grid)
+    lambdas, signal, idler = full_schmidt(dense_values(jsa), jsa.grid)
     return dense_uv_kernels(signal, idler, gain * lambdas)
 
 

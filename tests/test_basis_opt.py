@@ -8,7 +8,7 @@ import pdcfilter as pf
 from pdcfilter.cli import _modes_table, _write_csv
 from pdcfilter.errors import ConfigurationError
 
-from oracles import dense_effective_basis, full_schmidt, loop_modes_csv, lossy_epr_block
+from oracles import dense_effective_basis, dense_values, full_schmidt, loop_modes_csv, lossy_epr_block
 
 
 def _basis_from_effective(eff, n):
@@ -39,7 +39,7 @@ class TestSvdEffectiveBasis:
         jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
         rect = pf.make_rect_filter(0.0, 8.0, grid)
         on = np.flatnonzero(rect.transmission)
-        s = np.linalg.svd(jsa.values[np.ix_(on, on)] * grid.d_omega, compute_uv=False)
+        s = np.linalg.svd(jsa.sample(on, on) * grid.d_omega, compute_uv=False)
         excited = int(np.sum(s > 1e-14 * s[0]))
         tracemalloc.start()
         try:
@@ -111,7 +111,7 @@ class TestSvdEffectiveBasis:
         jsa, schmidt, _ = reference_100
         n = schmidt.grid.n_points
         eff = pf.svd_effective_basis(jsa, rect4_100, rect4_100, n_retained=n)
-        _, signal, idler = full_schmidt(jsa.values, jsa.grid)
+        _, signal, idler = full_schmidt(dense_values(jsa), jsa.grid)
         p = {}
         for label, basis in (
             ("schmidt", pf.MeasurementBasis(signal, idler, schmidt.grid)),

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import typing
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -203,16 +204,33 @@ class TestConfigParsing:
             RunConfig(n_points=10**6, basis="svd")
 
     def test_state_working_set_guard(self):
-        # arithmetic on the config, as for the population: nothing is allocated
+        # the svd basis's widest passband block, estimated by arithmetic on the
+        # config as for the population: nothing is allocated
+        from pdcfilter.cli import _PASSBAND_ARRAYS, _require_passband_memory
         from pdcfilter.genetic import GA_MEMORY_LIMIT
-        from pdcfilter.spectral import _STATE_ARRAYS, state_working_set_bytes
 
-        assert state_working_set_bytes(1600) == 1600 * 1600 * 8 * _STATE_ARRAYS
-        largest = math.isqrt(GA_MEMORY_LIMIT // state_working_set_bytes(1))
-        assert largest == 5181  # the limit the README documents
-        assert RunConfig(n_points=largest).n_points == largest
-        with pytest.raises(ConfigurationError, match="n x n arrays"):
-            RunConfig(n_points=largest + 1)
+        def check(widths=(4.0,), **keys):
+            config = RunConfig(n_points=6000, **keys)
+            _require_passband_memory(config, pf.build_frequency_grid(6000, -10.0, 10.0), widths)
+
+        # a width-4 rect filter transmits 1200 of 6000 samples: 115 MB
+        assert 1200 * 1200 * 8 * _PASSBAND_ARRAYS < GA_MEMORY_LIMIT < 6000 * 6000 * 8 * _PASSBAND_ARRAYS
+        check()
+        check(basis="schmidt", filter_kind="gauss")
+        check(filter_kind="blocking")
+        for keys, widths in (({"filter_kind": "gauss"}, (4.0,)), ({}, (4.0, 20.0))):
+            with pytest.raises(ConfigurationError, match="6000 x 6000 passband block"):
+                check(widths, **keys)
+
+    def test_passband_guard_exits_before_any_work(self, tmp_path):
+        cfg = tmp_path / "gauss.cfg"
+        cfg.write_text("n_points = 6000\nfilter_kind = gauss\n")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert err.getvalue().count("\n") == 1
+        assert "gauss filter's 6000 x 6000 passband block" in err.getvalue()
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_lists_must_increase(self):
         with pytest.raises(ConfigurationError):
@@ -696,6 +714,21 @@ def test_sweep_points_equal_single_runs(basis):
         assert rec.first_mode_squeezing_db == report.squeezing[0].squeezing_db
         assert rec.purity == report.purity
         assert rec.single_mode_character == report.single_mode_character
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_rect_filter_forms_no_n_by_n_array(verb):
+    # the amplitude is sampled a row block at a time, and only the passband
+    # block of the svd basis is dense: a run peaks at 3.9 MB at n = 1600,
+    # against 41.3 MB when the whole amplitude was stored (20.5 MB an array)
+    config = RunConfig(n_points=1600, sweep_widths=(2.0, 4.0), sweep_target_dbs=(6.0,))
+    tracemalloc.start()
+    try:
+        run_single(config) if verb == "run" else sweep_tradeoff(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_sweep_selects_one_effective_basis_per_width(monkeypatch):

@@ -12,6 +12,7 @@ from pdcfilter.errors import ConfigurationError
 from oracles import (
     complete_kernels,
     dense_uv_kernels,
+    dense_values,
     factored_ladder_rows,
     full_schmidt,
     ladder_rows,
@@ -119,7 +120,7 @@ class TestUvKernels:
     def test_zero_gain_full_kernel_is_identity(self, reference_200):
         # all cosh(r)=1 terms over the complete mode family sum to the grid delta
         jsa, schmidt, _ = reference_200
-        lambdas, signal, idler = full_schmidt(jsa.values, jsa.grid)
+        lambdas, signal, idler = full_schmidt(dense_values(jsa), jsa.grid)
         kernels = dense_uv_kernels(signal, idler, 0.0 * lambdas)
         dw = schmidt.grid.d_omega
         n = schmidt.grid.n_points
@@ -128,7 +129,7 @@ class TestUvKernels:
 
     def test_single_mode_gain(self, reference_200):
         jsa, schmidt, _ = reference_200
-        lambdas, signal, idler = full_schmidt(jsa.values, jsa.grid)
+        lambdas, signal, idler = full_schmidt(dense_values(jsa), jsa.grid)
         r = np.zeros_like(lambdas)
         r[0] = 0.9
         kernels = dense_uv_kernels(signal, idler, r)

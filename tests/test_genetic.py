@@ -8,7 +8,7 @@ import pdcfilter as pf
 from pdcfilter.errors import ConfigurationError
 from pdcfilter.genetic import _orthonormal_columns
 
-from oracles import dense_forms, full_schmidt, objective_squeezing, reference_ga
+from oracles import dense_forms, dense_values, full_schmidt, objective_squeezing, reference_ga
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +123,7 @@ class TestObjective:
     def test_mode_outside_retained_span_sees_vacuum(self, ctx_identity, reference_100):
         jsa, _, _ = reference_100
         # orthogonal to every excited mode: only the feeble r-tail remains
-        col = full_schmidt(jsa.values, jsa.grid)[1][30] * np.sqrt(jsa.grid.d_omega)
+        col = full_schmidt(dense_values(jsa), jsa.grid)[1][30] * np.sqrt(jsa.grid.d_omega)
         value = objective_squeezing(ctx_identity, np.real(col)[:, None], 1)
         assert abs(value) < 0.01
 

@@ -8,19 +8,23 @@ from hypothesis import strategies as st
 import pdcfilter as pf
 from pdcfilter.blas import calling_thread
 from pdcfilter.errors import ConfigurationError, GridTruncationError, NumericsError
-from pdcfilter.spectral import _fix_phases
+from pdcfilter.spectral import _PAIRWISE_PART, _PairwiseSquareSum, _fix_phases, _row_blocks
 
 from oracles import (
     GAIN_6DB,
     R_3DB,
     R_6DB,
     chirped_jsa,
+    dense_values,
     full_schmidt,
     geometric_lambdas,
     hermite_functions,
     mehler_mode_scale,
     meshgrid_gaussian_jsa,
 )
+
+
+_ALL = slice(None)
 
 
 class TestFrequencyGrid:
@@ -55,14 +59,14 @@ class TestGaussianJsa:
         ws, wi = np.meshgrid(w, w, indexing="ij")
         expected = np.exp(-((ws - wi) ** 2) / (4 * 36)) * np.exp(-((ws + wi) ** 2) / (4 * 4))
         expected /= np.sqrt(np.sum(expected**2) * grid100.d_omega**2)
-        assert np.max(np.abs(jsa.values - expected)) < 1e-12
+        assert np.max(np.abs(jsa.sample(_ALL, _ALL) - expected)) < 1e-12
 
     def test_anticorrelation_sign(self, grid100):
         jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid100)
         w = grid100.points
         anti = abs(w - 5.0).argmin(), abs(w + 5.0).argmin()
         corr = abs(w - 5.0).argmin(), abs(w - 5.0).argmin()
-        assert jsa.values[anti] > 10 * jsa.values[corr]
+        assert jsa.sample([anti[0]], [anti[1]])[0, 0] > 10 * jsa.sample([corr[0]], [corr[1]])[0, 0]
 
     def test_separable_when_symmetric(self, grid100):
         jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(3.0, 3.0, 0.0), grid100)
@@ -79,19 +83,41 @@ class TestGaussianJsa:
         grid = pf.build_frequency_grid(n, -10.0, 10.0)
         params = pf.GaussianJsaParams(sigma_a, sigma_b, theta)
         jsa = pf.build_gaussian_jsa(params, grid, max_truncated_mass=1.0)
-        assert np.array_equal(jsa.values, meshgrid_gaussian_jsa(params, grid))
+        dense = meshgrid_gaussian_jsa(params, grid)
+        assert np.array_equal(jsa.sample(_ALL, _ALL), dense)
+        # the first pass of the cross approximation reads the same peaks
+        assert jsa.row_block_peaks == pf.JsaMatrix(dense, grid).row_block_peaks
 
-    def test_built_in_two_grid_buffers(self):
-        n = 800
+    @pytest.mark.parametrize("n", [100, 383, 1600])
+    def test_every_read_equals_the_dense_oracle(self, n):
         grid = pf.build_frequency_grid(n, -10.0, 10.0)
-        params = pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4)
+        params = pf.GaussianJsaParams(4.7, 1.9, -0.72)
+        jsa = pf.build_gaussian_jsa(params, grid)
+        dense = meshgrid_gaussian_jsa(params, grid)
+        rng = np.random.default_rng(n)
+        for i in rng.integers(0, n, 5):
+            assert np.array_equal(jsa.sample([i], _ALL)[0], dense[i])
+            assert np.array_equal(jsa.sample(_ALL, [i])[:, 0], dense[:, i])
+        for block in _row_blocks(n)[::3]:
+            assert np.array_equal(jsa.sample(block, _ALL), dense[block])
+        rows = np.sort(rng.choice(n, n // 3, replace=False))
+        cols = np.flatnonzero(np.abs(grid.points - 0.4) <= 3.1)
+        assert np.array_equal(jsa.sample(rows, cols), dense[np.ix_(rows, cols)])
+
+    def test_holds_no_sample(self):
+        # one pass of row blocks: a 2.4 MB peak at n = 1600 against 20.5 MB
+        # for one 1600 x 1600 float array, and nothing of grid size kept
+        n = 1600
+        grid = pf.build_frequency_grid(n, -10.0, 10.0)
         tracemalloc.start()
         try:
-            pf.build_gaussian_jsa(params, grid)
-            _, peak = tracemalloc.get_traced_memory()
+            jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * n * n * 8
+        assert peak < 0.15 * n * n * 8
+        assert kept < 1e5
+        assert abs(jsa.l2_norm_sq - 1.0) <= 1e-12
 
     def test_truncation_refused(self):
         tight = pf.build_frequency_grid(64, -3, 3)
@@ -109,6 +135,37 @@ class TestGaussianJsa:
     def test_bad_params_rejected(self):
         with pytest.raises(ConfigurationError):
             pf.GaussianJsaParams(0.0, 2.0, 0.0)
+
+
+class TestPairwiseSquareSum:
+    """The chunked mass equals numpy's own pairwise sum, so the normalization does not move.
+
+    If numpy changes how it sums, these fail here instead of every pinned
+    result drifting by round-off.
+    """
+
+    @pytest.mark.parametrize(
+        "size",
+        [1, 7, 127, 128, 129, 1001, _PAIRWISE_PART, _PAIRWISE_PART + 1, 3 * _PAIRWISE_PART + 5, 101**2, 383**2, 1599**2],
+    )
+    def test_equals_numpy_sum_of_squares(self, size):
+        rng = np.random.default_rng(size)
+        # eleven decades of magnitude, so that any other order rounds differently
+        x = rng.standard_normal(size) * np.exp(rng.uniform(-12.0, 12.0, size))
+        chunk = int(rng.integers(1, 70_000))
+        total = _PairwiseSquareSum(size, chunk)
+        for start in range(0, size, chunk):
+            total.add(x[start : start + chunk])
+        assert total.total() == np.sum(np.square(x))
+
+    @pytest.mark.parametrize("n", [2, 3, 100, 101, 600, 1599])
+    def test_equals_numpy_on_row_blocks(self, n):
+        x = np.random.default_rng(n).random((n, n)) ** 9
+        blocks = _row_blocks(n)
+        total = _PairwiseSquareSum(n * n, (blocks[0].stop - blocks[0].start) * n)
+        for block in blocks:
+            total.add(x[block])
+        assert total.total() == np.sum(np.square(x))
 
 
 # amplitudes of the reference state (sigma_a 6, sigma_b 2, [-10, 10]) above
@@ -139,7 +196,7 @@ class TestSchmidtDecompose:
         for jsa, schmidt in ((jsa, schmidt), (chirped, pf.schmidt_decompose(chirped, 10))):
             k = schmidt.n_retained
             approx = (schmidt.signal_modes[:k].T * schmidt.lambdas[:k]) @ schmidt.idler_modes[:k]
-            resid = float(np.sum(np.abs(jsa.values - approx) ** 2) * schmidt.grid.d_omega**2)
+            resid = float(np.sum(np.abs(dense_values(jsa) - approx) ** 2) * schmidt.grid.d_omega**2)
             assert resid <= schmidt.tail_weight + 1e-10
 
     def test_geometric_spectrum(self, reference_wide):
@@ -232,7 +289,7 @@ class TestSchmidtDecompose:
         """
         with calling_thread():
             schmidt = pf.schmidt_decompose(jsa, 10)
-            s, signal, idler = full_schmidt(jsa.values, jsa.grid)
+            s, signal, idler = full_schmidt(dense_values(jsa), jsa.grid)
         k = schmidt.n_modes
         assert k == max(10, int(np.sum(s > 1e-14 * s[0])))
         assert np.max(np.abs(schmidt.lambdas - s[:k])) < 1e-12
@@ -264,7 +321,7 @@ class TestSchmidtDecompose:
         # take every excited one and 7 more at the noise floor
         jsa = self._reference_jsa(n)
         grid = jsa.grid
-        s = np.linalg.svd(jsa.values * grid.d_omega, compute_uv=False)
+        s = np.linalg.svd(dense_values(jsa) * grid.d_omega, compute_uv=False)
         assert int(np.sum(s > 1e-14 * s[0])) == _REFERENCE_EXCITED
         for n_retained, rows in ((10, _REFERENCE_EXCITED), (30, 30)):
             schmidt = pf.schmidt_decompose(jsa, n_retained)
