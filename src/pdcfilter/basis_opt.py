@@ -89,8 +89,9 @@ def svd_effective_basis(
     ta, tb = filter_signal.transmission, filter_idler.transmission
     rows, cols = np.flatnonzero(ta), np.flatnonzero(tb)
     block = ta[rows, None] * tb[None, cols] * jsa.sample(rows, cols)
+    block *= grid.d_omega
     try:
-        u, s, vh = np.linalg.svd(block * grid.d_omega)
+        u, s, vh = np.linalg.svd(block)
     except np.linalg.LinAlgError as exc:
         raise _svd_failure(block) from exc
     k = _kept_pairs(s, n_retained)

@@ -68,6 +68,9 @@ _FILTER_CHOICES = ("rect", "gauss", "identity", "blocking", "flat")
 # passband-sized float arrays alive at once in the svd basis's decomposition, at
 # most: the block, its masked product, both SVD factors and the LAPACK work
 _PASSBAND_ARRAYS = 10
+# amplitude samples a run may read: every run evaluates all n_points^2 of them
+# once, about 10 s at this size (some 10 ns a sample), whichever basis it selects
+_MAX_SAMPLES = 2**30
 
 
 @dataclass(frozen=True)
@@ -138,6 +141,11 @@ class RunConfig:
                 f"population {self.population} at n_points {self.n_points} needs about "
                 f"{need / 2**30:.3g} GiB for the genetic search, above its "
                 f"{GA_MEMORY_LIMIT / 2**30:g} GiB limit"
+            )
+        if self.n_points**2 > _MAX_SAMPLES:
+            raise ConfigurationError(
+                f"n_points {self.n_points} gives {float(self.n_points) ** 2:.3g} amplitude samples, "
+                f"above the {_MAX_SAMPLES} a run evaluates at most (n_points <= {math.isqrt(_MAX_SAMPLES)})"
             )
 
     def ga_params(self) -> GaParams:
@@ -360,12 +368,19 @@ def _write_csv(path, header, rows) -> None:
     """Write a CSV table with floats at 17 significant digits (an exact round trip).
 
     Every other cell is written as it is; ``header=None`` writes no header row.
+    A float array is written with one format call per row: ``"%.17g" % x``
+    is ``format(x, ".17g")``, and such a cell never needs quoting, so the
+    bytes are those ``csv.writer`` writes.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if header is not None:
             writer.writerow(header)
-        writer.writerows([format(x, ".17g") if isinstance(x, float) else x for x in row] for row in rows)
+        if isinstance(rows, np.ndarray) and rows.dtype == float:
+            line = ("%.17g," * rows.shape[1])[:-1] + writer.dialect.lineterminator
+            fh.writelines(line % tuple(row) for row in rows.tolist())
+        else:
+            writer.writerows([format(x, ".17g") if isinstance(x, float) else x for x in row] for row in rows)
 
 
 def _manifest(config: RunConfig, **entries) -> dict:
@@ -401,7 +416,7 @@ def _record_table(cls, records) -> tuple[list[str], list[tuple]]:
     return [f.name for f in fields(cls)], [astuple(rec) for rec in records]
 
 
-def _modes_table(grid, modes: np.ndarray) -> tuple[list[str], list[list[float]]]:
+def _modes_table(grid, modes: np.ndarray) -> tuple[list[str], np.ndarray]:
     """Header and rows of ``modes.csv``: omega, then one column per mode.
 
     Complex modes are written as interleaved re/im column pairs.
@@ -413,7 +428,7 @@ def _modes_table(grid, modes: np.ndarray) -> tuple[list[str], list[list[float]]]
         columns = np.stack([modes.real, modes.imag], axis=1).reshape(len(labels), -1)
     else:
         columns = np.real(modes)
-    return ["omega"] + labels, np.column_stack([grid.points, columns.T]).tolist()
+    return ["omega"] + labels, np.column_stack([grid.points, columns.T])
 
 
 def export_report(report: RunReport, out_dir) -> list[Path]:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import ClassVar
 
 import numpy as np
 
@@ -44,7 +43,8 @@ _PAIRWISE_PART = 8192
 # the widths for which 2 sigma^2, the Gaussians' divisor, is a normal finite float
 _SIGMA_MIN = float(np.sqrt(np.finfo(float).tiny / 2))
 _SIGMA_MAX = float(np.sqrt(np.finfo(float).max / 2))
-# relative magnitude gap below which two samples tie for a mode's peak
+# relative magnitude gap below which two samples tie for a mode's peak, or two
+# rows for the one nearest zero detuning
 _PEAK_TIE = 1e-8
 # the first mode's squeezed variance e^(-2r) is a difference of terms of size
 # cosh(2r); beyond this r it falls below their round-off eps * cosh(2r)
@@ -138,8 +138,9 @@ class JsaMatrix:
 
     Normalized so that the discrete L2 norm sum |f|^2 d_omega^2 equals one.
     Any amplitude (chirped, multi-lobe, high-rank) can be given this way;
-    it is read only through :meth:`sample` and ``row_block_peaks``, as the
-    closed-form :class:`GaussianJsa` is.
+    it is read only through :meth:`sample` and ``skeleton``, as the
+    closed-form :class:`GaussianJsa` is, and its skeleton is found and
+    certified on the same route as the builder's.
     """
 
     values: np.ndarray
@@ -156,10 +157,6 @@ class JsaMatrix:
             )
 
     @property
-    def dtype(self) -> np.dtype:
-        return self.values.dtype
-
-    @property
     def l2_norm_sq(self) -> float:
         v = self.values
         return float(np.vdot(v, v).real) * self.grid.d_omega**2
@@ -169,10 +166,11 @@ class JsaMatrix:
         return self.values[rows][:, cols]
 
     @cached_property
-    def row_block_peaks(self) -> tuple[tuple[float, int], ...]:
-        """(largest |f|, its row) of each row block of :func:`_row_blocks`, in order."""
-        blocks = _row_blocks(self.grid.n_points)
-        return tuple(_block_peak(np.abs(self.values[block]), block.start) for block in blocks)
+    def skeleton(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cross-approximation factors ``ut``, ``v`` (k x n): f * d_omega = ut.T @ v to the noise floor."""
+        cross = _CrossApproximation(self.sample, self.grid)
+        cross.check()
+        return cross.certify()
 
 
 def _gaussian_in_place(x: np.ndarray, sigma: float) -> np.ndarray:
@@ -213,17 +211,16 @@ class GaussianJsa:
     columns as the raw Gaussian over sqrt(``grid_mass``), with the rounding
     of the meshgrid construction, so every sample equals the dense
     amplitude's bit for bit.  ``grid_mass`` is the rectangle-rule mass
-    sum |raw|^2 d_omega^2 of the raw samples, and ``row_block_peaks`` the
-    largest sample of each row block with its row, as :class:`JsaMatrix`
+    sum |raw|^2 d_omega^2 of the raw samples, and ``skeleton`` the
+    certified cross-approximation factors ``ut``, ``v`` (k x n) with
+    f * d_omega = ut.T @ v to the noise floor, as :class:`JsaMatrix`
     reports them.  Build it with :func:`build_gaussian_jsa`.
     """
 
     params: GaussianJsaParams
     grid: FrequencyGrid
     grid_mass: float
-    row_block_peaks: tuple[tuple[float, int], ...] = field(repr=False)
-
-    dtype: ClassVar[np.dtype] = np.dtype(float)
+    skeleton: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
 
     def sample(self, rows, cols) -> np.ndarray:
         """The samples f[rows, cols]; ``rows`` and ``cols`` are slices or index arrays."""
@@ -350,12 +347,15 @@ def build_gaussian_jsa(
     amplitude is under-resolved).  Either corrupts the normalization and the
     mode spectrum.
 
-    One pass over the row blocks evaluates every raw sample once and keeps
-    none: it sums the mass in ``np.sum``'s pairwise order, so the
-    normalization equals that of the dense amplitude to the bit, and records
-    each block's largest sample for the first pass of
-    :func:`schmidt_decompose`.  The samples keep the rounding of the
-    rotated-coordinate form exp(-u^2 / (2 sigma_a^2)) exp(-v^2 /
+    Every raw sample is evaluated once and none is kept.  The cross
+    approximation of :class:`_CrossApproximation` first pivots on the raw
+    closed form; one pass over the row blocks then sums the mass in
+    ``np.sum``'s pairwise order, so the normalization equals that of the
+    dense amplitude to the bit, and checks every sample against the
+    skeleton.  After the truncation check, pivoting resumes from the blocks
+    the skeleton misses, and the normalized factors are stored on the
+    amplitude for :func:`schmidt_decompose`.  The samples keep the rounding
+    of the rotated-coordinate form exp(-u^2 / (2 sigma_a^2)) exp(-v^2 /
     (2 sigma_b^2)); the equivalent single exponential of the quadratic form
     A w_s^2 + 2 B w_s w_i + C w_i^2 would be cheaper, but it rounds
     differently (by about 1e-16 per sample), so every downstream result
@@ -375,16 +375,8 @@ def build_gaussian_jsa(
     n = grid.n_points
     blocks = _row_blocks(n)
     mass = _PairwiseSquareSum(n * n, (blocks[0].stop - blocks[0].start) * n)
-    near_peaks = []
-    for block in blocks:
-        raw = _raw_gaussian(params, grid.points, block, slice(None))
-        # the raw samples that may tie the peak once divided by the norm: the
-        # first maximum and the earlier samples within a rounding step of it
-        flat = raw.ravel()
-        at = int(np.argmax(flat))
-        near = np.flatnonzero(flat[: at + 1] >= flat[at] * (1 - 4 * np.finfo(float).eps))
-        near_peaks.append((block.start + near // n, flat[near]))
-        mass.add(flat)
+    cross = _CrossApproximation(lambda rows, cols: _raw_gaussian(params, grid.points, rows, cols), grid)
+    cross.check(mass.add)
     grid_mass = mass.total() * grid.d_omega**2
     analytic_mass = float(np.pi * params.sigma_a * params.sigma_b)
     off_grid = 1.0 - grid_mass / analytic_mass
@@ -398,12 +390,7 @@ def build_gaussian_jsa(
             f"{grid.omega_max}]; enlarge the grid or shrink the widths"
         )
         raise GridTruncationError(f"{problem} (limit {max_truncated_mass:.1e})")
-    peaks = []
-    for rows, values in near_peaks:
-        f = values / np.sqrt(grid_mass)
-        first = int(np.argmax(f == f[-1]))
-        peaks.append((float(f[first]), int(rows[first])))
-    return GaussianJsa(params, grid, grid_mass, tuple(peaks))
+    return GaussianJsa(params, grid, grid_mass, cross.certify(np.sqrt(grid_mass)))
 
 
 def _fix_phases(signal: np.ndarray, idler: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -470,68 +457,138 @@ def _factored_schmidt(grid: FrequencyGrid, left: np.ndarray, right: np.ndarray, 
     return _schmidt_from_svd(grid, qu @ w, s, zh @ qv.T, n_retained)
 
 
-def _cross_approximation(jsa: GaussianJsa | JsaMatrix, n_retained: int) -> tuple[np.ndarray, np.ndarray]:
-    """Factors ``ut``, ``v`` (k x n) with f * d_omega = ut.T @ v to the noise floor, k >= n_retained.
+class _CrossApproximation:
+    """Adaptive cross approximation of f * d_omega, certified against every sample.
 
-    Partial pivoting (a residual row's largest sample is the pivot, the pivot
-    column's largest residual on an unvisited row picks the next row) stalls on
-    rows it never reads, so each pass starts at the worst residual sample of
-    every row block above the floor, worst first.  The first always becomes a
-    pivot and the rank is at most n, so this ends; rows past the rank are zero.
-    The first pass reads the amplitude's own ``row_block_peaks``; every later
-    pass samples the amplitude a row block at a time.
+    ``sample(rows, cols)`` reads f.  Partial pivoting (a residual row's
+    largest sample is the pivot, the pivot column's largest residual on an
+    unvisited row picks the next row) stalls on rows it never reads, so it
+    starts from one row of every row block: the row nearest zero detuning,
+    where a centred Gaussian's block peak lies, nearest first, which is
+    largest first for such a Gaussian.  A round pivots from each start
+    while its residual row is above the floor, 1e-14 of the largest sample
+    read so far.  :meth:`check` reads every sample once and records the
+    worst residual sample of each block above the floor; :meth:`certify`
+    resumes pivoting from those, worst first, and checks again until none
+    is left.  The first nonzero start of a round always becomes a pivot and
+    the rank is at most n, so this ends.
     """
-    n, dw = jsa.grid.n_points, jsa.grid.d_omega
-    everything = slice(None)
-    ut, v = np.zeros((2, max(16, n_retained), n), np.result_type(jsa.dtype, float))
-    k = 0
 
-    def residual_peaks():
-        for block in _row_blocks(n):
-            r = (ut[:k, block].T / dw) @ v[:k]
-            r -= jsa.sample(block, everything)
-            yield _block_peak(np.abs(r, out=r), block.start)
+    def __init__(self, sample, grid: FrequencyGrid):
+        self._sample, self._grid = sample, grid
+        n = grid.n_points
+        # the two middle rows of a grid symmetric about zero tie to round-off: in
+        # one block the lower is its start, in two the higher goes first
+        detuning = np.abs(grid.points)
+        starts = sorted(
+            (
+                block.start + int(np.argmax(detuning[block] <= np.min(detuning[block]) * (1 + _PEAK_TIE)))
+                for block in _row_blocks(n)
+            ),
+            key=lambda i: (round(2 * detuning[i] / grid.d_omega), -i),
+        )
+        first = sample(starts[:1], slice(None))[0]
+        self._ut, self._v = np.zeros((2, 16, n), np.result_type(first.dtype, float))
+        self._pivots: list[tuple[int, int]] = []
+        self._largest, self._missed = 0.0, []
+        self._pivot([(starts[0], first)] + [(i, None) for i in starts[1:]])
 
-    def missed_rows(peaks, floor):
-        # (size, row) of each block's largest residual sample above floor, largest first
-        return sorted((p for p in ((size * dw, row) for size, row in peaks) if p[0] > floor), reverse=True)
+    def _note(self, magnitudes: np.ndarray) -> None:
+        """Raise the floor to 1e-14 of the largest of some samples' ``magnitudes``."""
+        self._largest = max(self._largest, float(np.max(magnitudes).real) * self._grid.d_omega)
 
-    def residual_row(i):
-        return jsa.sample([i], everything)[0] * dw - ut[:k, i] @ v[:k]
-
-    missed = missed_rows(jsa.row_block_peaks, 0.0)
-    floor = _NOISE_FLOOR * missed[0][0]
-    while missed and k < n:
-        visited, first = np.zeros(n, dtype=bool), k
-        for _, i in missed:
-            row = residual_row(i)
-            while k < n and (k == first or np.max(np.abs(row)) > floor):
+    def _pivot(self, starts) -> None:
+        """One round from each (row, its samples or None) in turn."""
+        n, dw = self._grid.n_points, self._grid.d_omega
+        visited, first = np.zeros(n, dtype=bool), len(self._pivots)
+        for i, samples in starts:
+            while True:
+                k = len(self._pivots)
+                if samples is None:
+                    samples = self._sample([i], slice(None))[0]
+                self._note(np.abs(samples))
+                row = samples * dw - self._ut[:k, i] @ self._v[:k]
+                # the first nonzero residual row of a round is always a pivot
+                if not (k < n and np.max(np.abs(row)) > (0.0 if k == first else _NOISE_FLOOR * self._largest)):
+                    break
                 visited[i] = True
-                if k == len(ut):
-                    ut, v = np.concatenate([ut, 0 * ut]), np.concatenate([v, 0 * v])
+                if k == len(self._ut):
+                    self._ut, self._v = np.concatenate([self._ut, 0 * self._ut]), np.concatenate([self._v, 0 * self._v])
                 j = int(np.argmax(np.abs(row)))
-                v[k] = row / row[j]
-                ut[k] = jsa.sample(everything, [j])[:, 0] * dw - ut[:k].T @ v[:k, j]
-                k += 1
-                i = int(np.argmax(np.where(visited, -1.0, np.abs(ut[k - 1]))))
-                row = residual_row(i)
-        missed = missed_rows(residual_peaks(), floor)
-    return ut[: max(k, n_retained)], v[: max(k, n_retained)]
+                self._pivots.append((i, j))
+                column = self._sample(slice(None), [j])[:, 0]
+                self._note(np.abs(column))
+                self._v[k] = row / row[j]
+                self._ut[k] = column * dw - self._ut[:k].T @ self._v[:k, j]
+                i, samples = int(np.argmax(np.where(visited, -1.0, np.abs(self._ut[k])))), None
+
+    def check(self, visit=None) -> None:
+        """Read every sample once, a row block at a time, and measure its residual.
+
+        ``visit``, if given, is called on each block's samples first.
+        """
+        dw = self._grid.d_omega
+        peaks = [self._block_residual(block, visit) for block in _row_blocks(self._grid.n_points)]
+        floor = _NOISE_FLOOR * self._largest
+        # (size, row) of each block's largest residual sample above the floor, largest first
+        self._missed = sorted((p for p in ((size * dw, row) for size, row in peaks) if p[0] > floor), reverse=True)
+
+    def _block_residual(self, block: slice, visit) -> tuple[float, int]:
+        """(largest residual, its row) of one row block, whose samples ``visit`` reads first."""
+        f = self._sample(block, slice(None))
+        if visit is not None:
+            visit(f)
+        # one buffer of the block's size: the magnitudes, then the residual
+        r = np.abs(f, out=np.empty(f.shape, self._ut.dtype))
+        self._note(r)
+        k = len(self._pivots)
+        np.matmul(self._ut[:k, block].T / self._grid.d_omega, self._v[:k], out=r)
+        r -= f
+        return _block_peak(np.abs(r, out=r), block.start)
+
+    def certify(self, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+        """The factors ``ut``, ``v`` (k x n) of f / ``scale``, once a check finds no block above the floor.
+
+        The pivot rows are then replayed on f / ``scale``: each residual row
+        picks its pivot column again, so the factors are those a cross
+        approximation of f / ``scale`` computes from these rows.  A row whose
+        residual vanishes adds a zero pair.
+        """
+        n, dw = self._grid.n_points, self._grid.d_omega
+        while self._missed and len(self._pivots) < n:
+            self._pivot([(i, None) for _, i in self._missed])
+            self.check()
+        k, dtype = len(self._pivots), self._ut.dtype
+        self._ut = self._v = None  # the working factors are spent; free them before the replay
+        ut, v = np.zeros((2, k, n), dtype)
+        f_rows = self._sample([i for i, _ in self._pivots], slice(None)) / scale * dw
+        f_cols = self._sample(slice(None), [j for _, j in self._pivots]) / scale * dw
+        for m, (i, j) in enumerate(self._pivots):
+            row = f_rows[m] - ut[:m, i] @ v[:m]
+            at = int(np.argmax(np.abs(row)))
+            if row[at] == 0:
+                continue
+            column = f_cols[:, m] if at == j else self._sample(slice(None), [at])[:, 0] / scale * dw
+            v[m] = row / row[at]
+            ut[m] = column - ut[:m].T @ v[:m, at]
+        return ut, v
 
 
 def schmidt_decompose(jsa: GaussianJsa | JsaMatrix, n_retained: int = 10) -> SchmidtData:
     """Decompose a normalized amplitude into its reported and excited broadband mode pairs.
 
-    A QR of each cross-approximation factor and one SVD of the k x k core give
-    the triples; the QRs complete the zero rows of factors of rank below
+    A QR of each of the amplitude's certified cross-approximation factors
+    (``skeleton``) and one SVD of the k x k core give the triples; the QRs
+    complete the zero rows of factors of rank below
     ``n_retained`` to orthonormal pairs of amplitude 0.  Amplitudes descend
     and satisfy sum lambda^2 = 1 to 1e-10.
     """
     n = jsa.grid.n_points
     if not 1 <= n_retained <= n:
         raise ConfigurationError(f"n_retained must lie in [1, {n}], got {n_retained}")
-    ut, v = _cross_approximation(jsa, n_retained)
-    schmidt = _factored_schmidt(jsa.grid, ut, v, n_retained)
+    ut, v = jsa.skeleton
+    pad = ((0, max(0, n_retained - len(ut))), (0, 0))
+    schmidt = _factored_schmidt(jsa.grid, np.pad(ut, pad), np.pad(v, pad), n_retained)
     total = float(np.sum(schmidt.lambdas[:n_retained] ** 2)) + schmidt.tail_weight
     if not abs(total - 1.0) <= 1e-10:
         raise NumericsError(f"Schmidt amplitudes violate Parseval: sum lambda^2 = {total!r}")

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import typing
 import warnings
@@ -20,6 +21,8 @@ from hypothesis import strategies as st
 import pdcfilter as pf
 from pdcfilter.cli import (
     RunConfig,
+    _modes_table,
+    _write_csv,
     build_config,
     export_report,
     export_tradeoff,
@@ -231,6 +234,22 @@ class TestConfigParsing:
         assert err.getvalue().count("\n") == 1
         assert "gauss filter's 6000 x 6000 passband block" in err.getvalue()
         assert not (tmp_path / "out").exists()
+
+    def test_grid_size_guard_exits_before_any_sample(self, tmp_path):
+        # every basis evaluates all n_points^2 samples once: 1e10 of them
+        # would take minutes, so the config is refused before the first
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("n_points = 100000\n")
+        err = io.StringIO()
+        start = time.perf_counter()
+        with redirect_stderr(err):
+            code = main(["run", "--basis", "schmidt", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1 and time.perf_counter() - start < 1.0
+        assert err.getvalue().count("\n") == 1 and "amplitude samples" in err.getvalue()
+        assert not (tmp_path / "out").exists()
+        assert RunConfig(n_points=32768, basis="schmidt").n_points == 32768
+        with pytest.raises(ConfigurationError, match="n_points <= 32768"):
+            RunConfig(n_points=32769, basis="schmidt")
 
     def test_sweep_lists_must_increase(self):
         with pytest.raises(ConfigurationError):
@@ -467,6 +486,27 @@ def artifacts(tmp_path_factory):
 )
 def test_artifact_header(artifacts, name, header):
     assert (artifacts / name).read_text().splitlines()[0] == header
+
+
+def test_float_table_writes_the_csv_writer_bytes(tmp_path):
+    # a float array is written one format call per row; the same table as
+    # lists of floats goes through csv.writer, and both give the same bytes
+    rng = np.random.default_rng(7)
+    table = rng.standard_normal((60, 7)) * np.exp(rng.uniform(-700.0, 700.0, (60, 7)))
+    table[0, :6] = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308)
+    table[1] = np.round(table[1] % 1e6)
+    table[2] = np.arange(7.0) - 3.0
+    modes = rng.standard_normal((3, 40)) * np.exp(1j * rng.uniform(0.0, 6.0, (3, 40)))
+    tables = {
+        "random": (None, table),
+        "headed": ([f"c{k}" for k in range(7)], table),
+        "modes": _modes_table(pf.build_frequency_grid(40, -3.0, 3.0), modes),
+    }
+    for name, (header, rows) in tables.items():
+        assert isinstance(rows, np.ndarray) and rows.dtype == float
+        _write_csv(tmp_path / f"{name}_array.csv", header, rows)
+        _write_csv(tmp_path / f"{name}_list.csv", header, rows.tolist())
+        assert (tmp_path / f"{name}_array.csv").read_bytes() == (tmp_path / f"{name}_list.csv").read_bytes()
 
 
 class TestMainEntry:
