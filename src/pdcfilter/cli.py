@@ -280,13 +280,10 @@ def _select_basis(
     return MeasurementBasis.from_shared(ga_result.modes, jsa.grid), ga_result
 
 
-def _measure(
-    schmidt: SchmidtData, filt: Filter, basis: MeasurementBasis
-) -> tuple[ProjectionSet, CovarianceMatrix, list]:
-    """Stage 3: projections, covariance and squeezing entries of the gained state."""
-    proj = filtered_projections(schmidt, filt, filt, basis)
+def _measure(proj: ProjectionSet) -> tuple[CovarianceMatrix, list]:
+    """Stage 3: covariance and squeezing entries of the gained state a projection set sees."""
     cov = assemble_covariance(proj)
-    return proj, cov, squeezing_report(cov)
+    return cov, squeezing_report(cov)
 
 
 def run_single(config: RunConfig) -> RunReport:
@@ -296,7 +293,8 @@ def run_single(config: RunConfig) -> RunReport:
     schmidt = apply_gain(schmidt, gain)
     filt = _make_filter(config, jsa.grid)
     basis, ga_result = _select_basis(config, jsa, schmidt, filt)
-    proj, cov, entries = _measure(schmidt, filt, basis)
+    proj = filtered_projections(schmidt, filt, filt, basis)
+    cov, entries = _measure(proj)
     return RunReport(
         config=config,
         gain_b=float(gain),
@@ -328,7 +326,8 @@ def sweep_tradeoff(config: RunConfig) -> list[TradeoffRecord]:
     """Trade-off records over sweep_widths x sweep_target_dbs, sorted by (gain, width).
 
     The state is prepared once.  Each width builds its filter once and, for
-    a gain-free basis, selects it once; the genetic search runs per point.
+    a gain-free basis, selects it and projects onto it once; the genetic
+    search runs per point.
     A failing point is recorded with its error message and the sweep
     continues.
     """
@@ -351,11 +350,17 @@ def sweep_tradeoff(config: RunConfig) -> list[TradeoffRecord]:
         except (ConfigurationError, NumericsError) as exc:
             records += [failed(width, gain, exc) for gain in gains]
             continue
+        # the overlaps and vacuum Grams of a gain-free basis do not depend on the gain
+        width_proj = None
         for gain in gains:
             try:
                 schmidt = apply_gain(schmidt0, gain)
-                basis = width_basis if gain_free else _select_basis(point, jsa, schmidt, filt)[0]
-                _, cov, entries = _measure(schmidt, filt, basis)
+                if gain_free and width_proj is not None:
+                    proj = dataclasses.replace(width_proj, schmidt=schmidt)
+                else:
+                    basis = width_basis if gain_free else _select_basis(point, jsa, schmidt, filt)[0]
+                    proj = width_proj = filtered_projections(schmidt, filt, filt, basis)
+                cov, entries = _measure(proj)
                 smc = single_mode_character(entries)
                 records.append(record(width, gain, entries[0].squeezing_db, smc, purity(cov)))
             except (ConfigurationError, NumericsError) as exc:

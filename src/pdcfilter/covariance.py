@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -116,9 +116,12 @@ def analytic_epr_block(r: float) -> np.ndarray:
     )
 
 
+@cache
 def symplectic_form(n_pairs: int) -> np.ndarray:
-    """Block-diagonal form with [[0, 1], [-1, 0]] per (X, Y) pair."""
-    return np.kron(np.eye(n_pairs), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    """Block-diagonal form with [[0, 1], [-1, 0]] per (X, Y) pair; built once per size, read-only."""
+    omega = np.kron(np.eye(n_pairs), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    omega.flags.writeable = False
+    return omega
 
 
 def symplectic_eigenvalues(sigma) -> np.ndarray:

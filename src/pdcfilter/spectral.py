@@ -10,7 +10,10 @@ squeezing[dB] = -10 log10(exp(-2 r)).
 Everything here is discretized on a uniform frequency grid with rectangle-rule
 quadrature weight d_omega; mode functions are normalized so that
 sum |psi|^2 d_omega = 1.  The double-Gaussian amplitude is not stored: it is
-evaluated from its closed form on whatever rows and columns a step reads.
+evaluated from its closed form, one exponential a sample, on whatever rows
+and columns a step reads, and its normalization is read from the certified
+cross-approximation factors.  Samples agree with a dense evaluation of the
+closed form to round-off, c eps (1 + q) of exp(-q), not to the bit.
 
 Only the leading Schmidt triples are computed, on one route for every grid
 and rank: adaptive cross approximation (Bebendorf, Numer. Math. 86, 565
@@ -22,6 +25,7 @@ through the exact identity part of its Bogoliubov transformation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -38,8 +42,8 @@ _LN10 = float(np.log(10.0))
 _NOISE_FLOOR = 1e-14
 # an amplitude is read a row block of at most this many samples (or one row) at a time
 _BLOCK_SAMPLES = 1 << 16
-# parts of numpy's pairwise summation tree small enough to sum on arrival
-_PAIRWISE_PART = 8192
+# a check keeps the residual rows above half the floor, up to this many samples
+_KEPT_SAMPLES = 4 * _BLOCK_SAMPLES
 # the widths for which 2 sigma^2, the Gaussians' divisor, is a normal finite float
 _SIGMA_MIN = float(np.sqrt(np.finfo(float).tiny / 2))
 _SIGMA_MAX = float(np.sqrt(np.finfo(float).max / 2))
@@ -123,15 +127,6 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
-def _block_peak(mag: np.ndarray, start: int) -> tuple[float, int]:
-    """(largest, row) of a row block's magnitudes, its first row ``start``; the first maximum wins.
-
-    A complex ``mag`` holds the magnitudes in its real part.
-    """
-    at = int(np.argmax(mag))
-    return float(mag.flat[at].real), start + at // mag.shape[1]
-
-
 @dataclass(frozen=True)
 class JsaMatrix:
     """Joint spectral amplitude stored as samples on grid x grid (rows = signal axis).
@@ -168,39 +163,43 @@ class JsaMatrix:
     @cached_property
     def skeleton(self) -> tuple[np.ndarray, np.ndarray]:
         """Cross-approximation factors ``ut``, ``v`` (k x n): f * d_omega = ut.T @ v to the noise floor."""
-        cross = _CrossApproximation(self.sample, self.grid)
-        cross.check()
-        return cross.certify()
-
-
-def _gaussian_in_place(x: np.ndarray, sigma: float) -> np.ndarray:
-    """x <- exp(x^2 / (-2 sigma^2)), elementwise and in place.
-
-    That is exp(-(x^2) / (2 sigma^2)) to the bit: a quotient's sign does not
-    change its rounding.  An exponent that overflows to -inf gives exp = 0,
-    the Gaussian's value to double precision, so overflow there is not an
-    error.
-    """
-    with np.errstate(over="ignore"):
-        np.square(x, out=x)
-        x /= -(2 * sigma**2)
-    return np.exp(x, out=x)
+        return _CrossApproximation(self.sample, self.grid).certify()
 
 
 def _raw_gaussian(params: GaussianJsaParams, w: np.ndarray, rows, cols) -> np.ndarray:
-    """exp(-u^2 / (2 sigma_a^2)) exp(-v^2 / (2 sigma_b^2)) on w[rows] x w[cols], unnormalized.
+    """exp(-u^2 / (2 sigma_a^2) - v^2 / (2 sigma_b^2)) on w[rows] x w[cols], unnormalized.
 
     u and v are the rotated coordinates w_s cos(theta) + w_i sin(theta) and
-    -w_s sin(theta) + w_i cos(theta).  Every sample is rounded as in the
-    meshgrid construction, whatever block it is evaluated in.
+    -w_s sin(theta) + w_i cos(theta).  The exponent of row w_s is written as
+    a completed square in w_i, C (w_i - m)^2 + d, with
+    C = sin^2 / (2 sigma_a^2) + cos^2 / (2 sigma_b^2),
+    m = -w_s cos sin (1 / (2 sigma_a^2) - 1 / (2 sigma_b^2)) / C and
+    d = w_s^2 / (4 sigma_a^2 sigma_b^2 C): one exponential a sample.  Both
+    terms are >= 0, so nothing cancels, and a term that overflows gives
+    exp(-inf) = 0, the Gaussian's value to double precision.  A sample is a
+    function of its row and column alone, so every block that reads it
+    rounds it alike.
     """
     ws, wi = w[rows], w[cols]
     cos, sin = np.cos(params.theta), np.sin(params.theta)
-    raw = np.add(ws[:, None] * cos, wi[None, :] * sin)
-    v = np.add(-ws[:, None] * sin, wi[None, :] * cos)
-    _gaussian_in_place(raw, params.sigma_a)
-    raw *= _gaussian_in_place(v, params.sigma_b)
-    return raw
+    var_a, var_b = params.sigma_a**2, params.sigma_b**2
+    a, b = 1 / (2 * var_a), 1 / (2 * var_b)
+    curvature = sin**2 * a + cos**2 * b
+    with np.errstate(over="ignore"):
+        # 4 var_a var_b C = 2 (cos^2 var_a + sin^2 var_b), the second form where the first under- or overflows
+        spread = 4 * var_a * var_b * curvature
+        if not 0 < spread < np.inf:
+            spread = 2 * (cos**2 * var_a + sin**2 * var_b)
+        centre = -ws * cos * sin * (a - b) / curvature
+        offset = ws**2 / spread
+        # w_i - m as the product [1, -m] @ [w_i; 1]: both terms are exact, so each
+        # entry is the difference rounded once, at a third of the time numpy
+        # takes to broadcast m over a 40 x 1600 block
+        q = np.stack([np.ones_like(centre), -centre], axis=1) @ np.stack([wi, np.ones_like(wi)])
+        np.square(q, out=q)
+        q *= -curvature
+        q -= offset[:, None]
+    return np.exp(q, out=q)
 
 
 @dataclass(frozen=True)
@@ -208,13 +207,13 @@ class GaussianJsa:
     """The tilted double-Gaussian amplitude in closed form, normalized on the grid.
 
     No sample is stored: :meth:`sample` evaluates any block of rows and
-    columns as the raw Gaussian over sqrt(``grid_mass``), with the rounding
-    of the meshgrid construction, so every sample equals the dense
-    amplitude's bit for bit.  ``grid_mass`` is the rectangle-rule mass
-    sum |raw|^2 d_omega^2 of the raw samples, and ``skeleton`` the
-    certified cross-approximation factors ``ut``, ``v`` (k x n) with
-    f * d_omega = ut.T @ v to the noise floor, as :class:`JsaMatrix`
-    reports them.  Build it with :func:`build_gaussian_jsa`.
+    columns as the raw Gaussian over sqrt(``grid_mass``), one exponential a
+    sample, and every read of a sample gives the same bits.  ``skeleton``
+    holds the certified cross-approximation factors ``ut``, ``v`` (k x n)
+    with f * d_omega = ut.T @ v to the noise floor, as :class:`JsaMatrix`
+    reports them, and ``grid_mass`` is the rectangle-rule mass
+    sum |raw|^2 d_omega^2 of the raw samples, read from the raw factors.
+    Build it with :func:`build_gaussian_jsa`.
     """
 
     params: GaussianJsaParams
@@ -233,67 +232,6 @@ class GaussianJsa:
         """sum |f|^2 d_omega^2 over every sample, read a row block at a time."""
         blocks = (self.sample(block, slice(None)) for block in _row_blocks(self.grid.n_points))
         return sum(float(np.vdot(f, f)) for f in blocks) * self.grid.d_omega**2
-
-
-class _PairwiseSquareSum:
-    """``np.sum(np.square(x))`` of a float array x that arrives in order, a chunk at a time.
-
-    numpy sums a contiguous array pairwise: it splits the terms at half
-    their count, rounded down to a multiple of 8, until a part holds at most
-    128, and adds such a part in 8 interleaved accumulators.  A part's sum
-    depends only on its own terms, so ``np.sum`` of it alone reproduces it.
-    The tree of the whole array is cut into parts of at most
-    ``_PAIRWISE_PART`` terms; each is summed as soon as it has arrived, and
-    the tree above them is added in its own order, so the total is
-    ``np.sum``'s to the bit while the memory stays O(part + chunk).
-    """
-
-    def __init__(self, size: int, chunk: int):
-        # the tree level by level: (starts, counts) of its nodes, children in order
-        self._levels = []
-        starts, counts = np.zeros(1, np.int64), np.array([size], np.int64)
-        while len(starts):
-            self._levels.append((starts, counts))
-            split = counts > _PAIRWISE_PART
-            starts, counts, half = starts[split], counts[split], counts[split] // 2
-            half -= half % 8
-            starts = np.stack([starts, starts + half], axis=1).ravel()
-            counts = np.stack([half, counts - half], axis=1).ravel()
-        parts = np.concatenate([s[c <= _PAIRWISE_PART] for s, c in self._levels])
-        lengths = np.concatenate([c[c <= _PAIRWISE_PART] for s, c in self._levels])
-        order = np.argsort(parts)
-        self._starts, self._stops = parts[order], (parts + lengths)[order]
-        self._sums = np.empty(len(parts))
-        self._done = 0
-        # squares from grid index self._base on, not yet summed
-        self._buffer = np.empty(_PAIRWISE_PART + chunk)
-        self._base = self._filled = 0
-
-    def add(self, x: np.ndarray) -> None:
-        """Square the next ``x.size`` terms (at most ``chunk``) into the sum."""
-        np.square(x.ravel(), out=self._buffer[self._filled : self._filled + x.size])
-        self._filled += x.size
-        end = self._base + self._filled
-        while self._done < len(self._sums) and self._stops[self._done] <= end:
-            start, stop = self._starts[self._done] - self._base, self._stops[self._done] - self._base
-            self._sums[self._done] = np.add.reduce(self._buffer[start:stop])  # np.sum, without its wrapper
-            self._done += 1
-        keep = int(self._starts[self._done]) - self._base if self._done < len(self._sums) else self._filled
-        self._buffer[: self._filled - keep] = self._buffer[keep : self._filled]
-        self._base += keep
-        self._filled -= keep
-
-    def total(self) -> float:
-        """The sum, once every term has been added."""
-        below = None
-        for starts, counts in reversed(self._levels):
-            part = counts <= _PAIRWISE_PART
-            sums = np.empty(len(starts))
-            sums[part] = self._sums[np.searchsorted(self._starts, starts[part])]
-            if below is not None:
-                sums[~part] = below[0::2] + below[1::2]
-            below = sums
-        return float(below[0])
 
 
 @dataclass(frozen=True)
@@ -347,20 +285,13 @@ def build_gaussian_jsa(
     amplitude is under-resolved).  Either corrupts the normalization and the
     mode spectrum.
 
-    Every raw sample is evaluated once and none is kept.  The cross
-    approximation of :class:`_CrossApproximation` first pivots on the raw
-    closed form; one pass over the row blocks then sums the mass in
-    ``np.sum``'s pairwise order, so the normalization equals that of the
-    dense amplitude to the bit, and checks every sample against the
-    skeleton.  After the truncation check, pivoting resumes from the blocks
-    the skeleton misses, and the normalized factors are stored on the
-    amplitude for :func:`schmidt_decompose`.  The samples keep the rounding
-    of the rotated-coordinate form exp(-u^2 / (2 sigma_a^2)) exp(-v^2 /
-    (2 sigma_b^2)); the equivalent single exponential of the quadratic form
-    A w_s^2 + 2 B w_s w_i + C w_i^2 would be cheaper, but it rounds
-    differently (by about 1e-16 per sample), so every downstream result
-    would move at round-off; it is not used, and runs reproduce earlier
-    outputs exactly.
+    Every raw sample is evaluated once and none is kept: the cross
+    approximation of :class:`_CrossApproximation` pivots on the raw closed
+    form and checks every sample against its skeleton.  The mass is then
+    read from the certified raw factors, sum (ut ut^T) o (v v^T) in O(k^2 n),
+    and the factors scaled by 1 / sqrt(mass) are stored on the amplitude
+    for :func:`schmidt_decompose`.  Samples, mass and factors agree with a
+    dense evaluation of the closed form to round-off, not to the bit.
 
     Parameters
     ----------
@@ -372,25 +303,28 @@ def build_gaussian_jsa(
         Largest acceptable deviation of the sampled squared-amplitude mass,
         as a fraction of the analytic mass, in either direction.
     """
-    n = grid.n_points
-    blocks = _row_blocks(n)
-    mass = _PairwiseSquareSum(n * n, (blocks[0].stop - blocks[0].start) * n)
     cross = _CrossApproximation(lambda rows, cols: _raw_gaussian(params, grid.points, rows, cols), grid)
-    cross.check(mass.add)
-    grid_mass = mass.total() * grid.d_omega**2
+    ut, v = cross.certify()
+    grid_mass = float(np.sum((ut @ ut.T) * (v @ v.T)))
     analytic_mass = float(np.pi * params.sigma_a * params.sigma_b)
     off_grid = 1.0 - grid_mass / analytic_mass
-    # grid_mass > 0 refuses a grid holding no mass also under a tolerance >= 1
+    # grid_mass > 0 refuses a grid holding no mass also under a tolerance >= 1;
+    # such a grid is under-resolved when it holds the peak but its spacing exceeds a width
+    coarse = grid.d_omega > min(params.sigma_a, params.sigma_b)
     if not (abs(off_grid) <= max_truncated_mass and grid_mass > 0):
-        problem = (
-            f"the sampled |f|^2 mass exceeds the analytic mass by {-off_grid:.3e}: the amplitude "
-            f"is under-resolved at d_omega = {grid.d_omega:.3g}; add grid points or widen the widths"
-            if off_grid < 0
-            else f"{off_grid:.3e} of the analytic |f|^2 mass lies outside [{grid.omega_min}, "
-            f"{grid.omega_max}]; enlarge the grid or shrink the widths"
-        )
+        if off_grid < 0 or (grid_mass == 0 and grid.omega_min <= 0 <= grid.omega_max and coarse):
+            problem = (
+                f"the sampled |f|^2 mass is {grid_mass / analytic_mass:.3e} times the analytic mass: the "
+                f"amplitude is under-resolved at d_omega = {grid.d_omega:.3g}; add grid points or widen the widths"
+            )
+        else:
+            problem = (
+                f"{off_grid:.3e} of the analytic |f|^2 mass lies outside [{grid.omega_min}, "
+                f"{grid.omega_max}]; enlarge the grid or shrink the widths"
+            )
         raise GridTruncationError(f"{problem} (limit {max_truncated_mass:.1e})")
-    return GaussianJsa(params, grid, grid_mass, cross.certify(np.sqrt(grid_mass)))
+    ut /= np.sqrt(grid_mass)
+    return GaussianJsa(params, grid, grid_mass, (ut, v))
 
 
 def _fix_phases(signal: np.ndarray, idler: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -467,11 +401,15 @@ class _CrossApproximation:
     where a centred Gaussian's block peak lies, nearest first, which is
     largest first for such a Gaussian.  A round pivots from each start
     while its residual row is above the floor, 1e-14 of the largest sample
-    read so far.  :meth:`check` reads every sample once and records the
-    worst residual sample of each block above the floor; :meth:`certify`
-    resumes pivoting from those, worst first, and checks again until none
-    is left.  The first nonzero start of a round always becomes a pivot and
-    the rank is at most n, so this ends.
+    read so far.  :meth:`certify` then reads every sample once and records
+    each row's largest residual sample; it resumes pivoting from the worst
+    row of each block above the floor, worst first, and checks again until
+    none is left.  A new pivot k moves row i's residual by at most
+    |ut_k[i]| max|v_k|, so a check re-reads only the rows whose recorded
+    residual plus that bound crosses the floor; the residual rows above half
+    the floor, up to ``_KEPT_SAMPLES`` samples, are kept and updated with
+    each new pivot instead.  The first nonzero start of a round always
+    becomes a pivot and the rank is at most n, so this ends.
     """
 
     def __init__(self, sample, grid: FrequencyGrid):
@@ -487,91 +425,103 @@ class _CrossApproximation:
             ),
             key=lambda i: (round(2 * detuning[i] / grid.d_omega), -i),
         )
-        first = sample(starts[:1], slice(None))[0]
-        self._ut, self._v = np.zeros((2, 16, n), np.result_type(first.dtype, float))
-        self._pivots: list[tuple[int, int]] = []
-        self._largest, self._missed = 0.0, []
-        self._pivot([(starts[0], first)] + [(i, None) for i in starts[1:]])
+        reads = self._rows(starts)
+        first = next(reads)
+        self._ut, self._v = np.zeros((2, 16, n), np.result_type(first[1].dtype, float))
+        self._rank, self._largest = 0, 0.0
+        # an upper bound on each row's largest residual sample, times d_omega
+        self._bound = np.full(n, np.inf)
+        # (rows, their residual rows times d_omega), updated with each new pivot
+        self._kept: list[tuple[np.ndarray, np.ndarray]] = []
+        self._is_kept = np.zeros(n, dtype=bool)
+        self._pivot(itertools.chain([first], reads))
 
-    def _note(self, magnitudes: np.ndarray) -> None:
-        """Raise the floor to 1e-14 of the largest of some samples' ``magnitudes``."""
-        self._largest = max(self._largest, float(np.max(magnitudes).real) * self._grid.d_omega)
+    def _chunks(self, rows):
+        """``rows`` in order, a row block's worth at a time."""
+        per = _row_blocks(self._grid.n_points)[0].stop
+        return (rows[start : start + per] for start in range(0, len(rows), per))
+
+    def _rows(self, rows):
+        """(row, its samples) for each of ``rows`` in turn, read a row block's worth at a time."""
+        for chunk in self._chunks(rows):
+            yield from zip(chunk, self._sample(chunk, slice(None)))
+
+    def _note(self, samples: np.ndarray) -> None:
+        """Raise the floor to 1e-14 of the largest of some ``samples``."""
+        top = np.abs(samples).max() if np.iscomplexobj(samples) else max(samples.max(), -samples.min())
+        self._largest = max(self._largest, float(top) * self._grid.d_omega)
 
     def _pivot(self, starts) -> None:
         """One round from each (row, its samples or None) in turn."""
         n, dw = self._grid.n_points, self._grid.d_omega
-        visited, first = np.zeros(n, dtype=bool), len(self._pivots)
+        visited, first = np.zeros(n, dtype=bool), self._rank
         for i, samples in starts:
             while True:
-                k = len(self._pivots)
+                k = self._rank
                 if samples is None:
                     samples = self._sample([i], slice(None))[0]
-                self._note(np.abs(samples))
+                self._note(samples)
                 row = samples * dw - self._ut[:k, i] @ self._v[:k]
+                j = int(np.abs(row).argmax())
                 # the first nonzero residual row of a round is always a pivot
-                if not (k < n and np.max(np.abs(row)) > (0.0 if k == first else _NOISE_FLOOR * self._largest)):
+                if not (k < n and abs(row[j]) > (0.0 if k == first else _NOISE_FLOOR * self._largest)):
                     break
                 visited[i] = True
                 if k == len(self._ut):
                     self._ut, self._v = np.concatenate([self._ut, 0 * self._ut]), np.concatenate([self._v, 0 * self._v])
-                j = int(np.argmax(np.abs(row)))
-                self._pivots.append((i, j))
                 column = self._sample(slice(None), [j])[:, 0]
-                self._note(np.abs(column))
+                self._note(column)
                 self._v[k] = row / row[j]
                 self._ut[k] = column * dw - self._ut[:k].T @ self._v[:k, j]
+                self._rank += 1
                 i, samples = int(np.argmax(np.where(visited, -1.0, np.abs(self._ut[k])))), None
 
-    def check(self, visit=None) -> None:
-        """Read every sample once, a row block at a time, and measure its residual.
+    def _check(self) -> list[int]:
+        """Measure every row whose bound is above the floor; the restart rows, worst first.
 
-        ``visit``, if given, is called on each block's samples first.
+        Rows are read a row block's worth at a time; a kept row's residual
+        is exact and is not read again.  The restart rows are the worst row
+        of each block whose residual is above the floor.
         """
-        dw = self._grid.d_omega
-        peaks = [self._block_residual(block, visit) for block in _row_blocks(self._grid.n_points)]
+        for chunk in self._chunks(np.flatnonzero((self._bound > _NOISE_FLOOR * self._largest) & ~self._is_kept)):
+            self._measure(chunk)
         floor = _NOISE_FLOOR * self._largest
-        # (size, row) of each block's largest residual sample above the floor, largest first
-        self._missed = sorted((p for p in ((size * dw, row) for size, row in peaks) if p[0] > floor), reverse=True)
+        blocks = _row_blocks(self._grid.n_points)
+        worst = ((self._bound[i], i) for i in (block.start + int(np.argmax(self._bound[block])) for block in blocks))
+        return [i for size, i in sorted(worst, reverse=True) if size > floor]
 
-    def _block_residual(self, block: slice, visit) -> tuple[float, int]:
-        """(largest residual, its row) of one row block, whose samples ``visit`` reads first."""
-        f = self._sample(block, slice(None))
-        if visit is not None:
-            visit(f)
-        # one buffer of the block's size: the magnitudes, then the residual
-        r = np.abs(f, out=np.empty(f.shape, self._ut.dtype))
-        self._note(r)
-        k = len(self._pivots)
-        np.matmul(self._ut[:k, block].T / self._grid.d_omega, self._v[:k], out=r)
+    def _measure(self, rows: np.ndarray) -> None:
+        """Record the largest residual sample of each of ``rows``, and keep the residual of those near the floor."""
+        dw = self._grid.d_omega
+        f = self._sample(rows, slice(None))
+        self._note(f)
+        k = self._rank
+        r = self._ut[:k, rows].T / dw @ self._v[:k]
         r -= f
-        return _block_peak(np.abs(r, out=r), block.start)
+        self._bound[rows] = np.max(np.abs(r, out=r), axis=1).real * dw
+        # one new pivot moves a row by at most its own residual, so a row below
+        # half the floor stays below it
+        room = _KEPT_SAMPLES // len(self._bound) - np.count_nonzero(self._is_kept)
+        near = np.flatnonzero(self._bound[rows] > _NOISE_FLOOR * self._largest / 2)[: max(0, room)]
+        if len(near):
+            self._is_kept[rows[near]] = True
+            self._kept.append((rows[near], f[near] * dw - self._ut[:k, rows[near]].T @ self._v[:k]))
 
-    def certify(self, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-        """The factors ``ut``, ``v`` (k x n) of f / ``scale``, once a check finds no block above the floor.
-
-        The pivot rows are then replayed on f / ``scale``: each residual row
-        picks its pivot column again, so the factors are those a cross
-        approximation of f / ``scale`` computes from these rows.  A row whose
-        residual vanishes adds a zero pair.
-        """
-        n, dw = self._grid.n_points, self._grid.d_omega
-        while self._missed and len(self._pivots) < n:
-            self._pivot([(i, None) for _, i in self._missed])
-            self.check()
-        k, dtype = len(self._pivots), self._ut.dtype
-        self._ut = self._v = None  # the working factors are spent; free them before the replay
-        ut, v = np.zeros((2, k, n), dtype)
-        f_rows = self._sample([i for i, _ in self._pivots], slice(None)) / scale * dw
-        f_cols = self._sample(slice(None), [j for _, j in self._pivots]) / scale * dw
-        for m, (i, j) in enumerate(self._pivots):
-            row = f_rows[m] - ut[:m, i] @ v[:m]
-            at = int(np.argmax(np.abs(row)))
-            if row[at] == 0:
-                continue
-            column = f_cols[:, m] if at == j else self._sample(slice(None), [at])[:, 0] / scale * dw
-            v[m] = row / row[at]
-            ut[m] = column - ut[:m].T @ v[:m, at]
-        return ut, v
+    def certify(self) -> tuple[np.ndarray, np.ndarray]:
+        """The factors ``ut``, ``v`` (k x n) with f * d_omega = ut.T @ v, once no row is above the floor."""
+        n = self._grid.n_points
+        restarts = self._check()
+        while restarts and self._rank < n:
+            first = self._rank
+            self._pivot(self._rows(restarts))
+            ut, v = self._ut[first : self._rank], self._v[first : self._rank]
+            # v_k is a residual row over its largest sample, so max|v_k| = 1
+            self._bound += np.sum(np.abs(ut), axis=0)
+            for rows, residual in self._kept:
+                residual -= ut[:, rows].T @ v
+                self._bound[rows] = np.max(np.abs(residual), axis=1)
+            restarts = self._check()
+        return self._ut[: self._rank].copy(), self._v[: self._rank].copy()
 
 
 def schmidt_decompose(jsa: GaussianJsa | JsaMatrix, n_retained: int = 10) -> SchmidtData:

@@ -55,29 +55,47 @@ def lossy_epr_block(eta: float, r: float) -> np.ndarray:
     )
 
 
-def meshgrid_gaussian_jsa(params, grid):
-    """Normalized double-Gaussian amplitude built on meshgrids, without the truncation guard.
+def meshgrid_raw_gaussian(params, grid):
+    """The unnormalized double Gaussian built on meshgrids, as two exponentials of rotated coordinates.
 
-    The dense oracle of the closed-form amplitude: the construction the
-    library used before it sampled the amplitude block by block, whose
-    values every sample must equal bit for bit.
+    The construction the library used before it sampled the amplitude in
+    closed form, one exponential a sample.
     """
     w = grid.points
     ws, wi = np.meshgrid(w, w, indexing="ij")
     u = ws * np.cos(params.theta) + wi * np.sin(params.theta)
     v = -ws * np.sin(params.theta) + wi * np.cos(params.theta)
-    raw = np.exp(-(u**2) / (2 * params.sigma_a**2)) * np.exp(
-        -(v**2) / (2 * params.sigma_b**2)
-    )
+    return np.exp(-(u**2) / (2 * params.sigma_a**2)) * np.exp(-(v**2) / (2 * params.sigma_b**2))
+
+
+def meshgrid_gaussian_jsa(params, grid):
+    """Normalized double-Gaussian amplitude built on meshgrids, without the truncation guard."""
+    raw = meshgrid_raw_gaussian(params, grid)
     grid_mass = float(np.sum(raw**2) * grid.d_omega**2)
     return raw / np.sqrt(grid_mass)
 
 
+def longdouble_gaussian(params, grid, rows):
+    """exp(-q) and q of the unnormalized double Gaussian on grid[rows] x grid, in extended precision.
+
+    q = u^2 / (2 sigma_a^2) + v^2 / (2 sigma_b^2) with the rotated
+    coordinates u, v of the grid's float64 points, evaluated in
+    ``np.longdouble``: the exact values a double-precision sampler is
+    judged against.
+    """
+    w = grid.points.astype(np.longdouble)
+    theta = np.longdouble(params.theta)
+    cos, sin = np.cos(theta), np.sin(theta)
+    ws, wi = w[rows, None], w[None, :]
+    u = ws * cos + wi * sin
+    v = -ws * sin + wi * cos
+    q = u * u / (2 * np.longdouble(params.sigma_a) ** 2) + v * v / (2 * np.longdouble(params.sigma_b) ** 2)
+    return np.exp(-q), q
+
+
 def dense_values(jsa):
-    """Every sample of an amplitude as one n x n array: a stored one's values, a Gaussian's meshgrid."""
-    if hasattr(jsa, "values"):
-        return jsa.values
-    return meshgrid_gaussian_jsa(jsa.params, jsa.grid)
+    """Every sample of an amplitude as one n x n array, read through its own ``sample``."""
+    return jsa.sample(slice(None), slice(None))
 
 
 def chirped_jsa(grid, rate):

@@ -622,6 +622,7 @@ class TestMainEntry:
             ("sigma_b = 1e200", 1),
             ("sigma_a = 0.01", 1),
             ("sigma_a = 1e-100", 1),
+            ("sigma_a = 1e-100\nsigma_b = 1e-100", 1),
             ("n_points = 2\nmass_tolerance = 1\nsigma_a = 1e-100", 1),
             ("filter_kind = gauss\nfilter_width = 1e300", 1),
         ],
