@@ -127,6 +127,11 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
+def _skeleton_mass(ut: np.ndarray, v: np.ndarray) -> float:
+    """sum |ut^T v|^2 of a real k-term skeleton, as sum (ut ut^T) o (v v^T) in O(k^2 n)."""
+    return float(np.sum((ut @ ut.T) * (v @ v.T)))
+
+
 @dataclass(frozen=True)
 class JsaMatrix:
     """Joint spectral amplitude stored as samples on grid x grid (rows = signal axis).
@@ -305,7 +310,7 @@ def build_gaussian_jsa(
     """
     cross = _CrossApproximation(lambda rows, cols: _raw_gaussian(params, grid.points, rows, cols), grid)
     ut, v = cross.certify()
-    grid_mass = float(np.sum((ut @ ut.T) * (v @ v.T)))
+    grid_mass = _skeleton_mass(ut, v)
     analytic_mass = float(np.pi * params.sigma_a * params.sigma_b)
     off_grid = 1.0 - grid_mass / analytic_mass
     # grid_mass > 0 refuses a grid holding no mass also under a tolerance >= 1;

@@ -9,7 +9,7 @@ import pdcfilter as pf
 from pdcfilter import spectral
 from pdcfilter.blas import calling_thread
 from pdcfilter.errors import ConfigurationError, GridTruncationError, NumericsError
-from pdcfilter.spectral import _fix_phases, _row_blocks
+from pdcfilter.spectral import _fix_phases, _row_blocks, _skeleton_mass
 
 from oracles import (
     GAIN_6DB,
@@ -154,6 +154,47 @@ class TestGaussianJsa:
     def test_bad_params_rejected(self):
         with pytest.raises(ConfigurationError):
             pf.GaussianJsaParams(0.0, 2.0, 0.0)
+
+
+class TestPairwiseSquareSum:
+    """The mass read from the skeleton equals numpy's sum of squares of the samples it stands for.
+
+    The builder never holds the n x n samples: it reads the mass as
+    sum (ut ut^T) o (v v^T).  These hold that to round-off against numpy
+    summing the squares of every sample.
+    """
+
+    @pytest.mark.parametrize(
+        "size", [1, 7, 127, 128, 129, 1001, 8192, 8193, 24581, 101**2, 383**2, 1599**2]
+    )
+    def test_equals_numpy_sum_of_squares(self, size):
+        # a k-term skeleton of size samples, rows x cols as square as size
+        # allows (1 x size for a prime), its terms eleven decades apart
+        rng = np.random.default_rng(size)
+        rows = max(d for d in range(1, int(np.sqrt(size)) + 1) if size % d == 0)
+        cols, k = size // rows, int(rng.integers(1, 13))
+        ut = rng.standard_normal((k, rows)) * np.exp(rng.uniform(-12.0, 12.0, (k, 1)))
+        v = rng.standard_normal((k, cols))
+        dense = float(np.sum(np.square(ut.T @ v)))
+        # first-order round-off of both sums: the Grams, the k^2 products,
+        # the k-term samples and numpy's pairwise sum, relative to the sum of
+        # |ut|^T |v| squared
+        scale = float(np.sum(np.square(np.abs(ut).T @ np.abs(v))))
+        bound = (rows + cols + k * k + 2 * k + np.log2(size) + 1) * np.finfo(float).eps * scale
+        assert abs(_skeleton_mass(ut, v) - dense) <= bound
+
+    @pytest.mark.parametrize("n", [2, 3, 100, 101, 600, 1599])
+    def test_equals_numpy_on_row_blocks(self, n):
+        # the reference amplitude read in the builder's row blocks; an
+        # unbounded tolerance admits the 2- and 3-point grids, whose
+        # skeletons are of full rank
+        grid = pf.build_frequency_grid(n, -10.0, 10.0)
+        params = pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4)
+        jsa = pf.build_gaussian_jsa(params, grid, max_truncated_mass=np.inf)
+        total = 0.0
+        for block in _row_blocks(n):
+            total += np.sum(np.square(spectral._raw_gaussian(params, grid.points, block, _ALL)))
+        assert abs(jsa.grid_mass / (total * grid.d_omega**2) - 1) <= 1e-14
 
 
 # amplitudes of the reference state (sigma_a 6, sigma_b 2, [-10, 10]) above
