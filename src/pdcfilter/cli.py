@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -64,7 +65,14 @@ from .spectral import (
 _BASIS_CHOICES = ("schmidt", "svd", "ga")
 # bases that do not read the gain: a sweep selects them once per filter
 _GAIN_FREE_BASES = ("schmidt", "svd")
-_FILTER_CHOICES = ("rect", "gauss", "identity", "blocking", "flat")
+# filter_kind -> the filter a config and a grid give
+_FILTERS = {
+    "rect": lambda config, grid: make_rect_filter(config.filter_center, config.filter_width, grid),
+    "gauss": lambda config, grid: make_gauss_filter(config.filter_center, config.filter_width, grid),
+    "identity": lambda config, grid: make_identity_filter(grid),
+    "blocking": lambda config, grid: make_blocking_filter(grid),
+    "flat": lambda config, grid: make_flat_filter(config.filter_amplitude, grid),
+}
 # passband-sized float arrays alive at once in the svd basis's decomposition, at
 # most: the block, its masked product, both SVD factors and the LAPACK work
 _PASSBAND_ARRAYS = 10
@@ -115,10 +123,8 @@ class RunConfig:
                 raise ConfigurationError(f"{f.name} must lie in [-2^63, 2^63)")
         if self.basis not in _BASIS_CHOICES:
             raise ConfigurationError(f"basis must be one of {_BASIS_CHOICES}, got {self.basis!r}")
-        if self.filter_kind not in _FILTER_CHOICES:
-            raise ConfigurationError(
-                f"filter_kind must be one of {_FILTER_CHOICES}, got {self.filter_kind!r}"
-            )
+        if self.filter_kind not in _FILTERS:
+            raise ConfigurationError(f"filter_kind must be one of {tuple(_FILTERS)}, got {self.filter_kind!r}")
         if self.gain_b is not None and self.target_db is not None:
             raise ConfigurationError("set either gain_b or target_db, not both")
         if self.gain_b is None and self.target_db is None:
@@ -198,24 +204,13 @@ def build_config(config_path=None, **overrides) -> RunConfig:
     return RunConfig(**values)
 
 
-def _make_filter(config: RunConfig, grid) -> Filter:
-    if config.filter_kind == "rect":
-        return make_rect_filter(config.filter_center, config.filter_width, grid)
-    if config.filter_kind == "gauss":
-        return make_gauss_filter(config.filter_center, config.filter_width, grid)
-    if config.filter_kind == "identity":
-        return make_identity_filter(grid)
-    if config.filter_kind == "blocking":
-        return make_blocking_filter(grid)
-    return make_flat_filter(config.filter_amplitude, grid)
-
-
 @dataclass(frozen=True)
 class RunReport:
-    """Everything one pipeline execution produced.
+    """Everything one point of the pipeline produced: one filter width, one gain.
 
-    The Schmidt decomposition, filters, basis and grid of the run are those
-    of ``projections``.
+    ``config`` is the run's configuration with ``filter_width`` set to the
+    point's width.  The gained Schmidt decomposition, filters, basis and grid
+    of the point are those of ``projections``.
     """
 
     config: RunConfig
@@ -280,32 +275,56 @@ def _select_basis(
     return MeasurementBasis.from_shared(ga_result.modes, jsa.grid), ga_result
 
 
-def _measure(proj: ProjectionSet) -> tuple[CovarianceMatrix, list]:
-    """Stage 3: covariance and squeezing entries of the gained state a projection set sees."""
-    cov = assemble_covariance(proj)
-    return cov, squeezing_report(cov)
+def _points(config: RunConfig, jsa: GaussianJsa, schmidt: SchmidtData, widths, gains):
+    """Stages 2-3 at each (width, gain) of ``widths`` x ``gains``, widths outermost.
+
+    Yields one ``RunReport`` a point, or the ``ConfigurationError`` /
+    ``NumericsError`` that stopped it.  Each width builds its filter and
+    selects a gain-free basis (schmidt, svd) once, before any gain is applied,
+    so a point's filter or basis error comes before its gain error; such a
+    basis is also projected onto once a width, since the overlaps and vacuum
+    Grams do not read the gain.  The genetic search scores the gained state,
+    so it runs per point, after the gain.
+    """
+    gain_free = config.basis in _GAIN_FREE_BASES
+    for width in widths:
+        point = dataclasses.replace(config, filter_width=width)
+        try:
+            filt = _FILTERS[point.filter_kind](point, jsa.grid)
+            basis, ga_result = _select_basis(point, jsa, schmidt, filt) if gain_free else (None, None)
+        except (ConfigurationError, NumericsError) as exc:
+            yield from (exc for _ in gains)
+            continue
+        proj = None
+        for gain in gains:
+            try:
+                gained = apply_gain(schmidt, gain)
+                if not gain_free:
+                    basis, ga_result = _select_basis(point, jsa, gained, filt)
+                if gain_free and proj is not None:
+                    proj = dataclasses.replace(proj, schmidt=gained)
+                else:
+                    proj = filtered_projections(gained, filt, filt, basis)
+                cov = assemble_covariance(proj)
+                entries = squeezing_report(cov)
+                smc = single_mode_character(entries)
+                yield RunReport(point, float(gain), cov, entries, purity(cov), smc, jsa, proj, ga_result)
+            except (ConfigurationError, NumericsError) as exc:
+                yield exc
 
 
 def run_single(config: RunConfig) -> RunReport:
-    """Execute decomposition -> filtering -> basis selection -> covariance -> metrics."""
+    """The one point of ``_points`` at ``config``'s filter width and gain.
+
+    Stage 1 runs first, then the gain is resolved (``gain_b``, or the gain
+    that gives ``target_db``); the point's error, if any, is raised.
+    """
     jsa, schmidt = _prepare_state(config, (config.filter_width,))
     gain = config.gain_b if config.gain_b is not None else gain_for_target_db(schmidt, config.target_db)
-    schmidt = apply_gain(schmidt, gain)
-    filt = _make_filter(config, jsa.grid)
-    basis, ga_result = _select_basis(config, jsa, schmidt, filt)
-    proj = filtered_projections(schmidt, filt, filt, basis)
-    cov, entries = _measure(proj)
-    return RunReport(
-        config=config,
-        gain_b=float(gain),
-        covariance=cov,
-        squeezing=entries,
-        purity=purity(cov),
-        single_mode_character=single_mode_character(entries),
-        jsa=jsa,
-        projections=proj,
-        ga_result=ga_result,
-    )
+    (outcome,) = _points(config, jsa, schmidt, (config.filter_width,), (gain,))
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -325,46 +344,20 @@ class TradeoffRecord:
 def sweep_tradeoff(config: RunConfig) -> list[TradeoffRecord]:
     """Trade-off records over sweep_widths x sweep_target_dbs, sorted by (gain, width).
 
-    The state is prepared once.  Each width builds its filter once and, for
-    a gain-free basis, selects it and projects onto it once; the genetic
-    search runs per point.
-    A failing point is recorded with its error message and the sweep
-    continues.
+    The state is prepared once and each point is the ``run_single`` of its
+    own width and target: the same points of ``_points``.  A failing point is
+    recorded with its error's type and message, and the sweep continues.
     """
-    jsa, schmidt0 = _prepare_state(config, config.sweep_widths)
-    gains = [gain_for_target_db(schmidt0, target) for target in config.sweep_target_dbs]
-    gain_free = config.basis in _GAIN_FREE_BASES
-
-    def record(width, gain, first_db=math.nan, smc=math.nan, pur=math.nan, error="") -> TradeoffRecord:
-        return TradeoffRecord(width, gain, first_db, smc, pur, schmidt0.tail_weight, config.basis, error)
-
-    def failed(width, gain, exc) -> TradeoffRecord:
-        return record(width, gain, error=f"{type(exc).__name__}: {exc}")
-
+    jsa, schmidt = _prepare_state(config, config.sweep_widths)
+    gains = [gain_for_target_db(schmidt, target) for target in config.sweep_target_dbs]
     records = []
-    for width in config.sweep_widths:
-        point = dataclasses.replace(config, filter_width=width)
-        try:
-            filt = _make_filter(point, jsa.grid)
-            width_basis = _select_basis(point, jsa, schmidt0, filt)[0] if gain_free else None
-        except (ConfigurationError, NumericsError) as exc:
-            records += [failed(width, gain, exc) for gain in gains]
-            continue
-        # the overlaps and vacuum Grams of a gain-free basis do not depend on the gain
-        width_proj = None
-        for gain in gains:
-            try:
-                schmidt = apply_gain(schmidt0, gain)
-                if gain_free and width_proj is not None:
-                    proj = dataclasses.replace(width_proj, schmidt=schmidt)
-                else:
-                    basis = width_basis if gain_free else _select_basis(point, jsa, schmidt, filt)[0]
-                    proj = width_proj = filtered_projections(schmidt, filt, filt, basis)
-                cov, entries = _measure(proj)
-                smc = single_mode_character(entries)
-                records.append(record(width, gain, entries[0].squeezing_db, smc, purity(cov)))
-            except (ConfigurationError, NumericsError) as exc:
-                records.append(failed(width, gain, exc))
+    points = _points(config, jsa, schmidt, config.sweep_widths, gains)
+    for (width, gain), point in zip(itertools.product(config.sweep_widths, gains), points):
+        if isinstance(point, Exception):
+            numbers, error = (math.nan,) * 3, f"{type(point).__name__}: {point}"
+        else:
+            numbers, error = (point.squeezing[0].squeezing_db, point.single_mode_character, point.purity), ""
+        records.append(TradeoffRecord(width, gain, *numbers, schmidt.tail_weight, config.basis, error))
     records.sort(key=lambda rec: (rec.gain_b, rec.filter_width))
     return records
 
@@ -561,6 +554,11 @@ def _dispatch(args) -> int:
             rng_seed=args.seed,
             basis=args.basis,
         )
+        if args.verb == "validate":
+            if not validate(config):
+                return 2
+            print("all invariants hold")
+            return 0
         if args.verb == "run":
             report = run_single(config)
             written = export_report(report, args.out)
@@ -569,19 +567,12 @@ def _dispatch(args) -> int:
                 f"run complete: first mode {first:.4f} dB, purity {report.purity:.6g}, "
                 f"single-mode character {report.single_mode_character:.4f}"
             )
-            for path in written:
-                print(f"  wrote {path}")
-        elif args.verb == "sweep":
+        else:
             records = sweep_tradeoff(config)
             written = export_tradeoff(records, config, args.out)
-            failed = sum(1 for rec in records if rec.error)
-            print(f"sweep complete: {len(records)} points, {failed} failed")
-            for path in written:
-                print(f"  wrote {path}")
-        else:
-            if not validate(config):
-                return 2
-            print("all invariants hold")
+            print(f"sweep complete: {len(records)} points, {sum(1 for rec in records if rec.error)} failed")
+        for path in written:
+            print(f"  wrote {path}")
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -563,7 +563,7 @@ class TestMainEntry:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 5: covariance entries of size cosh 2r lose eps e^(4r) to round-off, "
+        reason="ROADMAP item 6: covariance entries of size cosh 2r lose eps e^(4r) to round-off, "
         "so min nu reads 0.499988 (gain 8) and 0.49940 (gain 10) and the run exits 2",
     )
     @pytest.mark.parametrize("gain", [8, 10])
@@ -734,27 +734,39 @@ def test_validate_builds_state_once(basis, monkeypatch):
 @pytest.mark.parametrize("basis", ["schmidt", "svd", "ga"])
 def test_sweep_points_equal_single_runs(basis):
     # the sweep reuses the state and, for schmidt and svd, one basis per
-    # width; each point must still be exactly the run of its own config
-    config = RunConfig(
-        n_points=60,
-        n_retained=4,
-        basis=basis,
-        sweep_widths=(2.0, 4.0, 8.0),
-        sweep_target_dbs=(3.0, 6.0),
-        ga_modes=1,
-        population=16,
-    )
-    records = sweep_tradeoff(config)
-    expected = [
-        (width, target) for target in config.sweep_target_dbs for width in config.sweep_widths
-    ]
-    assert len(records) == len(expected)
-    for rec, (width, target) in zip(records, expected):
-        report = run_single(dataclasses.replace(config, filter_width=width, target_db=target))
-        assert not rec.error and rec.filter_width == width and rec.gain_b == report.gain_b
-        assert rec.first_mode_squeezing_db == report.squeezing[0].squeezing_db
-        assert rec.purity == report.purity
-        assert rec.single_mode_character == report.single_mode_character
+    # width; each point must still be exactly the run of its own config.  On
+    # the gauss grid a fwhm of 1e-200 is refused and 100 dB puts r_1 past
+    # 9.18, so three points fail, one with both faults: the run of each must
+    # fail with the error the sweep recorded, the filter's before the gain's
+    grids = {"rect": ((2.0, 4.0, 8.0), (3.0, 6.0), 0), "gauss": ((1e-200, 4.0), (6.0, 100.0), 3)}
+    for kind, (widths, targets, n_failed) in grids.items():
+        config = RunConfig(
+            n_points=60,
+            n_retained=4,
+            basis=basis,
+            filter_kind=kind,
+            sweep_widths=widths,
+            sweep_target_dbs=targets,
+            ga_modes=1,
+            population=16,
+        )
+        records = sweep_tradeoff(config)
+        expected = [(width, target) for target in targets for width in widths]
+        assert len(records) == len(expected)
+        assert sum(1 for rec in records if rec.error) == n_failed
+        for rec, (width, target) in zip(records, expected):
+            point = dataclasses.replace(config, filter_width=width, target_db=target)
+            assert rec.filter_width == width
+            if rec.error:
+                with pytest.raises((ConfigurationError, pf.NumericsError)) as caught:
+                    run_single(point)
+                assert rec.error == f"{caught.type.__name__}: {caught.value}"
+                continue
+            report = run_single(point)
+            assert rec.gain_b == report.gain_b
+            assert rec.first_mode_squeezing_db == report.squeezing[0].squeezing_db
+            assert rec.purity == report.purity
+            assert rec.single_mode_character == report.single_mode_character
 
 
 @pytest.mark.parametrize("verb", ["run", "sweep"])
