@@ -1,17 +1,17 @@
 """Measurement bases adapted to the applied filters.
 
-Two decompositions live here.  The effective Schmidt basis comes from the
-SVD of the filter-masked amplitude T_a(w_s) T_b(w_i) f(w_s, w_i): its modes
-concentrate the surviving squeezing inside the passband and its singular
-values lambda'_k, scaled by the gain to r'_k = B lambda'_k, bound the
-per-mode squeezing left after filtering (they contract: r'_k <= r_k whenever
-|T| <= 1 on both arms).  Neither depends on B, so one decomposition serves
-every gain.
-Rows and columns where a filter transmits exactly nothing are zero and add
-nothing to that SVD, so only the passband block is decomposed: for a
-rectangular filter the cost falls from O(n^3) to O(|S| |I| min(|S|, |I|))
-with S and I the transmitting samples of the two arms, and the result is the
-same decomposition, not an approximation.
+Two decompositions live here, both on the thin-factor SVD core of
+``spectral``: a QR of each k x n factor and one SVD of the small core.  The
+effective Schmidt basis comes from the SVD of the filter-masked amplitude
+T_a(w_s) T_b(w_i) f(w_s, w_i): its modes concentrate the surviving
+squeezing inside the passband and its singular values lambda'_k, scaled by
+the gain to r'_k = B lambda'_k, bound the per-mode squeezing left after
+filtering (they contract: r'_k <= r_k whenever |T| <= 1 on both arms).
+Neither depends on B, so one decomposition serves every gain.  The masked
+amplitude is read from the amplitude's certified cross-approximation
+factors, restricted to the transmitting samples and weighted by the
+transmissions: no sample is evaluated and no n x n array is formed,
+whatever the filter.
 
 The second decomposition targets the special case of identical real
 signal/idler modes, one common filter, and uniform gain: the SVD of the
@@ -34,10 +34,10 @@ from .spectral import (
     GaussianJsa,
     JsaMatrix,
     SchmidtData,
-    _factored_schmidt,
+    _factored_svd,
     _kept_pairs,
+    _pad_rows,
     _schmidt_from_svd,
-    _svd_failure,
 )
 
 
@@ -63,21 +63,24 @@ def svd_effective_basis(
 ) -> SchmidtData:
     """Decompose the filter-masked amplitude into the effective basis.
 
-    Only the passband block T_a[S] T_b[I] f[S, I] is sampled and decomposed,
-    with S and I the samples where the signal and idler filters transmit;
-    its singular vectors are embedded back onto the grid, so every mode with
-    r' > 0 is exactly zero outside its arm's passband.  A filter with no zero sample
-    decomposes the whole masked amplitude.  The SVD is taken of the unscaled
-    block: a global positive gain changes no singular vector, so the basis
-    holds for every gain B and the squeezing amplitudes are r' = B lambda'.
+    The masked amplitude is (ut T_a)^T (v T_b) with ``ut``, ``v`` the
+    amplitude's certified factors (``jsa.skeleton``, f * d_omega = ut^T v to
+    the noise floor).  Its factors on S and I, the samples where the signal
+    and idler filters transmit, are zero-padded to ``n_retained`` rows as
+    :func:`~pdcfilter.spectral.schmidt_decompose` pads them and decomposed by
+    one QR each and one SVD of the small core; the singular vectors are
+    embedded back onto the grid, so every mode with r' > 0 is exactly zero
+    outside its arm's passband.  A global positive gain changes no singular
+    vector, so the basis holds for every gain B and the squeezing amplitudes
+    are r' = B lambda'.
 
     The result is a ``SchmidtData`` of the masked amplitude: ``lambdas`` are
     the filtered amplitudes lambda', ``tail_weight`` is sum_{k > n_retained}
     lambda'_k^2, and no gain is applied.  Only its kept pairs (the reported
     and the excited, as for every ``SchmidtData``) are embedded on the grid.
-    Past the block's min(|S|, |I|) triples, when n_retained is larger, the
-    pairs have lambda' = 0, and each arm fills them first with its unused
-    block singular vectors, then with unit vectors 1/sqrt(d_omega) at its
+    Past min(|S|, |I|) triples, when n_retained is larger, the pairs have
+    lambda' = 0, and each arm fills them first with its unused singular
+    vectors on its support, then with unit vectors 1/sqrt(d_omega) at its
     off-support samples in grid order.
     """
     grid = jsa.grid
@@ -88,12 +91,9 @@ def svd_effective_basis(
         raise ConfigurationError(f"n_retained must lie in [1, {n}]")
     ta, tb = filter_signal.transmission, filter_idler.transmission
     rows, cols = np.flatnonzero(ta), np.flatnonzero(tb)
-    block = ta[rows, None] * tb[None, cols] * jsa.sample(rows, cols)
-    block *= grid.d_omega
-    try:
-        u, s, vh = np.linalg.svd(block)
-    except np.linalg.LinAlgError as exc:
-        raise _svd_failure(block) from exc
+    ut, v = jsa.skeleton
+    left, right = _pad_rows(ut[:, rows] * ta[rows], n_retained), _pad_rows(v[:, cols] * tb[cols], n_retained)
+    u, s, vh = _factored_svd(left, right)
     k = _kept_pairs(s, n_retained)
     s = np.concatenate([s, np.zeros(max(0, k - len(s)))])
     return _schmidt_from_svd(grid, _embed(u, rows, n, k), s, _embed(vh.T, cols, n, k).T, n_retained)
@@ -138,7 +138,7 @@ def filtered_projector_decomposition(
             "retained signal and idler modes must be identical for the uniform-loss decomposition"
         )
     rows = np.sqrt(schmidt.grid.d_omega) * np.real(psi)
-    dec = _factored_schmidt(schmidt.grid, rows * filt.transmission, rows, m)
+    dec = _schmidt_from_svd(schmidt.grid, *_factored_svd(rows * filt.transmission, rows), m)
     return FilteredProjectorModes(
         grid=schmidt.grid,
         transmissions=dec.lambdas,

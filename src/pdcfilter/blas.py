@@ -1,13 +1,16 @@
 """Keep numpy's OpenBLAS on the calling thread while a command runs.
 
 OpenBLAS threads the level-2 steps inside every LAPACK panel, so the QR of a
-Schmidt skeleton factor or the SVD of a passband block wakes its pool once
-per column.  On a 2-vCPU machine one thread was faster for both (0.31 against
-0.66 ms for a 600 x 26 QR, 1.4 against 2.5 ms for the width-4 passband SVD at
-n = 600), and with one CPU busy elsewhere the default 600-point sweep took
-176 ms on one thread against 265 ms on two.  ``cli.main`` therefore runs its
-verb under ``calling_thread()``.  Library calls keep the library default;
-nothing here changes a result, only which thread computes it.
+skeleton factor wakes its pool once per column; at a run's sizes (k x n
+factors with k about 26, a k x k core, the genetic search's products) that
+costs more than it saves, and it stalls whenever another process holds a
+core.  On a 2-vCPU machine a 600 x 26 QR took 0.38 ms on one thread against
+0.81 ms on two, and ten alternating 35 s benchmark runs with and without
+this read median ``run_hires`` 19.6 against 17.8 items/s and ``ga_search``
+0.61 against 0.58 /s; ``sweep_grid`` was level (566 against 555).
+``cli.main`` therefore runs its verb under ``calling_thread()``.  Library
+calls keep the library default; nothing here changes a result, only which
+thread computes it.
 
 Only the OpenBLAS that numpy wheels bundle in ``numpy.libs`` is found; with
 any other BLAS both functions do nothing.

@@ -50,7 +50,6 @@ from .genetic import (
 )
 from .metrics import SqueezingEntry, purity, purity_routes, single_mode_character, squeezing_report
 from .spectral import (
-    FrequencyGrid,
     GaussianJsa,
     GaussianJsaParams,
     SchmidtData,
@@ -73,9 +72,6 @@ _FILTERS = {
     "blocking": lambda config, grid: make_blocking_filter(grid),
     "flat": lambda config, grid: make_flat_filter(config.filter_amplitude, grid),
 }
-# passband-sized float arrays alive at once in the svd basis's decomposition, at
-# most: the block, its masked product, both SVD factors and the LAPACK work
-_PASSBAND_ARRAYS = 10
 # amplitude samples a run may read: every run evaluates all n_points^2 of them
 # once, about 10 s at this size (some 10 ns a sample), whichever basis it selects
 _MAX_SAMPLES = 2**30
@@ -224,34 +220,9 @@ class RunReport:
     ga_result: OptimizedBasis | None = field(default=None, repr=False)
 
 
-def _require_passband_memory(config: RunConfig, grid: FrequencyGrid, widths) -> None:
-    """Refuse an svd basis whose widest passband block would outgrow the memory limit.
-
-    The estimate is arithmetic on the config, |S| x |I| x 8 B x
-    ``_PASSBAND_ARRAYS``, with |S| = |I| the samples the filter transmits:
-    at most width / d_omega + 1 for a rect filter, every sample for a gauss,
-    identity or flat filter, none for the blocking filter.
-    """
-    if config.basis != "svd" or config.filter_kind == "blocking":
-        return
-    n = grid.n_points
-    width = max(widths)
-    side = int(min(n, max(0.0, width / grid.d_omega + 1))) if config.filter_kind == "rect" else n
-    need = side * side * 8 * _PASSBAND_ARRAYS
-    if need > GA_MEMORY_LIMIT:
-        raise ConfigurationError(
-            f"the {config.filter_kind} filter's {side} x {side} passband block at n_points {n} needs "
-            f"about {need / 2**30:.3g} GiB for the svd basis, above the {GA_MEMORY_LIMIT / 2**30:g} GiB limit"
-        )
-
-
-def _prepare_state(config: RunConfig, widths) -> tuple[GaussianJsa, SchmidtData]:
-    """Stage 1: the grid, the amplitude and its ungained Schmidt decomposition.
-
-    ``widths`` are the filter widths the run will decompose the passband of.
-    """
+def _prepare_state(config: RunConfig) -> tuple[GaussianJsa, SchmidtData]:
+    """Stage 1: the grid, the amplitude and its ungained Schmidt decomposition."""
     grid = build_frequency_grid(config.n_points, config.omega_min, config.omega_max)
-    _require_passband_memory(config, grid, widths)
     params = GaussianJsaParams(config.sigma_a, config.sigma_b, config.theta)
     jsa = build_gaussian_jsa(params, grid, max_truncated_mass=config.mass_tolerance)
     return jsa, schmidt_decompose(jsa, n_retained=config.n_retained)
@@ -319,7 +290,7 @@ def run_single(config: RunConfig) -> RunReport:
     Stage 1 runs first, then the gain is resolved (``gain_b``, or the gain
     that gives ``target_db``); the point's error, if any, is raised.
     """
-    jsa, schmidt = _prepare_state(config, (config.filter_width,))
+    jsa, schmidt = _prepare_state(config)
     gain = config.gain_b if config.gain_b is not None else gain_for_target_db(schmidt, config.target_db)
     (outcome,) = _points(config, jsa, schmidt, (config.filter_width,), (gain,))
     if isinstance(outcome, Exception):
@@ -348,7 +319,7 @@ def sweep_tradeoff(config: RunConfig) -> list[TradeoffRecord]:
     own width and target: the same points of ``_points``.  A failing point is
     recorded with its error's type and message, and the sweep continues.
     """
-    jsa, schmidt = _prepare_state(config, config.sweep_widths)
+    jsa, schmidt = _prepare_state(config)
     gains = [gain_for_target_db(schmidt, target) for target in config.sweep_target_dbs]
     records = []
     points = _points(config, jsa, schmidt, config.sweep_widths, gains)

@@ -40,8 +40,8 @@ _BLOCK_MULADDS = 2**18
 # uniform draws), two boolean masks, and three for the fitness product when
 # every Schmidt row is above the noise floor
 _LIVE_ARRAYS = 9
-# the largest working set a run may ask for, in bytes (2 GiB): of the
-# genetic search, and of the svd basis's passband block (``cli._require_passband_memory``)
+# the largest working set the genetic search may ask for, in bytes (2 GiB); the
+# schmidt and svd bases form no n x n array
 GA_MEMORY_LIMIT = 2**31
 
 

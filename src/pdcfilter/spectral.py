@@ -47,9 +47,14 @@ _KEPT_SAMPLES = 4 * _BLOCK_SAMPLES
 # the widths for which 2 sigma^2, the Gaussians' divisor, is a normal finite float
 _SIGMA_MIN = float(np.sqrt(np.finfo(float).tiny / 2))
 _SIGMA_MAX = float(np.sqrt(np.finfo(float).max / 2))
-# relative magnitude gap below which two samples tie for a mode's peak, or two
-# rows for the one nearest zero detuning
+# relative gap below which two rows tie for the one nearest zero detuning
 _PEAK_TIE = 1e-8
+# relative magnitude gap below which two samples tie for a mode's peak.  SVD
+# round-off fixes mode k only to about eps lambda_1 / lambda_k, so the mirror
+# peaks of an odd mode near the noise floor differ by far more than the
+# samples' round-off: by up to 4.2e-4 for the benchmark reference's mode 10,
+# at 3e-13 lambda_1
+_PHASE_TIE = 1e-3
 # the first mode's squeezed variance e^(-2r) is a difference of terms of size
 # cosh(2r); beyond this r it falls below their round-off eps * cosh(2r)
 _R_MAX = 0.25 * float(np.log(2.0 / np.finfo(float).eps))
@@ -335,12 +340,12 @@ def build_gaussian_jsa(
 def _fix_phases(signal: np.ndarray, idler: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Rotate each signal mode so its largest-magnitude sample is real positive;
     # the paired idler mode absorbs the compensating phase.  Samples within
-    # _PEAK_TIE of the peak count as ties and the highest-frequency one wins,
+    # _PHASE_TIE of the peak count as ties and the highest-frequency one wins,
     # so the two mirror peaks of an odd mode on a symmetric grid fix the same
     # sign whichever SVD routine produced the mode.
     mag = np.abs(signal)[:, ::-1]
     peak = np.max(mag, axis=1, keepdims=True)
-    idx = signal.shape[1] - 1 - np.argmax(mag >= peak * (1.0 - _PEAK_TIE), axis=1)
+    idx = signal.shape[1] - 1 - np.argmax(mag >= peak * (1.0 - _PHASE_TIE), axis=1)
     lead = signal[np.arange(signal.shape[0]), idx]
     mag = np.abs(lead)
     phase = np.where(mag > 0, lead / np.where(mag > 0, mag, 1.0), 1.0)
@@ -380,20 +385,27 @@ def _schmidt_from_svd(
     return SchmidtData(grid, signal, idler, s[:k], int(n_retained), float(np.sum(s[n_retained:] ** 2)))
 
 
-def _factored_schmidt(grid: FrequencyGrid, left: np.ndarray, right: np.ndarray, n_retained: int) -> SchmidtData:
-    """The kept pairs of the kernel K with K d_omega = left.T @ right, from its k x n factors.
+def _pad_rows(factor: np.ndarray, rows: int) -> np.ndarray:
+    """``factor`` with zero rows appended up to ``rows`` rows."""
+    return np.pad(factor, ((0, max(0, rows - len(factor))), (0, 0)))
 
-    A QR of each factor and one SVD of the k x k product of their triangles
-    give the triples without forming K.  The QRs complete factors of rank
-    below k (k >= n_retained) with orthonormal pairs of amplitude 0.
+
+def _factored_svd(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The SVD ``u, s, vh`` of left.T @ right from its k x m and k x n factors, never formed.
+
+    A QR of each factor and one SVD of the product of their triangles give
+    the triples.  ``u`` holds min(m, k) columns and ``vh`` min(n, k) rows:
+    past the min(m, n, k) triples, an arm's unused singular vectors.  The
+    QRs complete factors of rank below k with orthonormal vectors of
+    amplitude 0.
     """
     try:
         qu, ru = np.linalg.qr(left.T)
         qv, rv = np.linalg.qr(right.T)
         w, s, zh = np.linalg.svd(ru @ rv.T)
     except np.linalg.LinAlgError as exc:
-        raise _svd_failure(np.concatenate([left, right])) from exc
-    return _schmidt_from_svd(grid, qu @ w, s, zh @ qv.T, n_retained)
+        raise _svd_failure(np.concatenate([left, right], axis=1)) from exc
+    return qu @ w, s, zh @ qv.T
 
 
 class _CrossApproximation:
@@ -542,8 +554,8 @@ def schmidt_decompose(jsa: GaussianJsa | JsaMatrix, n_retained: int = 10) -> Sch
     if not 1 <= n_retained <= n:
         raise ConfigurationError(f"n_retained must lie in [1, {n}], got {n_retained}")
     ut, v = jsa.skeleton
-    pad = ((0, max(0, n_retained - len(ut))), (0, 0))
-    schmidt = _factored_schmidt(jsa.grid, np.pad(ut, pad), np.pad(v, pad), n_retained)
+    u, s, vh = _factored_svd(_pad_rows(ut, n_retained), _pad_rows(v, n_retained))
+    schmidt = _schmidt_from_svd(jsa.grid, u, s, vh, n_retained)
     total = float(np.sum(schmidt.lambdas[:n_retained] ** 2)) + schmidt.tail_weight
     if not abs(total - 1.0) <= 1e-10:
         raise NumericsError(f"Schmidt amplitudes violate Parseval: sum lambda^2 = {total!r}")

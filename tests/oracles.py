@@ -158,10 +158,9 @@ def full_schmidt(values, grid):
 def dense_effective_basis(jsa, filter_signal, filter_idler, n_retained=10):
     """Effective basis by the SVD of the whole n x n filter-masked amplitude.
 
-    The route the library took before it decomposed only the passband
-    block: all n mode pairs, rows beyond the filter rank an arbitrary
-    completion from LAPACK, with the library's phase convention so that
-    filters without a zero sample can be compared bit for bit.
+    The reference for the library's skeleton-factor route: all n mode
+    pairs, rows beyond the filter rank an arbitrary completion from LAPACK,
+    with the library's phase convention so that modes compare directly.
     """
     from pdcfilter.spectral import SchmidtData
 

@@ -32,8 +32,8 @@ class TestSvdEffectiveBasis:
         assert np.max(np.abs(eff.signal_modes[:5][:, outside])) < 1e-12
 
     def test_large_grid_embeds_only_reported_and_excited_pairs(self):
-        # width 8 at n = 1600: a 640 x 640 passband block, of whose triples
-        # only max(n_retained, excited) are embedded on the grid
+        # width 8 at n = 1600: 640 transmitting samples an arm, of whose
+        # triples only max(n_retained, excited) are embedded on the grid
         n = 1600
         grid = pf.build_frequency_grid(n, -10.0, 10.0)
         jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
@@ -50,7 +50,7 @@ class TestSvdEffectiveBasis:
         assert len(on) == 640 and excited > 10
         assert eff.n_modes == eff.n_excited == excited
         assert eff.signal_modes.shape == eff.idler_modes.shape == (excited, n)
-        # the block and its factors stay below one n x n float array
+        # the factors and their QRs stay below one n x n float array
         assert peak < n * n * 8
 
     def test_contraction_of_amplitudes(self, reference_200, rect4_200):
@@ -183,7 +183,7 @@ def _well_separated(lambdas):
 
 
 class TestPassbandSvd:
-    """The passband-block SVD against the SVD of the whole masked amplitude."""
+    """The skeleton-factor SVD against the SVD of the whole masked amplitude."""
 
     @pytest.mark.parametrize("case", sorted(_PASSBAND_CASES))
     def test_matches_dense_masked_svd(self, case, reference_200):
@@ -194,10 +194,14 @@ class TestPassbandSvd:
         dense = dense_effective_basis(jsa, fa, fb, n_retained=n_ret)
         on_s = np.flatnonzero(fa.transmission)
         on_i = np.flatnonzero(fb.transmission)
-        # the reported pairs and every pair above the oracle's noise floor
-        excited = int(np.sum(dense.lambdas > 1e-14 * dense.lambdas[0]))
-        k = max(n_ret, excited)
-        assert eff.n_modes == k and eff.n_excited == excited
+        # the reported pairs and every pair above the noise floor.  The skeleton
+        # holds f to 1e-14 of the whole amplitude's largest sample, so pairs are
+        # counted above 1e-12 of the unfiltered lambda_1: at the window edge
+        # (lambda'_1 = 1.1e-6 lambda_1) its noise pairs reach 6.8e-12 lambda'_1
+        k = eff.n_modes
+        assert k == max(n_ret, eff.n_excited)
+        resolved = 1e-12 * schmidt.lambdas[0]
+        assert np.sum(eff.lambdas > resolved) == np.sum(dense.lambdas > resolved)
         assert np.max(np.abs(gain * (eff.lambdas - dense.lambdas[:k]))) < 1e-12
         assert np.all(eff.lambdas[min(len(on_s), len(on_i)) :] == 0.0)
         assert abs(eff.tail_weight - dense.tail_weight) < 1e-15
@@ -224,19 +228,45 @@ class TestPassbandSvd:
         assert np.max(np.abs(covs[0].sigma - covs[1].sigma)) < 1e-9
 
     @pytest.mark.parametrize("case", sorted(_FULL_SUPPORT_CASES))
-    def test_full_support_is_bit_identical(self, case, reference_200):
-        jsa, _, _ = reference_200
-        filt = _FULL_SUPPORT_CASES[case](jsa.grid)
+    def test_full_support_matches_dense_svd(self, case, reference_200):
+        jsa, schmidt, _ = reference_200
+        grid = jsa.grid
+        filt = _FULL_SUPPORT_CASES[case](grid)
         assert np.all(filt.transmission != 0)
         eff = pf.svd_effective_basis(jsa, filt, filt, n_retained=10)
         dense = dense_effective_basis(jsa, filt, filt, n_retained=10)
-        # the same SVD, cut after the pairs above the noise floor
-        k = int(np.sum(dense.lambdas > 1e-14 * dense.lambdas[0]))
-        assert eff.n_modes == eff.n_excited == k > 10
-        assert np.array_equal(eff.lambdas, dense.lambdas[:k])
-        assert np.array_equal(eff.signal_modes, dense.signal_modes[:k])
-        assert np.array_equal(eff.idler_modes, dense.idler_modes[:k])
-        assert eff.tail_weight == dense.tail_weight
+        k, lam1 = eff.n_modes, dense.lambdas[0]
+        assert k == eff.n_excited > 10
+        assert np.sum(eff.lambdas > 1e-12 * lam1) == np.sum(dense.lambdas > 1e-12 * lam1)
+        assert np.max(np.abs(eff.lambdas - dense.lambdas[:k])) < 1e-12 * lam1
+        assert abs(eff.tail_weight - dense.tail_weight) < 1e-15
+        # the modes well above the noise floor, as unit vectors, under one phase convention
+        strong = np.flatnonzero(dense.lambdas[:k] >= 1e-3 * lam1)
+        for ours, oracle in ((eff.signal_modes, dense.signal_modes), (eff.idler_modes, dense.idler_modes)):
+            assert np.max(np.abs(ours[strong] - oracle[strong])) * np.sqrt(grid.d_omega) < 1e-12
+        covs = []
+        for basis_of in (eff, dense):
+            basis = pf.MeasurementBasis(basis_of.signal_modes[strong], basis_of.idler_modes[strong], grid)
+            covs.append(pf.assemble_covariance(pf.filtered_projections(schmidt, filt, filt, basis)))
+        assert np.max(np.abs(covs[0].sigma - covs[1].sigma)) < 1e-9
+
+    def test_reference_input_covariance_matches_dense_svd(self):
+        # the benchmark's pinned run_hires input: measured mode 10 sits at
+        # lambda'_10 = 3e-13 lambda'_1, where round-off alone separates its two
+        # mirror peaks; a route change that flips its sign fails here
+        config = pf.RunConfig(
+            n_points=1600, sigma_a=5.0, sigma_b=2.0, theta=-np.pi / 4,
+            filter_kind="rect", filter_center=0.0, filter_width=5.0, target_db=5.5,
+        )
+        report = pf.run_single(config)
+        proj = report.projections
+        filt = proj.filter_signal
+        dense = dense_effective_basis(report.jsa, filt, filt, n_retained=10)
+        assert dense.lambdas[9] < 1e-12 * dense.lambdas[0]
+        basis = pf.MeasurementBasis(dense.signal_modes[:10], dense.idler_modes[:10], report.jsa.grid)
+        oracle = pf.assemble_covariance(pf.filtered_projections(proj.schmidt, filt, filt, basis))
+        assert report.covariance.sigma.shape == oracle.sigma.shape == (40, 40)
+        assert np.max(np.abs(report.covariance.sigma - oracle.sigma)) < 1e-12
 
     def test_completion_order(self, reference_200):
         # |S| < |I| < n_retained: past the block's |S| triples the idler fills

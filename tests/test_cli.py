@@ -206,34 +206,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="genetic search"):
             RunConfig(n_points=10**6, basis="svd")
 
-    def test_state_working_set_guard(self):
-        # the svd basis's widest passband block, estimated by arithmetic on the
-        # config as for the population: nothing is allocated
-        from pdcfilter.cli import _PASSBAND_ARRAYS, _require_passband_memory
-        from pdcfilter.genetic import GA_MEMORY_LIMIT
+    def test_gauss_run_has_no_passband_cap(self, tmp_path, monkeypatch):
+        # a gauss filter transmits all 6000 samples, and the svd basis still
+        # decomposes only the k x n skeleton factors
+        import pdcfilter.cli as cli
 
-        def check(widths=(4.0,), **keys):
-            config = RunConfig(n_points=6000, **keys)
-            _require_passband_memory(config, pf.build_frequency_grid(6000, -10.0, 10.0), widths)
+        original, peaks = cli.svd_effective_basis, []
 
-        # a width-4 rect filter transmits 1200 of 6000 samples: 115 MB
-        assert 1200 * 1200 * 8 * _PASSBAND_ARRAYS < GA_MEMORY_LIMIT < 6000 * 6000 * 8 * _PASSBAND_ARRAYS
-        check()
-        check(basis="schmidt", filter_kind="gauss")
-        check(filter_kind="blocking")
-        for keys, widths in (({"filter_kind": "gauss"}, (4.0,)), ({}, (4.0, 20.0))):
-            with pytest.raises(ConfigurationError, match="6000 x 6000 passband block"):
-                check(widths, **keys)
+        def traced(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
 
-    def test_passband_guard_exits_before_any_work(self, tmp_path):
+        monkeypatch.setattr(cli, "svd_effective_basis", traced)
         cfg = tmp_path / "gauss.cfg"
         cfg.write_text("n_points = 6000\nfilter_kind = gauss\n")
-        err = io.StringIO()
-        with redirect_stderr(err):
-            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        assert err.getvalue().count("\n") == 1
-        assert "gauss filter's 6000 x 6000 passband block" in err.getvalue()
-        assert not (tmp_path / "out").exists()
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "manifest.json").is_file()
+        assert len(peaks) == 1 and peaks[0] < 20e6
 
     def test_grid_size_guard_exits_before_any_sample(self, tmp_path):
         # every basis evaluates all n_points^2 samples once: 1e10 of them
