@@ -1,8 +1,9 @@
 """Measurement bases adapted to the applied filters.
 
-Two decompositions live here, both on the thin-factor SVD core of
-``spectral``: a QR of each k x n factor and one SVD of the small core.  The
-effective Schmidt basis comes from the SVD of the filter-masked amplitude
+Two decompositions live here, each one call of ``spectral._decompose``, the
+function that also gives the Schmidt state: a QR of each thin factor of the
+kernel and one SVD of the small core, embedded on the grid.  The effective
+Schmidt basis comes from the SVD of the filter-masked amplitude
 T_a(w_s) T_b(w_i) f(w_s, w_i): its modes concentrate the surviving
 squeezing inside the passband and its singular values lambda'_k, scaled by
 the gain to r'_k = B lambda'_k, bound the per-mode squeezing left after
@@ -11,7 +12,8 @@ Neither depends on B, so one decomposition serves every gain.  The masked
 amplitude is read from the amplitude's certified cross-approximation
 factors, restricted to the transmitting samples and weighted by the
 transmissions: no sample is evaluated and no n x n array is formed,
-whatever the filter.
+whatever the filter.  At T = 1 on both arms the factors are the skeleton
+itself, and the basis is the Schmidt state bit for bit.
 
 The second decomposition targets the special case of identical real
 signal/idler modes, one common filter, and uniform gain: the SVD of the
@@ -29,30 +31,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .filters import Filter
-from .spectral import (
-    FrequencyGrid,
-    GaussianJsa,
-    JsaMatrix,
-    SchmidtData,
-    _factored_svd,
-    _kept_pairs,
-    _pad_rows,
-    _schmidt_from_svd,
-)
-
-
-def _embed(vectors: np.ndarray, support: np.ndarray, n: int, k: int) -> np.ndarray:
-    # Columns of ``vectors`` live on ``support``; place the first k of them on
-    # the n-point grid and complete with unit vectors at the off-support
-    # points in grid order.
-    out = np.zeros((n, k), dtype=vectors.dtype)
-    used = min(k, vectors.shape[1])
-    out[support, :used] = vectors[:, :used]
-    off = np.ones(n, dtype=bool)
-    off[support] = False
-    off = np.flatnonzero(off)[: k - used]
-    out[off, used + np.arange(len(off))] = 1.0
-    return out
+from .spectral import FrequencyGrid, GaussianJsa, JsaMatrix, SchmidtData, _decompose
 
 
 def svd_effective_basis(
@@ -66,13 +45,12 @@ def svd_effective_basis(
     The masked amplitude is (ut T_a)^T (v T_b) with ``ut``, ``v`` the
     amplitude's certified factors (``jsa.skeleton``, f * d_omega = ut^T v to
     the noise floor).  Its factors on S and I, the samples where the signal
-    and idler filters transmit, are zero-padded to ``n_retained`` rows as
-    :func:`~pdcfilter.spectral.schmidt_decompose` pads them and decomposed by
-    one QR each and one SVD of the small core; the singular vectors are
-    embedded back onto the grid, so every mode with r' > 0 is exactly zero
-    outside its arm's passband.  A global positive gain changes no singular
-    vector, so the basis holds for every gain B and the squeezing amplitudes
-    are r' = B lambda'.
+    and idler filters transmit, are decomposed by ``spectral._decompose``
+    as :func:`~pdcfilter.spectral.schmidt_decompose` decomposes the whole
+    skeleton, and the singular vectors are embedded on the grid, so every
+    mode with r' > 0 is exactly zero outside its arm's passband.  A global
+    positive gain changes no singular vector, so the basis holds for every
+    gain B and the squeezing amplitudes are r' = B lambda'.
 
     The result is a ``SchmidtData`` of the masked amplitude: ``lambdas`` are
     the filtered amplitudes lambda', ``tail_weight`` is sum_{k > n_retained}
@@ -86,17 +64,10 @@ def svd_effective_basis(
     grid = jsa.grid
     if filter_signal.grid != grid or filter_idler.grid != grid:
         raise ConfigurationError("filter grids do not match the amplitude grid")
-    n = grid.n_points
-    if not 1 <= n_retained <= n:
-        raise ConfigurationError(f"n_retained must lie in [1, {n}]")
     ta, tb = filter_signal.transmission, filter_idler.transmission
     rows, cols = np.flatnonzero(ta), np.flatnonzero(tb)
     ut, v = jsa.skeleton
-    left, right = _pad_rows(ut[:, rows] * ta[rows], n_retained), _pad_rows(v[:, cols] * tb[cols], n_retained)
-    u, s, vh = _factored_svd(left, right)
-    k = _kept_pairs(s, n_retained)
-    s = np.concatenate([s, np.zeros(max(0, k - len(s)))])
-    return _schmidt_from_svd(grid, _embed(u, rows, n, k), s, _embed(vh.T, cols, n, k).T, n_retained)
+    return _decompose(grid, ut[:, rows] * ta[rows], v[:, cols] * tb[cols], n_retained, rows, cols)
 
 
 @dataclass(frozen=True)
@@ -120,7 +91,8 @@ def filtered_projector_decomposition(
     """SVD of the filtered projector onto the retained (identical, real) modes.
 
     The kernel T(w) sum_k psi_k(w) psi_k(w') has rank m = n_retained and is
-    decomposed from its m x n factors T psi and psi, never formed.
+    decomposed by ``spectral._decompose`` from its m x n factors T psi and
+    psi, never formed.
     Preconditions of the special case are enforced: the retained signal and
     idler mode functions must be real and identical to within ``mode_tol``.
     The filter has |T| <= 1 by construction.  Transmissions are descending
@@ -138,7 +110,7 @@ def filtered_projector_decomposition(
             "retained signal and idler modes must be identical for the uniform-loss decomposition"
         )
     rows = np.sqrt(schmidt.grid.d_omega) * np.real(psi)
-    dec = _schmidt_from_svd(schmidt.grid, *_factored_svd(rows * filt.transmission, rows), m)
+    dec = _decompose(schmidt.grid, rows * filt.transmission, rows, m)
     return FilteredProjectorModes(
         grid=schmidt.grid,
         transmissions=dec.lambdas,

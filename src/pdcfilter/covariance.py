@@ -166,23 +166,9 @@ def assemble_covariance(projections: ProjectionSet) -> CovarianceMatrix:
     b, d = np.real(n_b), -np.imag(n_b)
     e, g = np.real(pair), np.imag(pair)
 
-    sigma = np.zeros((4 * n, 4 * n))
-    sigma[0::4, 0::4] = a / 2
-    sigma[0::4, 1::4] = c / 2
-    sigma[0::4, 2::4] = e / 2
-    sigma[0::4, 3::4] = g / 2
-    sigma[1::4, 0::4] = -c / 2
-    sigma[1::4, 1::4] = a / 2
-    sigma[1::4, 2::4] = g / 2
-    sigma[1::4, 3::4] = -e / 2
-    sigma[2::4, 0::4] = e.T / 2
-    sigma[2::4, 1::4] = g.T / 2
-    sigma[2::4, 2::4] = b / 2
-    sigma[2::4, 3::4] = d / 2
-    sigma[3::4, 0::4] = g.T / 2
-    sigma[3::4, 1::4] = -e.T / 2
-    sigma[3::4, 2::4] = -d / 2
-    sigma[3::4, 3::4] = b / 2
+    # the module docstring's 4x4 block of every mode pair (k, l), interleaved
+    table = np.array([[a, c, e, g], [-c, a, g, -e], [e.T, g.T, b, d], [g.T, -e.T, -d, b]]) / 2
+    sigma = table.transpose(2, 0, 3, 1).reshape(4 * n, 4 * n)
 
     asymmetry = float(np.max(np.abs(sigma - sigma.T)))
     if asymmetry > _ASYMMETRY_WARN:

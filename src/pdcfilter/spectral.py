@@ -17,10 +17,13 @@ closed form to round-off, c eps (1 + q) of exp(-q), not to the bit.
 
 Only the leading Schmidt triples are computed, on one route for every grid
 and rank: adaptive cross approximation (Bebendorf, Numer. Math. 86, 565
-(2000)) checked against every sample.  Every decomposition, here or in
-``basis_opt``, keeps max(n_retained, #{lambda_k > 1e-14 lambda_1}) pairs;
-every mode beyond them has r = 0 to round-off and enters the squeezer only
-through the exact identity part of its Bogoliubov transformation.
+(2000)) checked against every sample.  Every decomposition, the Schmidt
+state here and the effective basis and uniform-loss modes of ``basis_opt``,
+is one call of :func:`_decompose` on the thin factors of its kernel, so the
+Schmidt state is the effective basis at T = 1, bit for bit.  Each keeps
+max(n_retained, #{lambda_k > 1e-14 lambda_1}) pairs; every mode beyond them
+has r = 0 to round-off and enters the squeezer only through the exact
+identity part of its Bogoliubov transformation.
 """
 
 from __future__ import annotations
@@ -365,47 +368,60 @@ def _excited_count(s: np.ndarray) -> int:
     return int(np.count_nonzero(s > _NOISE_FLOOR * np.max(s, initial=0.0)))
 
 
-def _kept_pairs(s: np.ndarray, n_retained: int) -> int:
-    """Pairs a decomposition with amplitudes ``s`` keeps: the reported and the excited."""
-    return max(int(n_retained), _excited_count(s))
+def _embed(vectors: np.ndarray, support, n: int, k: int) -> np.ndarray:
+    # Columns of ``vectors`` live on ``support``; place the first k of them on
+    # the n-point grid and complete with unit vectors at the off-support
+    # points in grid order.
+    out = np.zeros((n, k), dtype=vectors.dtype)
+    used = min(k, vectors.shape[1])
+    out[support, :used] = vectors[:, :used]
+    off = np.ones(n, dtype=bool)
+    off[support] = False
+    off = np.flatnonzero(off)[: k - used]
+    out[off, used + np.arange(len(off))] = 1.0
+    return out
 
 
-def _schmidt_from_svd(
-    grid: FrequencyGrid, u: np.ndarray, s: np.ndarray, vh: np.ndarray, n_retained: int
+def _decompose(
+    grid: FrequencyGrid,
+    left: np.ndarray,
+    right: np.ndarray,
+    n_retained: int,
+    rows=slice(None),
+    cols=slice(None),
 ) -> SchmidtData:
-    """The kept pairs of the SVD ``u, s, vh`` of ``values * d_omega`` as quadrature modes.
+    """The kept pairs of the kernel K with K d_omega = left^T right, as quadrature modes.
 
-    ``s`` is the full spectrum, which ``tail_weight`` sums over; ``u`` and
-    ``vh`` need hold only the kept columns and rows.  The phase convention
-    of :func:`_fix_phases` is applied.
+    ``left`` (m x |rows|) and ``right`` (m x |cols|) factor K on the grid
+    samples ``rows`` and ``cols`` (all samples by default); K is zero
+    elsewhere.  Both are zero-padded to ``n_retained`` rows, and a QR of each
+    and one SVD of the product of their triangles give the triples, never
+    forming K; the QRs complete factors of rank below ``n_retained`` with
+    orthonormal vectors of amplitude 0.  The reported and excited pairs,
+    max(n_retained, #{lambda_k > 1e-14 lambda_1}), are embedded on the grid:
+    past min(|rows|, |cols|, m) triples each arm fills them first with its
+    unused singular vectors on its support, then with unit vectors at its
+    off-support samples in grid order, at lambda = 0.  ``tail_weight`` sums
+    lambda_k^2 past ``n_retained`` over every triple, and the phase
+    convention of :func:`_fix_phases` is applied.
     """
-    k = _kept_pairs(s, n_retained)
-    sqrt_dw = np.sqrt(grid.d_omega)
-    signal, idler = _fix_phases(u[:, :k].T / sqrt_dw, vh[:k] / sqrt_dw)
-    return SchmidtData(grid, signal, idler, s[:k], int(n_retained), float(np.sum(s[n_retained:] ** 2)))
-
-
-def _pad_rows(factor: np.ndarray, rows: int) -> np.ndarray:
-    """``factor`` with zero rows appended up to ``rows`` rows."""
-    return np.pad(factor, ((0, max(0, rows - len(factor))), (0, 0)))
-
-
-def _factored_svd(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The SVD ``u, s, vh`` of left.T @ right from its k x m and k x n factors, never formed.
-
-    A QR of each factor and one SVD of the product of their triangles give
-    the triples.  ``u`` holds min(m, k) columns and ``vh`` min(n, k) rows:
-    past the min(m, n, k) triples, an arm's unused singular vectors.  The
-    QRs complete factors of rank below k with orthonormal vectors of
-    amplitude 0.
-    """
+    n = grid.n_points
+    if not 1 <= n_retained <= n:
+        raise ConfigurationError(f"n_retained must lie in [1, {n}], got {n_retained}")
+    left, right = (np.pad(f, ((0, max(0, n_retained - len(f))), (0, 0))) for f in (left, right))
     try:
         qu, ru = np.linalg.qr(left.T)
         qv, rv = np.linalg.qr(right.T)
         w, s, zh = np.linalg.svd(ru @ rv.T)
     except np.linalg.LinAlgError as exc:
         raise _svd_failure(np.concatenate([left, right], axis=1)) from exc
-    return qu @ w, s, zh @ qv.T
+    k = max(int(n_retained), _excited_count(s))
+    s = np.concatenate([s, np.zeros(max(0, k - len(s)))])
+    sqrt_dw = np.sqrt(grid.d_omega)
+    signal = _embed(qu @ w, rows, n, k).T / sqrt_dw
+    idler = _embed((zh @ qv.T).T, cols, n, k).T / sqrt_dw
+    signal, idler = _fix_phases(signal, idler)
+    return SchmidtData(grid, signal, idler, s[:k], int(n_retained), float(np.sum(s[n_retained:] ** 2)))
 
 
 class _CrossApproximation:
@@ -544,18 +560,12 @@ class _CrossApproximation:
 def schmidt_decompose(jsa: GaussianJsa | JsaMatrix, n_retained: int = 10) -> SchmidtData:
     """Decompose a normalized amplitude into its reported and excited broadband mode pairs.
 
-    A QR of each of the amplitude's certified cross-approximation factors
-    (``skeleton``) and one SVD of the k x k core give the triples; the QRs
-    complete the zero rows of factors of rank below
-    ``n_retained`` to orthonormal pairs of amplitude 0.  Amplitudes descend
-    and satisfy sum lambda^2 = 1 to 1e-10.
+    :func:`_decompose` of the amplitude's certified cross-approximation
+    factors (``skeleton``) on every sample; factors of rank below
+    ``n_retained`` are completed to orthonormal pairs of amplitude 0.
+    Amplitudes descend and satisfy sum lambda^2 = 1 to 1e-10.
     """
-    n = jsa.grid.n_points
-    if not 1 <= n_retained <= n:
-        raise ConfigurationError(f"n_retained must lie in [1, {n}], got {n_retained}")
-    ut, v = jsa.skeleton
-    u, s, vh = _factored_svd(_pad_rows(ut, n_retained), _pad_rows(v, n_retained))
-    schmidt = _schmidt_from_svd(jsa.grid, u, s, vh, n_retained)
+    schmidt = _decompose(jsa.grid, *jsa.skeleton, n_retained)
     total = float(np.sum(schmidt.lambdas[:n_retained] ** 2)) + schmidt.tail_weight
     if not abs(total - 1.0) <= 1e-10:
         raise NumericsError(f"Schmidt amplitudes violate Parseval: sum lambda^2 = {total!r}")

@@ -17,13 +17,14 @@ def _basis_from_effective(eff, n):
 
 class TestSvdEffectiveBasis:
     def test_identity_filter_recovers_original(self, reference_200):
-        jsa, schmidt, gain = reference_200
+        jsa, schmidt, _ = reference_200
         ident = pf.make_identity_filter(schmidt.grid)
         eff = pf.svd_effective_basis(jsa, ident, ident, n_retained=8)
-        assert np.max(np.abs(gain * eff.lambdas[:8] - schmidt.r_values[:8])) < 1e-12
-        # same amplitudes, same phase convention: modes must coincide exactly
-        assert np.max(np.abs(eff.signal_modes[:8] - schmidt.signal_modes[:8])) < 1e-9
-        assert np.max(np.abs(eff.idler_modes[:8] - schmidt.idler_modes[:8])) < 1e-9
+        # at T = 1 the masked factors are the skeleton's, decomposed on the same
+        # route: the same amplitudes and modes, bit for bit
+        assert np.array_equal(eff.lambdas[:8], schmidt.lambdas[:8])
+        assert np.array_equal(eff.signal_modes[:8], schmidt.signal_modes[:8])
+        assert np.array_equal(eff.idler_modes[:8], schmidt.idler_modes[:8])
 
     def test_modes_confined_to_passband(self, reference_200, rect4_200):
         jsa, schmidt, _ = reference_200
@@ -152,6 +153,11 @@ def _sample_edged_rect(grid):
     return pf.make_rect_filter((pts[120] + pts[80]) / 2, pts[120] - pts[80], grid)
 
 
+def _phased(filt, delay):
+    """``filt`` times the linear spectral phase e^(i delay w)."""
+    return pf.Filter(filt.transmission * np.exp(1j * delay * filt.grid.points), filt.grid)
+
+
 # (signal filter, idler filter, n_retained) on the 200-point reference grid
 _PASSBAND_CASES = {
     "rect_narrow_centre": lambda g: (pf.make_rect_filter(0.0, 2.0, g),) * 2 + (10,),
@@ -161,6 +167,11 @@ _PASSBAND_CASES = {
     "rect_below_n_retained": lambda g: (pf.make_rect_filter(0.2, 0.5, g),) * 2 + (10,),
     "blocking": lambda g: (pf.make_blocking_filter(g),) * 2 + (4,),
     "rect_x_gauss": lambda g: (pf.make_rect_filter(0.5, 3.0, g), pf.make_gauss_filter(-0.4, 5.0, g), 10),
+    "rect_x_gauss_phased": lambda g: (
+        _phased(pf.make_rect_filter(0.5, 3.0, g), 0.7),
+        _phased(pf.make_gauss_filter(-0.4, 5.0, g), -0.4),
+        10,
+    ),
     "rect_x_wider_rect": lambda g: (pf.make_rect_filter(0.0, 3.0, g), pf.make_rect_filter(1.0, 6.0, g), 70),
 }
 _FULL_SUPPORT_CASES = {
