@@ -205,8 +205,8 @@ class RunReport:
     """Everything one point of the pipeline produced: one filter width, one gain.
 
     ``config`` is the run's configuration with ``filter_width`` set to the
-    point's width.  The gained Schmidt decomposition, filters, basis and grid
-    of the point are those of ``projections``.
+    point's width.  The gained Schmidt decomposition, basis and grid of the
+    point are those of ``projections``.
     """
 
     config: RunConfig
@@ -253,9 +253,9 @@ def _points(config: RunConfig, jsa: GaussianJsa, schmidt: SchmidtData, widths, g
     ``NumericsError`` that stopped it.  Each width builds its filter and
     selects a gain-free basis (schmidt, svd) once, before any gain is applied,
     so a point's filter or basis error comes before its gain error; such a
-    basis is also projected onto once a width, since the overlaps and vacuum
-    Grams do not read the gain.  The genetic search scores the gained state,
-    so it runs per point, after the gain.
+    basis is also projected onto once a width, since the overlaps do not read
+    the gain.  The genetic search scores the gained state, so it runs per
+    point, after the gain.
     """
     gain_free = config.basis in _GAIN_FREE_BASES
     for width in widths:
@@ -448,8 +448,8 @@ def export_tradeoff(records: list[TradeoffRecord], config: RunConfig, out_dir) -
 def validate(config: RunConfig, stream=None) -> bool:
     """Run the invariant suite against one configuration, one line per check.
 
-    The pipeline runs once; every check reads the amplitude, decomposition,
-    filters and projections of that run.
+    The pipeline runs once; every check reads the amplitude, decomposition
+    and projections of that run.
     """
     stream = stream or sys.stdout
     results: list[tuple[str, bool, str]] = []
@@ -466,12 +466,6 @@ def validate(config: RunConfig, stream=None) -> bool:
         results.append((f"{name}_orthonormality", dev <= 1e-10, f"max dev {dev:.2e}"))
     parseval = abs(float(np.sum(schmidt.lambdas**2)) - 1)
     results.append(("parseval", parseval <= 1e-10, f"|sum-1| = {parseval:.2e}"))
-
-    split = max(
-        float(np.max(np.abs(np.abs(filt.transmission) ** 2 + filt.reflection**2 - 1)))
-        for filt in (proj.filter_signal, proj.filter_idler)
-    )
-    results.append(("filter_energy_split", split <= 1e-12, f"max dev {split:.2e}"))
 
     defect = float(np.max(np.abs(commutator_defects(proj))))
     results.append(

@@ -5,12 +5,17 @@ X_b^N, Y_b^N): four quadratures per measured mode index, signal arm first.
 Vacuum variance is 1/2, so the vacuum covariance matrix is identity/2 and
 physical states have every symplectic eigenvalue >= 1/2.
 
-A measured-mode pair (k, l) contributes a 4x4 block.  With the overlaps
-c_a, c_b (N x k) and vacuum Grams K_a, K_b (N x N) of a ``ProjectionSet``,
+A measured-mode pair (k, l) contributes a 4x4 block.  Each filter is a
+beam splitter whose reflected port brings in vacuum, |T|^2 + |R|^2 = 1 at
+every frequency, so the passed and the reflected vacuum of a measured mode
+add up to the mode's own norm: an orthonormal measurement basis sees
+exactly the identity, whatever the filter.  This is the one place that
+vacuum term is stated (the genetic search's ``+ 1.0`` is the same identity).
+With the overlaps c_a, c_b (N x k) of a ``ProjectionSet``,
 S = diag sinh^2 r and C = diag cosh r sinh r, the orthonormality of the
-Schmidt modes reduces every quadrature inner product to
+Schmidt modes then reduces every quadrature inner product to
 
-    N_a = K_a + 2 c_a S c_a^H,    P = 2 c_a C c_b^T,
+    N_a = 1 + 2 c_a S c_a^H,    P = 2 c_a C c_b^T,
 
 and the block reads (prefactor 1/2 included in the stored entries)
 
@@ -19,9 +24,11 @@ and the block reads (prefactor 1/2 included in the stored entries)
      [ f,  h,  b,  d],      e = Re P(k,l),     g = Im P(k,l)
      [ h, -f, -d,  b]] / 2  f(k,l) = e(l,k),   h(k,l) = g(l,k)
 
-and b, d mirror a, c with N_b = K_b + 2 c_b S c_b^H.  The numbers here are actual
+and b, d mirror a, c with N_b = 1 + 2 c_b S c_b^H.  The numbers here are actual
 covariance entries: at r = 0 the diagonal is 1/2 and the difference-quadrature
-variance a + b - e - f equals 1 (0 dB), consistent with the dB conversion.
+variance a + b - e - f equals 1 (0 dB), consistent with the dB conversion.  A
+state that reaches no measured mode (a blocking filter, or r = 0) is
+therefore exactly vacuum, identity/2, to the bit.
 """
 
 from __future__ import annotations
@@ -159,8 +166,9 @@ def assemble_covariance(projections: ProjectionSet) -> CovarianceMatrix:
     r = p.schmidt.require_gain()
     sq, cs = np.sinh(r) ** 2, np.cosh(r) * np.sinh(r)
     ca, cb = p.overlap_signal, p.overlap_idler
-    n_a = p.vacuum_signal + 2 * (ca * sq) @ ca.conj().T
-    n_b = p.vacuum_idler + 2 * (cb * sq) @ cb.conj().T
+    vacuum = np.eye(n)  # the module docstring's identity
+    n_a = vacuum + 2 * (ca * sq) @ ca.conj().T
+    n_b = vacuum + 2 * (cb * sq) @ cb.conj().T
     pair = 2 * (ca * cs) @ cb.T
     a, c = np.real(n_a), -np.imag(n_a)
     b, d = np.real(n_b), -np.imag(n_b)
@@ -177,7 +185,8 @@ def assemble_covariance(projections: ProjectionSet) -> CovarianceMatrix:
             RuntimeWarning,
             stacklevel=2,
         )
-    sigma = (sigma + sigma.T) / 2
+    # + 0.0 clears the -0.0 that negating a zero entry leaves, so vacuum reads identity/2
+    sigma = (sigma + sigma.T) / 2 + 0.0
 
     cov = CovarianceMatrix(sigma=sigma, asymmetry=asymmetry)
     passed, lowest = check_physicality(cov, tol=_PHYSICALITY_RAISE)

@@ -2,19 +2,20 @@
 of the filtered squeezer onto an arbitrary measurement basis.
 
 A filter transmits amplitude T(w) and couples in vacuum with amplitude
-R(w) = sqrt(1 - |T(w)|^2).  The squeezer itself is the pair of Bogoliubov
-kernels U (beam-splitter part, cosh weights) and V (squeezing part, sinh
-weights) of the broadband modes Psi (signal) and Phi (idler):
+R(w), |T|^2 + |R|^2 = 1, so a measured mode sees one unit of vacuum in all
+(see :mod:`pdcfilter.covariance`) and R is never needed.  The squeezer
+itself is the pair of Bogoliubov kernels U (beam-splitter part, cosh
+weights) and V (squeezing part, sinh weights) of the broadband modes Psi
+(signal) and Phi (idler):
 
     U_a = 1 / d_omega + Psi^H diag(cosh r - 1) Psi,   V_a = Psi^H diag(sinh r) Phi^*
 
 and the idler kernels with Psi and Phi exchanged.  They are never formed:
 since the Schmidt modes are orthonormal, a measured mode f sees the filtered
 squeezer only through its overlaps c = d_omega (conj(T_a) f) Psi^H with the k
-Schmidt pairs and through the vacuum its filter passes and reflects.  Those
-N x k overlaps and N x N vacuum Grams per arm are all the covariance
-assembly needs, and the genetic search scores with the same filtered
-Schmidt rows (:func:`filtered_schmidt_rows`).
+Schmidt pairs and through that one unit of vacuum.  Those N x k overlaps
+per arm are all the covariance assembly needs, and the genetic search
+scores with the same filtered Schmidt rows (:func:`filtered_schmidt_rows`).
 """
 
 from __future__ import annotations
@@ -44,11 +45,6 @@ class Filter:
             )
         if np.max(np.abs(t)) > 1.0 + 1e-12:
             raise ConfigurationError(f"|T| exceeds 1 (max {np.max(np.abs(t)):.6g})")
-
-    @property
-    def reflection(self) -> np.ndarray:
-        """Reflected-vacuum amplitude sqrt(1 - |T|^2), never stored separately."""
-        return np.sqrt(np.clip(1.0 - np.abs(self.transmission) ** 2, 0.0, None))
 
 
 def make_rect_filter(center: float, width: float, grid: FrequencyGrid) -> Filter:
@@ -129,19 +125,15 @@ class ProjectionSet:
 
     ``overlap_signal`` = d_omega (conj(T_a) f) Psi^H and ``overlap_idler`` =
     d_omega (conj(T_b) g) Phi^H (N x k) are the overlaps of the filtered
-    measurement modes with the k Schmidt pairs.  ``vacuum_signal`` =
-    d_omega f diag(|T_a|^2 + R_a^2) f^H and ``vacuum_idler`` (N x N) are the
-    Grams of the vacuum the filters pass and reflect.  No array has a grid
+    measurement modes with the k Schmidt pairs.  The vacuum the filters pass
+    and reflect is the identity on an orthonormal basis (see
+    :mod:`pdcfilter.covariance`), so it is not stored.  No array has a grid
     axis.
     """
 
     overlap_signal: np.ndarray
     overlap_idler: np.ndarray
-    vacuum_signal: np.ndarray
-    vacuum_idler: np.ndarray
     schmidt: SchmidtData = field(repr=False)
-    filter_signal: Filter = field(repr=False)
-    filter_idler: Filter = field(repr=False)
     basis: MeasurementBasis = field(repr=False)
 
     @property
@@ -180,8 +172,7 @@ def filtered_projections(
     """Project the filtered squeezer output onto a measurement basis.
 
     The overlaps are c_a = d_omega f P_a^H and c_b = d_omega g P_b^H with
-    the rows of :func:`filtered_schmidt_rows`, and the vacuum Grams
-    d_omega f diag(|T|^2 + R^2) f^H per arm.  The measurement modes are
+    the rows of :func:`filtered_schmidt_rows`.  The measurement modes are
     contracted as written (not conjugated) with the conjugated transmission,
     so a local spectral phase on a filter and the same phase on the
     measurement mode cancel.
@@ -191,18 +182,10 @@ def filtered_projections(
         raise ConfigurationError("basis grid does not match the decomposition grid")
     schmidt.require_gain()
     dw = schmidt.grid.d_omega
-
-    def vacuum(fns, filt):
-        return dw * ((fns * (np.abs(filt.transmission) ** 2 + filt.reflection**2)) @ fns.conj().T)
-
     return ProjectionSet(
         overlap_signal=dw * (basis.signal_fns @ pa.conj().T),
         overlap_idler=dw * (basis.idler_fns @ pb.conj().T),
-        vacuum_signal=vacuum(basis.signal_fns, filter_signal),
-        vacuum_idler=vacuum(basis.idler_fns, filter_idler),
         schmidt=schmidt,
-        filter_signal=filter_signal,
-        filter_idler=filter_idler,
         basis=basis,
     )
 
@@ -212,14 +195,15 @@ def commutator_defects(projections: ProjectionSet) -> np.ndarray:
 
     A measured signal mode's commutator is
 
-        diag(K_a) + diag(c_a [ch1 (G_Psi - I) ch1 - sh (conj(G_Phi) - I) sh] c_a^H)
+        1 + diag(c_a [ch1 (G_Psi - I) ch1 - sh (conj(G_Phi) - I) sh] c_a^H)
 
-    with K_a the vacuum Gram, c_a the overlaps, ch1 = diag(cosh r - 1),
-    sh = diag(sinh r) and G_Psi = d_omega Psi Psi^H, G_Phi = d_omega Phi Phi^H;
-    the idler arm swaps Psi and Phi.  It is 1 when the measurement modes and
-    the Schmidt modes are orthonormal, which the covariance formula assumes.
-    Returns a (2, N) array of that expression minus 1: row 0 the signal arm,
-    row 1 the idler arm.
+    with c_a the overlaps, ch1 = diag(cosh r - 1), sh = diag(sinh r) and
+    G_Psi = d_omega Psi Psi^H, G_Phi = d_omega Phi Phi^H; the idler arm swaps
+    Psi and Phi.  The 1 is the vacuum identity of :mod:`pdcfilter.covariance`,
+    which holds because ``MeasurementBasis`` refuses a Gram deviation above
+    1e-8; so this checks the other orthonormality the covariance formula
+    assumes, that of the Schmidt modes.  Returns a (2, N) array of that
+    expression minus 1: row 0 the signal arm, row 1 the idler arm.
     """
     p = projections
     r = p.schmidt.require_gain()
@@ -230,13 +214,10 @@ def commutator_defects(projections: ProjectionSet) -> np.ndarray:
     dev_psi = dw * (p.schmidt.signal_modes @ p.schmidt.signal_modes.conj().T) - eye
     dev_phi = dw * (p.schmidt.idler_modes @ p.schmidt.idler_modes.conj().T) - eye
 
-    def defect(c, vacuum, dev_u, dev_v):
+    def defect(c, dev_u, dev_v):
         inner = ch1[:, None] * dev_u * ch1 - sh[:, None] * dev_v.conj() * sh
-        return np.real(np.diag(vacuum) + np.einsum("ij,jk,ik->i", c, inner, c.conj())) - 1.0
+        return np.real(np.einsum("ij,jk,ik->i", c, inner, c.conj()))
 
     return np.stack(
-        [
-            defect(p.overlap_signal, p.vacuum_signal, dev_psi, dev_phi),
-            defect(p.overlap_idler, p.vacuum_idler, dev_phi, dev_psi),
-        ]
+        [defect(p.overlap_signal, dev_psi, dev_phi), defect(p.overlap_idler, dev_phi, dev_psi)]
     )

@@ -107,9 +107,9 @@ class StateContext:
     ``weight_cross`` = d_omega cosh r sinh r.  This is the diagonal of the
     covariance formula of :mod:`pdcfilter.covariance` for that column: the
     overlaps are c_a = sqrt(d_omega) a and c_b = sqrt(d_omega) b, and the 1
-    is the vacuum Gram, sum_i c_i^2 (|T_a|^2 + R_a^2 + |T_b|^2 + R_b^2)_i / 2
-    = |c|^2 = 1 because R = sqrt(1 - |T|^2).  A generation is scored by one
-    n x 2m product and no n x n form exists.
+    is that module's vacuum identity for a unit column.  A vacuum mode
+    scores +0.0 dB, not -0.0.  A generation is scored by one n x 2m product
+    and no n x n form exists.
     """
 
     schmidt: SchmidtData = field(repr=False)
@@ -135,7 +135,8 @@ class StateContext:
         w = self.weight_sq
         base = np.square(a) @ w + np.square(b) @ w + 1.0
         cross = 2 * (a * b) @ self.weight_cross
-        return -10.0 * np.log10(np.minimum(base - cross, base + cross))
+        # the 1.0 above is the vacuum identity; + 0.0 turns a vacuum mode's -0.0 dB into 0.0
+        return -10.0 * np.log10(np.minimum(base - cross, base + cross)) + 0.0
 
 
 def make_state_context(

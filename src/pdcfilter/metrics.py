@@ -42,15 +42,17 @@ def epr_variances(sigma, k: int) -> tuple[float, float]:
 def mode_squeezing_db(sigma, k: int) -> SqueezingEntry:
     """Squeezing of mode k in dB, maximized over the two joint quadratures.
 
-    Negative values (no squeezing in either combination) are reported as-is.
+    Negative values (no squeezing in either combination) are reported as-is,
+    and a vacuum mode (both variances exactly 1) as +0.0 dB, not -0.0.
     """
     d2m, d2p = epr_variances(sigma, k)
     if not (d2m > 0 and d2p > 0):
         raise NumericsError(
             f"mode {k}: joint-quadrature variances ({d2m:.3e}, {d2p:.3e}) are not positive"
         )
-    db_minus = -10.0 * math.log10(d2m)
-    db_plus = -10.0 * math.log10(d2p)
+    # + 0.0 turns -10 log10(1.0) = -0.0 into 0.0 and leaves every other value as it is
+    db_minus = -10.0 * math.log10(d2m) + 0.0
+    db_plus = -10.0 * math.log10(d2p) + 0.0
     if db_minus >= db_plus:
         return SqueezingEntry(k, d2m, d2p, db_minus, "minus")
     return SqueezingEntry(k, d2m, d2p, db_plus, "plus")
@@ -95,7 +97,9 @@ def single_mode_character(reports: list[SqueezingEntry]) -> float:
 
     Anti-squeezed higher modes contribute nothing to the denominator (their
     dB values are clamped at zero).  A vanishing denominator yields the
-    infinity sentinel: all squeezing sits in the first mode.
+    infinity sentinel: all squeezing sits in the first mode.  A state with no
+    squeezing at all, such as the exact vacuum a blocking filter leaves,
+    reads the same sentinel; the run manifest writes it as null.
     """
     if not reports:
         raise ConfigurationError("single_mode_character needs at least one mode report")

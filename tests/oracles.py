@@ -212,6 +212,11 @@ def complete_kernels(jsa, gain) -> DenseKernels:
     return dense_uv_kernels(signal, idler, gain * lambdas)
 
 
+def reflection(filt) -> np.ndarray:
+    """The filter's reflected-vacuum amplitude R = sqrt(1 - |T|^2) of the beam-splitter model."""
+    return np.sqrt(np.clip(1.0 - np.abs(filt.transmission) ** 2, 0.0, None))
+
+
 @dataclass(frozen=True)
 class LadderRows:
     """Per-measured-mode ladder coefficients over the grid, one row per mode.
@@ -246,8 +251,8 @@ def ladder_rows(kernels: DenseKernels, filter_signal, filter_idler, basis) -> La
         u_idler=dw * (gb @ kernels.u_idler),
         v_signal=dw * (fa @ kernels.v_signal),
         v_idler=dw * (gb @ kernels.v_idler),
-        r_signal=basis.signal_fns * filter_signal.reflection,
-        r_idler=basis.idler_fns * filter_idler.reflection,
+        r_signal=basis.signal_fns * reflection(filter_signal),
+        r_idler=basis.idler_fns * reflection(filter_idler),
     )
 
 
@@ -271,8 +276,8 @@ def factored_ladder_rows(schmidt, filter_signal, filter_idler, basis) -> LadderR
         u_idler=gb + (cb * ch1) @ phi,
         v_signal=(ca * sh) @ phi.conj(),
         v_idler=(cb * sh) @ psi.conj(),
-        r_signal=basis.signal_fns * filter_signal.reflection,
-        r_idler=basis.idler_fns * filter_idler.reflection,
+        r_signal=basis.signal_fns * reflection(filter_signal),
+        r_idler=basis.idler_fns * reflection(filter_idler),
     )
 
 
@@ -379,10 +384,10 @@ def dense_forms(ctx):
     pa = schmidt.signal_modes * ta
     pb = schmidt.idler_modes * tb
     sa = 2 * dw**2 * np.real(pa.conj().T @ (sh2[:, None] * pa)) + dw * np.diag(
-        np.abs(ta) ** 2 + ctx.filter_signal.reflection**2
+        np.abs(ta) ** 2 + reflection(ctx.filter_signal) ** 2
     )
     sb = 2 * dw**2 * np.real(pb.conj().T @ (sh2[:, None] * pb)) + dw * np.diag(
-        np.abs(tb) ** 2 + ctx.filter_idler.reflection**2
+        np.abs(tb) ** 2 + reflection(ctx.filter_idler) ** 2
     )
     se = 2 * dw**2 * np.real(pa.conj().T @ (chsh[:, None] * pb.conj()))
     se = se + se.T

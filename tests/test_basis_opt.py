@@ -133,7 +133,7 @@ class TestSvdEffectiveBasis:
         assert np.array_equal(bases[0].signal_fns, bases[1].signal_fns)
         assert np.array_equal(bases[0].idler_fns, bases[1].idler_fns)
         jsa = reference_200[0]
-        filt = reports[0].projections.filter_signal
+        filt = pf.make_rect_filter(0.0, 4.0, jsa.grid)  # the config's default filter
         eff = pf.svd_effective_basis(jsa, filt, filt, n_retained=5)
         assert np.array_equal(eff.signal_modes[:5], bases[0].signal_fns)
         for report in reports:
@@ -271,7 +271,7 @@ class TestPassbandSvd:
         )
         report = pf.run_single(config)
         proj = report.projections
-        filt = proj.filter_signal
+        filt = pf.make_rect_filter(0.0, 5.0, report.jsa.grid)
         dense = dense_effective_basis(report.jsa, filt, filt, n_retained=10)
         assert dense.lambdas[9] < 1e-12 * dense.lambdas[0]
         basis = pf.MeasurementBasis(dense.signal_modes[:10], dense.idler_modes[:10], report.jsa.grid)

@@ -362,6 +362,35 @@ class TestExport:
         manifest = _strict_json(tmp_path / "manifest.json")
         assert manifest["results"]["single_mode_character"] is None
 
+    @pytest.mark.parametrize("basis", ["schmidt", "svd", "ga"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"filter_kind": "blocking"}, {"filter_kind": "flat", "filter_amplitude": 0.0}],
+        ids=["blocking", "flat0"],
+    )
+    def test_blocked_run_writes_exact_vacuum(self, tmp_path, basis, overrides):
+        # no Schmidt pair reaches a measured mode, so the state is the vacuum
+        # identity/2 to the bit: every squeezing reads 0 dB, written "0" and
+        # not "-0", and the single-mode character is the null sentinel
+        config = RunConfig(n_retained=4, basis=basis, ga_modes=2, population=16, max_generations=60, **overrides)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(_config_text(config))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        n = 4 * (4 if basis != "ga" else 2)
+        rows = [",".join("0.5" if i == j else "0" for j in range(n)) for i in range(n)]
+        assert (out / "covariance.csv").read_text().splitlines() == rows
+        squeezing = (out / "squeezing.csv").read_text().splitlines()
+        column = squeezing[0].split(",").index("squeezing_db")
+        assert [line.split(",")[column] for line in squeezing[1:]] == ["0"] * (n // 4)
+        results = _strict_json(out / "manifest.json")["results"]
+        assert results["first_mode_squeezing_db"] == 0.0
+        assert math.copysign(1.0, results["first_mode_squeezing_db"]) == 1.0
+        assert results["single_mode_character"] is None
+        if basis == "ga":
+            log = (out / "ga_convergence.csv").read_text().splitlines()[1:]
+            assert {line.split(",", 2)[2] for line in log} == {"0,0"}
+
     def test_ga_convergence_log_written(self, tmp_path):
         config = RunConfig(
             basis="ga",
@@ -663,7 +692,6 @@ def test_validate_reports_all_checks(capsys):
         "signal_orthonormality",
         "idler_orthonormality",
         "parseval",
-        "filter_energy_split",
         "commutator_preservation",
         "physicality",
         "purity_crosscheck",

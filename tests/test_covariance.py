@@ -87,7 +87,9 @@ class TestAssembleCovariance:
         basis = pf.MeasurementBasis.from_schmidt(schmidt, 5)
         proj = pf.filtered_projections(schmidt, block, block, basis)
         cov = pf.assemble_covariance(proj)
-        assert np.max(np.abs(cov.sigma - 0.5 * np.eye(20))) < 1e-12
+        # the vacuum term is the identity, so the blocked state is exact: no round-off, no -0.0
+        assert np.array_equal(cov.sigma, 0.5 * np.eye(20))
+        assert not np.any(np.signbit(cov.sigma))
 
     @pytest.mark.parametrize("eta", [0.25, 0.5, 0.9])
     def test_flat_loss_equals_beam_splitter(self, reference_200, eta):
@@ -285,3 +287,49 @@ class TestArmSwap:
         ]
         assert abs(reports[0].squeezing[0].squeezing_db - reports[1].squeezing[0].squeezing_db) < 1e-10
         assert abs(reports[0].purity - reports[1].purity) < 1e-10
+
+
+class TestPassiveRotation:
+    """A unitary mixing the measured modes of one arm is a passive transformation.
+
+    It maps the Gaussian state by a symplectic orthogonal matrix, so the
+    symplectic spectrum, and with it the purity, stays where it was.
+    """
+
+    @seed(20142)
+    @settings(max_examples=12, deadline=None)
+    @given(
+        sigma_a=st.floats(3.0, 5.0),
+        sigma_b=st.floats(1.0, 2.0),
+        theta=st.floats(-np.pi / 4 - 0.4, -np.pi / 4 + 0.4),
+        width=st.floats(2.0, 8.0),
+        filter_kind=st.sampled_from(["rect", "gauss"]),
+        basis=st.sampled_from(["svd", "schmidt"]),
+        unitary_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_purity_and_min_nu_unchanged(self, sigma_a, sigma_b, theta, width, filter_kind, basis, unitary_seed):
+        config = pf.RunConfig(
+            n_points=120,
+            sigma_a=sigma_a,
+            sigma_b=sigma_b,
+            theta=theta,
+            filter_kind=filter_kind,
+            filter_width=width,
+            basis=basis,
+        )
+        report = pf.run_single(config)
+        proj = report.projections
+        grid = proj.grid
+        make = pf.make_rect_filter if filter_kind == "rect" else pf.make_gauss_filter
+        filt = make(0.0, width, grid)
+        rng = np.random.default_rng(unitary_seed)
+
+        def unitary(n):
+            q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            return q * (np.diag(r) / np.abs(np.diag(r)))
+
+        n = proj.n_modes
+        rotated = pf.MeasurementBasis(unitary(n) @ proj.basis.signal_fns, unitary(n) @ proj.basis.idler_fns, grid)
+        cov = pf.assemble_covariance(pf.filtered_projections(proj.schmidt, filt, filt, rotated))
+        assert abs(pf.purity(cov) - report.purity) < 1e-12
+        assert abs(np.min(cov.symplectic_eigenvalues) - np.min(report.covariance.symplectic_eigenvalues)) < 1e-12

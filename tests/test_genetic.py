@@ -146,6 +146,24 @@ class TestObjective:
             direct = objective_squeezing(ctx_rect4, cols[:, : k + 1], k + 1)
             assert batch[k] == pytest.approx(direct, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"filter_kind": "rect"},
+            {"filter_kind": "gauss"},
+            {"filter_kind": "flat", "filter_amplitude": 0.6},
+            {"filter_kind": "identity"},
+        ],
+        ids=["rect", "gauss", "flat", "identity"],
+    )
+    def test_ga_scores_the_covariance_it_reports(self, overrides):
+        # the GA's fitness of each winning mode is that mode's squeezing in the
+        # run's own covariance: both read the one vacuum identity
+        config = pf.RunConfig(basis="ga", ga_modes=3, population=16, max_generations=60, **overrides)
+        report = pf.run_single(config)
+        reported = [entry.squeezing_db for entry in report.squeezing]
+        assert np.max(np.abs(report.ga_result.per_mode_squeezing_db - reported)) < 1e-12
+
     def test_non_orthonormal_rejected(self, ctx_rect4):
         bad = np.ones((ctx_rect4.n_points, 2))
         with pytest.raises(ConfigurationError):
