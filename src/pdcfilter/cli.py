@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import typing
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -382,7 +382,8 @@ def _export(out_dir, artifacts: dict) -> list[Path]:
 
 def _record_table(cls, records) -> tuple[list[str], list[tuple]]:
     """Header and rows of a table of dataclass records, one column per field."""
-    return [f.name for f in fields(cls)], [astuple(rec) for rec in records]
+    names = [f.name for f in fields(cls)]
+    return names, [tuple(getattr(rec, name) for name in names) for rec in records]
 
 
 def _modes_table(grid, modes: np.ndarray) -> tuple[list[str], np.ndarray]:

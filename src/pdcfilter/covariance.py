@@ -29,6 +29,13 @@ covariance entries: at r = 0 the diagonal is 1/2 and the difference-quadrature
 variance a + b - e - f equals 1 (0 dB), consistent with the dB conversion.  A
 state that reaches no measured mode (a blocking filter, or r = 0) is
 therefore exactly vacuum, identity/2, to the bit.
+
+The Williamson spectrum comes from the Cholesky factor L of 2 sigma: the
+antisymmetric A = L^T Omega L has singular values 2 nu_j, each twice, so one
+symmetric eigensolve of A^T A gives every nu_j.  Factoring 2 sigma, not sigma,
+keeps the vacuum exact: L = I and every nu is 1/2 to the bit.  Every physical
+sigma >= i Omega / 2 is positive definite, so one that is not is unphysical
+(minimum 0.0); Cholesky does not raise on NaN or inf, so construction refuses them.
 """
 
 from __future__ import annotations
@@ -53,8 +60,8 @@ _SYMMETRY_TOL = 1e-12
 class CovarianceMatrix:
     """Real symmetric 4N x 4N covariance matrix of N measured mode pairs.
 
-    Shape and symmetry are checked on construction.  The Williamson spectrum
-    is computed on first use, and every physicality and purity check reads it.
+    Shape, finiteness and symmetry are checked on construction.  The Williamson
+    spectrum is computed on first use, and every physicality and purity check reads it.
     """
 
     sigma: np.ndarray
@@ -66,6 +73,8 @@ class CovarianceMatrix:
             raise ConfigurationError(
                 f"covariance must be a 4N x 4N matrix with N >= 1, got shape {s.shape}"
             )
+        if not np.all(np.isfinite(s)):
+            raise NumericsError(f"covariance has non-finite entries (matrix {s.shape})")
         dev = float(np.max(np.abs(s - s.T)))
         if dev > _SYMMETRY_TOL:
             raise ConfigurationError(f"covariance not symmetric (max deviation {dev:.3e})")
@@ -83,19 +92,22 @@ class CovarianceMatrix:
     def symplectic_eigenvalues(self) -> np.ndarray:
         """Williamson eigenvalues, descending (one per bosonic mode), read-only.
 
-        The magnitudes of the paired, purely imaginary spectrum of Omega @ sigma;
-        vacuum gives 1/2 for every mode.  A failed eigensolver (for example on
-        non-finite entries) raises ``NumericsError``.
+        The singular values 2 nu_j of A = L^T Omega L, with L the Cholesky factor
+        of 2 sigma, by one ``eigvalsh`` of A^T A; exact on vacuum, where L = I
+        (see the module docstring).  A sigma that is not positive definite raises
+        ``PhysicalityError`` with a minimum of 0.0.  The Cholesky factor does not
+        raise on NaN or inf, which construction has already refused.
         """
         s = self.sigma
+        # factor 2 sigma / 4^k: an even power of two scales every step exactly and keeps A^T A in range
+        k = (np.frexp(np.max(np.abs(np.diagonal(s))))[1] + 1) // 2
         try:
-            ev = np.linalg.eigvals(symplectic_form(s.shape[0] // 2) @ s)
+            chol = np.linalg.cholesky(np.ldexp(s, 1 - 2 * k))
         except np.linalg.LinAlgError as exc:
-            raise NumericsError(
-                f"symplectic spectrum failed to converge (matrix {s.shape}, "
-                f"finite: {bool(np.all(np.isfinite(s)))})"
-            ) from exc
-        nu = np.sort(np.abs(ev))[::-1][::2]
+            msg = "covariance is not positive definite, so no state has it"
+            raise PhysicalityError(msg, min_symplectic_eigenvalue=0.0) from exc
+        a = chol.T @ symplectic_form(s.shape[0] // 2) @ chol
+        nu = np.ldexp(np.sqrt(np.maximum(np.linalg.eigvalsh(a.T @ a)[::-2], 0.0)), 2 * k - 1)
         nu.flags.writeable = False
         return nu
 
@@ -140,9 +152,13 @@ def check_physicality(sigma, tol: float = 1e-9) -> tuple[bool, float]:
     """Whether all symplectic eigenvalues clear the vacuum bound 1/2 - tol.
 
     Returns (passed, min_symplectic_eigenvalue); diagnostic only, never raises
-    for unphysical input.
+    for unphysical input.  A covariance that is not positive definite has no
+    Williamson spectrum and reads (False, 0.0).
     """
-    lowest = float(np.min(symplectic_eigenvalues(sigma)))
+    try:
+        lowest = float(np.min(symplectic_eigenvalues(sigma)))
+    except PhysicalityError as exc:
+        return False, exc.min_symplectic_eigenvalue
     return lowest >= 0.5 - tol, lowest
 
 

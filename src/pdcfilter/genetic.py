@@ -113,8 +113,6 @@ class StateContext:
     """
 
     schmidt: SchmidtData = field(repr=False)
-    filter_signal: Filter = field(repr=False)
-    filter_idler: Filter = field(repr=False)
     factors: np.ndarray = field(repr=False)
     weight_sq: np.ndarray = field(repr=False)
     weight_cross: np.ndarray = field(repr=False)
@@ -173,8 +171,6 @@ def make_state_context(
     dw = schmidt.grid.d_omega
     return StateContext(
         schmidt=schmidt,
-        filter_signal=filter_signal,
-        filter_idler=filter_idler,
         factors=np.hstack([np.real(pa[:m]).T, np.real(pb[:m]).T]),
         weight_sq=dw * np.sinh(r) ** 2,
         weight_cross=dw * np.cosh(r) * np.sinh(r),

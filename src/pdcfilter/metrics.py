@@ -45,7 +45,10 @@ def mode_squeezing_db(sigma, k: int) -> SqueezingEntry:
     Negative values (no squeezing in either combination) are reported as-is,
     and a vacuum mode (both variances exactly 1) as +0.0 dB, not -0.0.
     """
-    d2m, d2p = epr_variances(sigma, k)
+    return _squeezing_entry(k, *epr_variances(sigma, k))
+
+
+def _squeezing_entry(k: int, d2m: float, d2p: float) -> SqueezingEntry:
     if not (d2m > 0 and d2p > 0):
         raise NumericsError(
             f"mode {k}: joint-quadrature variances ({d2m:.3e}, {d2p:.3e}) are not positive"
@@ -59,21 +62,25 @@ def mode_squeezing_db(sigma, k: int) -> SqueezingEntry:
 
 
 def squeezing_report(sigma) -> list[SqueezingEntry]:
-    """Per-mode squeezing entries for every measured mode."""
-    cov = CovarianceMatrix.of(sigma)
-    return [mode_squeezing_db(cov, k) for k in range(1, cov.n_modes + 1)]
+    """Per-mode squeezing entries for every measured mode: ``epr_variances`` of all at once."""
+    s = CovarianceMatrix.of(sigma).sigma
+    a, b, e, f = np.diagonal(s)[0::4], np.diagonal(s)[2::4], np.diagonal(s, 2)[0::4], np.diagonal(s, -2)[0::4]
+    minus, plus = (a + b - e - f).tolist(), (a + b + e + f).tolist()
+    return [_squeezing_entry(k, *pair) for k, pair in enumerate(zip(minus, plus), start=1)]
 
 
 def purity_routes(sigma) -> tuple[float, float]:
     """Purity of the Gaussian state by two routes: the determinant route
-    1 / (2^M sqrt(det sigma)) for M = 2N modes, and the Williamson route
-    prod 1/(2 nu_j) over the covariance's one symplectic spectrum."""
+    1 / sqrt(det 2 sigma) = 1 / (2^M sqrt(det sigma)) for M = 2N modes, and the
+    Williamson route prod 1/(2 nu_j) over the covariance's one symplectic
+    spectrum.  Both read 1.0 to the bit on the vacuum, 2 sigma = I; a sigma
+    that is not positive definite raises ``PhysicalityError``."""
     cov = CovarianceMatrix.of(sigma)
-    sign, logdet = np.linalg.slogdet(cov.sigma)
+    p_symp = float(np.exp(-np.sum(np.log(2.0 * cov.symplectic_eigenvalues))))
+    sign, logdet = np.linalg.slogdet(2 * cov.sigma)
     if sign <= 0:
         raise NumericsError(f"covariance determinant not positive (sign {sign})")
-    p_det = float(np.exp(-2 * cov.n_modes * np.log(2.0) - 0.5 * logdet))
-    p_symp = float(np.exp(-np.sum(np.log(2.0 * cov.symplectic_eigenvalues))))
+    p_det = float(np.exp(-0.5 * logdet))
     return p_det, p_symp
 
 

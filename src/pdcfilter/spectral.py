@@ -408,7 +408,7 @@ def _decompose(
     n = grid.n_points
     if not 1 <= n_retained <= n:
         raise ConfigurationError(f"n_retained must lie in [1, {n}], got {n_retained}")
-    left, right = (np.pad(f, ((0, max(0, n_retained - len(f))), (0, 0))) for f in (left, right))
+    left, right = (f if len(f) >= n_retained else np.pad(f, ((0, n_retained - len(f)), (0, 0))) for f in (left, right))
     try:
         qu, ru = np.linalg.qr(left.T)
         qv, rv = np.linalg.qr(right.T)

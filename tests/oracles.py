@@ -55,6 +55,42 @@ def lossy_epr_block(eta: float, r: float) -> np.ndarray:
     )
 
 
+def eigvals_williamson(sigma) -> np.ndarray:
+    """Williamson eigenvalues, descending, from the non-symmetric Omega sigma.
+
+    The route the library took before its Cholesky form: the eigenvalues of
+    Omega sigma are +-i nu_j, so their magnitudes, sorted, come in pairs.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    omega = np.kron(np.eye(len(sigma) // 2), [[0.0, 1.0], [-1.0, 0.0]])
+    return np.sort(np.abs(np.linalg.eigvals(omega @ sigma)))[::-1][::2]
+
+
+def drawn_gaussian_state(rng, n_bosons, nu_max=5.0, r_max=1.5):
+    """(sigma, nu) of a thermal state under a random symplectic, in the
+    library's interleaved (X, Y) ordering with vacuum variance 1/2.
+
+    The thermal diagonal nu_j lies in [1/2, nu_max]; the symplectic is a
+    passive unitary, one single-mode squeezer of r_j <= r_max per boson and
+    a second passive unitary, so sigma's Williamson spectrum is exactly nu.
+    """
+
+    def passive():
+        z = rng.standard_normal((n_bosons, n_bosons)) + 1j * rng.standard_normal((n_bosons, n_bosons))
+        u, _ = np.linalg.qr(z)
+        out = np.zeros((2 * n_bosons, 2 * n_bosons))
+        out[0::2, 0::2] = out[1::2, 1::2] = u.real
+        out[0::2, 1::2], out[1::2, 0::2] = -u.imag, u.imag
+        return out
+
+    r = rng.uniform(0.0, r_max, n_bosons)
+    squeeze = np.diag(np.exp(np.stack([-r, r], axis=1).ravel()))
+    sym = passive() @ squeeze @ passive()
+    nu = rng.uniform(0.5, nu_max, n_bosons)
+    sigma = sym @ np.diag(np.repeat(nu, 2)) @ sym.T
+    return (sigma + sigma.T) / 2, np.sort(nu)[::-1]
+
+
 def meshgrid_raw_gaussian(params, grid):
     """The unnormalized double Gaussian built on meshgrids, as two exponentials of rotated coordinates.
 
@@ -340,10 +376,11 @@ def wick_covariance(kernels: DenseKernels, filter_signal, filter_idler, basis) -
     return np.real(sigma)
 
 
-def objective_squeezing(ctx, phi_columns, k_prime):
+def objective_squeezing(schmidt, filter_signal, filter_idler, phi_columns, k_prime):
     """Squeezing in dB of measured mode ``k_prime`` for a shared basis.
 
-    The slow reference for ``StateContext.fitness``: ``phi_columns`` holds
+    The slow reference for ``StateContext.fitness`` of the state context of
+    ``schmidt`` and the two filters: ``phi_columns`` holds
     orthonormal unit-norm columns (one mode per column), the same set serves
     signal and idler, and mode ``k_prime`` alone goes through the library's
     projection and covariance pipeline, scored by the better joint-quadrature
@@ -360,34 +397,33 @@ def objective_squeezing(ctx, phi_columns, k_prime):
     gram_dev = np.max(np.abs(cols.T @ cols - np.eye(cols.shape[1])))
     if gram_dev > 1e-8:
         raise ConfigurationError(f"mode columns not orthonormal (max deviation {gram_dev:.3e})")
-    grid = ctx.schmidt.grid
+    grid = schmidt.grid
     mode = cols[:, k_prime - 1] / np.sqrt(grid.d_omega)
     basis = pf.MeasurementBasis.from_shared(mode[None, :], grid)
-    proj = pf.filtered_projections(ctx.schmidt, ctx.filter_signal, ctx.filter_idler, basis)
+    proj = pf.filtered_projections(schmidt, filter_signal, filter_idler, basis)
     return pf.mode_squeezing_db(pf.assemble_covariance(proj), 1).squeezing_db
 
 
-def dense_forms(ctx):
-    """The n x n joint-quadrature forms (form_minus, form_plus) of a state context.
+def dense_forms(schmidt, filter_signal, filter_idler):
+    """The n x n joint-quadrature forms (form_minus, form_plus) of a filtered state.
 
     The construction the genetic search scored with before it kept only the
     factors: every Schmidt row, complex products, real parts at the end.  A
     unit column q has the variances q^T form q / d_omega.
     """
-    schmidt = ctx.schmidt
     r = schmidt.require_gain()
     sh2 = np.sinh(r) ** 2
     chsh = np.cosh(r) * np.sinh(r)
     dw = schmidt.grid.d_omega
-    ta = ctx.filter_signal.transmission
-    tb = ctx.filter_idler.transmission
+    ta = filter_signal.transmission
+    tb = filter_idler.transmission
     pa = schmidt.signal_modes * ta
     pb = schmidt.idler_modes * tb
     sa = 2 * dw**2 * np.real(pa.conj().T @ (sh2[:, None] * pa)) + dw * np.diag(
-        np.abs(ta) ** 2 + reflection(ctx.filter_signal) ** 2
+        np.abs(ta) ** 2 + reflection(filter_signal) ** 2
     )
     sb = 2 * dw**2 * np.real(pb.conj().T @ (sh2[:, None] * pb)) + dw * np.diag(
-        np.abs(tb) ** 2 + reflection(ctx.filter_idler) ** 2
+        np.abs(tb) ** 2 + reflection(filter_idler) ** 2
     )
     se = 2 * dw**2 * np.real(pa.conj().T @ (chsh[:, None] * pb.conj()))
     se = se + se.T
@@ -407,7 +443,7 @@ def _reference_orthonormal_columns(genes, prefix, rng):
         genes[bad] = rng.standard_normal((int(np.sum(bad)), genes.shape[1]))
 
 
-def reference_ga(ctx, k_max, params):
+def reference_ga(schmidt, filter_signal, filter_idler, k_max, params):
     """The genetic search in its elementwise form, scored with :func:`dense_forms`.
 
     Each generation draws its parents with ``rng.choice``, crosses them with
@@ -416,15 +452,15 @@ def reference_ga(ctx, k_max, params):
     """
     from pdcfilter.genetic import OptimizedBasis
 
-    form_minus, form_plus = dense_forms(ctx)
-    dw = ctx.schmidt.grid.d_omega
+    form_minus, form_plus = dense_forms(schmidt, filter_signal, filter_idler)
+    dw = schmidt.grid.d_omega
 
     def fitness(c):
         d2m = np.einsum("ij,ij->i", c @ form_minus, c) / dw
         d2p = np.einsum("ij,ij->i", c @ form_plus, c) / dw
         return -10.0 * np.log10(np.minimum(d2m, d2p))
 
-    n = ctx.n_points
+    n = schmidt.grid.n_points
     rng = np.random.default_rng(params.rng_seed)
     pop = params.population
     n_parents = max(2, int(np.ceil(pop * params.parent_fraction)))

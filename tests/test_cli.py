@@ -735,11 +735,12 @@ def _count_calls(monkeypatch, names, module=None) -> dict:
 
 @pytest.mark.parametrize("verb, solves", [("run", 1), ("validate", 1), ("sweep", 24)])
 def test_one_eigensolve_per_covariance(verb, solves, tmp_path, monkeypatch, capsys):
-    # assembly, purity, export and validate all read one Williamson spectrum;
-    # the default sweep measures 8 widths x 3 gains
-    calls = _count_calls(monkeypatch, ("eigvals",), module=np.linalg)
+    # assembly, purity, export and validate all read one Williamson spectrum,
+    # one symmetric eigensolve each; the default sweep measures 8 widths x 3
+    # gains, and no route takes the non-symmetric eigvals
+    calls = _count_calls(monkeypatch, ("eigvalsh", "eigvals"), module=np.linalg)
     assert main([verb, "--out", str(tmp_path / "out")]) == 0
-    assert calls == {"eigvals": solves}
+    assert calls == {"eigvalsh": solves, "eigvals": 0}
 
 
 @pytest.mark.parametrize("basis", ["schmidt", "svd", "ga"])

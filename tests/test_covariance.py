@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 import pdcfilter as pf
 from pdcfilter.errors import ConfigurationError, NumericsError, PhysicalityError
 
-from oracles import chirped_jsa, complete_kernels, lossy_epr_block, wick_covariance
+from pdcfilter.metrics import purity_routes
+
+from oracles import (
+    chirped_jsa,
+    complete_kernels,
+    drawn_gaussian_state,
+    eigvals_williamson,
+    lossy_epr_block,
+    wick_covariance,
+)
 
 
 class TestAnalyticBlock:
@@ -58,13 +67,69 @@ class TestSymplectics:
             pf.symplectic_eigenvalues(bad)
 
     def test_non_finite_raises_numerics_error(self):
+        # the Cholesky factor would carry NaN or inf silently, so construction refuses them
         with pytest.raises(NumericsError):
             pf.symplectic_eigenvalues(np.full((4, 4), np.nan))
+        for bad in (np.nan, np.inf, -np.inf):
+            sigma = 0.5 * np.eye(4)
+            sigma[1, 1] = bad
+            for check in (pf.symplectic_eigenvalues, pf.check_physicality, pf.purity):
+                with pytest.raises(NumericsError, match="non-finite"):
+                    check(sigma)
 
     def test_symplectic_form_structure(self):
         omega = pf.symplectic_form(2)
         assert np.array_equal(omega[:2, :2], [[0, 1], [-1, 0]])
         assert np.array_equal(omega @ omega, -np.eye(4))
+
+
+class TestWilliamsonRoute:
+    """The Cholesky route of the spectrum against the Omega sigma eigenvalues of the oracle."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n_modes=st.integers(min_value=1, max_value=10))
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_physical_states(self, seed, n_modes):
+        # thermal nu_j in [1/2, 5] under a random symplectic with r <= 1.5, two
+        # bosons per measured mode: both routes read the drawn spectrum to
+        # round-off of the largest nu
+        sigma, nu = drawn_gaussian_state(np.random.default_rng(seed), 2 * n_modes)
+        got = pf.symplectic_eigenvalues(sigma)
+        assert np.max(np.abs(got - eigvals_williamson(sigma))) < 1e-12 * nu[0]
+        assert np.max(np.abs(got - nu)) < 1e-12 * nu[0]
+
+    @pytest.mark.parametrize("kind", ["rect", "gauss", "identity", "flat"])
+    @pytest.mark.parametrize("basis", ["schmidt", "svd", "ga"])
+    def test_pipeline_covariances(self, basis, kind):
+        config = pf.RunConfig(
+            basis=basis,
+            filter_kind=kind,
+            filter_amplitude=0.6 if kind == "flat" else 1.0,
+            ga_modes=3,
+            population=16,
+            max_generations=40,
+        )
+        cov = pf.run_single(config).covariance
+        assert np.max(np.abs(cov.symplectic_eigenvalues - eigvals_williamson(cov.sigma))) < 1e-13
+
+    @pytest.mark.parametrize("n_modes", [1, 3, 10])
+    def test_vacuum_is_exact(self, n_modes):
+        # 2 sigma = I: the factor, the antisymmetric form and its Gram are exact
+        sigma = 0.5 * np.eye(4 * n_modes)
+        assert np.all(pf.symplectic_eigenvalues(sigma) == 0.5)
+        assert pf.check_physicality(sigma, tol=0.0) == (True, 0.5)
+        assert purity_routes(sigma) == (1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [np.diag([1.0, 1.0, -1.0, -1.0]), np.diag([1.0, 1.0, 1.0, -1.0]), np.kron(np.eye(2), [[0.5, 1.0], [1.0, 0.5]])],
+        ids=["positive_det", "negative_det", "off_diagonal"],
+    )
+    def test_indefinite_is_unphysical(self, sigma):
+        # no state has a covariance that is not positive definite, whatever its determinant
+        assert pf.check_physicality(sigma) == (False, 0.0)
+        with pytest.raises(PhysicalityError) as info:
+            pf.purity(sigma)
+        assert info.value.min_symplectic_eigenvalue == 0.0
 
 
 class TestAssembleCovariance:

@@ -18,10 +18,14 @@ def ctx_rect4(reference_100, rect4_100):
 
 
 @pytest.fixture(scope="module")
-def ctx_identity(reference_100):
+def identity_100(reference_100):
+    return pf.make_identity_filter(reference_100[1].grid)
+
+
+@pytest.fixture(scope="module")
+def ctx_identity(reference_100, identity_100):
     _, schmidt, _ = reference_100
-    ident = pf.make_identity_filter(schmidt.grid)
-    return pf.make_state_context(schmidt, ident, ident)
+    return pf.make_state_context(schmidt, identity_100, identity_100)
 
 
 class TestStateContext:
@@ -44,8 +48,8 @@ class TestStateContext:
         _, schmidt, _ = reference_100
         grid = schmidt.grid
         nearly_real = pf.Filter(rect4_100.transmission * (1 + 1e-14j), grid)
-        ctx = pf.make_state_context(schmidt, nearly_real, nearly_real)
-        form_minus, _ = dense_forms(ctx)
+        pf.make_state_context(schmidt, nearly_real, nearly_real)
+        form_minus, _ = dense_forms(schmidt, nearly_real, nearly_real)
         assert np.all(np.isfinite(form_minus))
 
     @pytest.mark.parametrize("n", [100, 800])
@@ -106,7 +110,7 @@ class TestFactoredFitness:
         else:
             cols = np.random.default_rng(4).standard_normal((12, grid.n_points))
             cols /= np.linalg.norm(cols, axis=1)[:, None]
-        form_minus, form_plus = dense_forms(ctx)
+        form_minus, form_plus = dense_forms(schmidt, filt, filt)
         d2m = np.einsum("ij,jk,ik->i", cols, form_minus, cols) / grid.d_omega
         d2p = np.einsum("ij,jk,ik->i", cols, form_plus, cols) / grid.d_omega
         dense = -10 * np.log10(np.minimum(d2m, d2p))
@@ -114,36 +118,36 @@ class TestFactoredFitness:
 
 
 class TestObjective:
-    def test_schmidt_mode_recovers_db(self, ctx_identity, reference_100):
+    def test_schmidt_mode_recovers_db(self, identity_100, reference_100):
         _, schmidt, _ = reference_100
         col = schmidt.signal_modes[0] * np.sqrt(schmidt.grid.d_omega)
-        value = objective_squeezing(ctx_identity, np.real(col)[:, None], 1)
+        value = objective_squeezing(schmidt, identity_100, identity_100, np.real(col)[:, None], 1)
         assert value == pytest.approx(pf.squeezing_db(schmidt.r_values[0]), abs=1e-8)
 
-    def test_mode_outside_retained_span_sees_vacuum(self, ctx_identity, reference_100):
-        jsa, _, _ = reference_100
+    def test_mode_outside_retained_span_sees_vacuum(self, identity_100, reference_100):
+        jsa, schmidt, _ = reference_100
         # orthogonal to every excited mode: only the feeble r-tail remains
         col = full_schmidt(dense_values(jsa), jsa.grid)[1][30] * np.sqrt(jsa.grid.d_omega)
-        value = objective_squeezing(ctx_identity, np.real(col)[:, None], 1)
+        value = objective_squeezing(schmidt, identity_100, identity_100, np.real(col)[:, None], 1)
         assert abs(value) < 0.01
 
-    def test_svd_mode_matches_pipeline(self, ctx_rect4, reference_100, rect4_100):
+    def test_svd_mode_matches_pipeline(self, reference_100, rect4_100):
         jsa, schmidt, gain = reference_100
         eff = pf.svd_effective_basis(jsa, rect4_100, rect4_100, n_retained=1)
         col = np.real(eff.signal_modes[0]) * np.sqrt(schmidt.grid.d_omega)
-        value = objective_squeezing(ctx_rect4, col[:, None], 1)
+        value = objective_squeezing(schmidt, rect4_100, rect4_100, col[:, None], 1)
         basis = pf.MeasurementBasis.from_shared(eff.signal_modes[:1], schmidt.grid)
         proj = pf.filtered_projections(schmidt, rect4_100, rect4_100, basis)
         entry = pf.mode_squeezing_db(pf.assemble_covariance(proj), 1)
         assert value == pytest.approx(entry.squeezing_db, abs=1e-10)
 
-    def test_fast_fitness_equals_objective(self, ctx_rect4):
+    def test_fast_fitness_equals_objective(self, ctx_rect4, rect4_100):
         # the quadratic-form fast path must reproduce the full pipeline
         rng = np.random.default_rng(3)
         cols = _unit_cols(rng, ctx_rect4.n_points, 4)
         batch = ctx_rect4.fitness(cols.T)
         for k in range(4):
-            direct = objective_squeezing(ctx_rect4, cols[:, : k + 1], k + 1)
+            direct = objective_squeezing(ctx_rect4.schmidt, rect4_100, rect4_100, cols[:, : k + 1], k + 1)
             assert batch[k] == pytest.approx(direct, abs=1e-10)
 
     @pytest.mark.parametrize(
@@ -164,10 +168,10 @@ class TestObjective:
         reported = [entry.squeezing_db for entry in report.squeezing]
         assert np.max(np.abs(report.ga_result.per_mode_squeezing_db - reported)) < 1e-12
 
-    def test_non_orthonormal_rejected(self, ctx_rect4):
+    def test_non_orthonormal_rejected(self, ctx_rect4, rect4_100):
         bad = np.ones((ctx_rect4.n_points, 2))
         with pytest.raises(ConfigurationError):
-            objective_squeezing(ctx_rect4, bad, 1)
+            objective_squeezing(ctx_rect4.schmidt, rect4_100, rect4_100, bad, 1)
 
 
 @pytest.fixture(scope="module")
@@ -207,12 +211,12 @@ class TestGaOptimize:
         overlap = abs(schmidt.grid.overlap(result.modes[0], schmidt.signal_modes[0]))
         assert overlap > 0.99
 
-    def test_matches_eigensolver_optimum(self, ctx_rect4, small_params):
+    def test_matches_eigensolver_optimum(self, ctx_rect4, rect4_100, small_params):
         # exact optimum of the mode-1 objective: the smallest eigenvalue of
         # either joint-quadrature form
         result = pf.ga_optimize_basis(ctx_rect4, 1, small_params)
         dw = ctx_rect4.schmidt.grid.d_omega
-        form_minus, form_plus = dense_forms(ctx_rect4)
+        form_minus, form_plus = dense_forms(ctx_rect4.schmidt, rect4_100, rect4_100)
         best = min(
             np.linalg.eigvalsh(form_minus)[0],
             np.linalg.eigvalsh(form_plus)[0],
@@ -300,11 +304,12 @@ class TestReferenceTrajectory:
         }[kind]
         ctx = pf.make_state_context(schmidt, filt, filt)
         params = pf.GaParams(population=32, convergence_window=30, max_generations=400, rng_seed=17)
-        _assert_same_search(pf.ga_optimize_basis(ctx, 2, params), reference_ga(ctx, 2, params))
+        _assert_same_search(pf.ga_optimize_basis(ctx, 2, params), reference_ga(schmidt, filt, filt, 2, params))
 
-    def test_one_mode_default_population(self, ctx_rect4):
+    def test_one_mode_default_population(self, ctx_rect4, rect4_100):
         params = pf.GaParams(rng_seed=3)
-        _assert_same_search(pf.ga_optimize_basis(ctx_rect4, 1, params), reference_ga(ctx_rect4, 1, params))
+        reference = reference_ga(ctx_rect4.schmidt, rect4_100, rect4_100, 1, params)
+        _assert_same_search(pf.ga_optimize_basis(ctx_rect4, 1, params), reference)
 
 
 class TestOrthonormalColumns:
