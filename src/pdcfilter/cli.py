@@ -337,17 +337,25 @@ def _write_csv(path, header, rows) -> None:
     """Write a CSV table with floats at 17 significant digits (an exact round trip).
 
     Every other cell is written as it is; ``header=None`` writes no header row.
-    A float array is written with one format call per row: ``"%.17g" % x``
+    A float array is written with one format call and one write: ``"%.17g" % x``
     is ``format(x, ".17g")``, and such a cell never needs quoting, so the
-    bytes are those ``csv.writer`` writes.
+    bytes are those ``csv.writer`` writes.  An exact +0.0, which it writes as
+    ``0``, is that literal in its row's template; -0.0 is formatted.  A
+    template is built once per pattern of such cells.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if header is not None:
             writer.writerow(header)
         if isinstance(rows, np.ndarray) and rows.dtype == float:
-            line = ("%.17g," * rows.shape[1])[:-1] + writer.dialect.lineterminator
-            fh.writelines(line % tuple(row) for row in rows.tolist())
+            zero = (rows == 0) & ~np.signbit(rows)
+            flags, width = zero.tobytes(), rows.shape[1]
+            patterns = [flags[i * width : (i + 1) * width] for i in range(len(rows))]
+            lines = {
+                pattern: ",".join("0" if cell else "%.17g" for cell in pattern) + writer.dialect.lineterminator
+                for pattern in set(patterns)
+            }
+            fh.write("".join(map(lines.__getitem__, patterns)) % tuple(rows[~zero].tolist()))
         else:
             writer.writerows([format(x, ".17g") if isinstance(x, float) else x for x in row] for row in rows)
 

@@ -88,10 +88,11 @@ def purity(sigma) -> float:
     """Purity of the Gaussian state by the determinant route.
 
     A disagreement with the Williamson route (see ``purity_routes``) beyond
-    1e-9 indicates a numerical failure and raises.
+    1e-9 indicates a numerical failure and raises, as does a gap that is not
+    finite: both routes overflow to inf on a covariance far below vacuum.
     """
     p_det, p_symp = purity_routes(sigma)
-    if abs(p_det - p_symp) > _PURITY_XCHECK_TOL:
+    if not abs(p_det - p_symp) <= _PURITY_XCHECK_TOL:
         raise NumericsError(
             f"purity cross-check failed: determinant route {p_det!r} vs "
             f"symplectic route {p_symp!r}"

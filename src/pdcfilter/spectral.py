@@ -179,7 +179,7 @@ class JsaMatrix:
         return _CrossApproximation(self.sample, self.grid).certify()
 
 
-def _raw_gaussian(params: GaussianJsaParams, w: np.ndarray, rows, cols) -> np.ndarray:
+class _RawGaussian:
     """exp(-u^2 / (2 sigma_a^2) - v^2 / (2 sigma_b^2)) on w[rows] x w[cols], unnormalized.
 
     u and v are the rotated coordinates w_s cos(theta) + w_i sin(theta) and
@@ -189,30 +189,38 @@ def _raw_gaussian(params: GaussianJsaParams, w: np.ndarray, rows, cols) -> np.nd
     m = -w_s cos sin (1 / (2 sigma_a^2) - 1 / (2 sigma_b^2)) / C and
     d = w_s^2 / (4 sigma_a^2 sigma_b^2 C): one exponential a sample.  Both
     terms are >= 0, so nothing cancels, and a term that overflows gives
-    exp(-inf) = 0, the Gaussian's value to double precision.  A sample is a
+    exp(-inf) = 0, the Gaussian's value to double precision.  C, every
+    row's [1, -m] and d, and the columns [w_i; 1] are formed once per
+    amplitude, and a call ``(rows, cols)`` slices them.  A sample is a
     function of its row and column alone, so every block that reads it
     rounds it alike.
     """
-    ws, wi = w[rows], w[cols]
-    cos, sin = np.cos(params.theta), np.sin(params.theta)
-    var_a, var_b = params.sigma_a**2, params.sigma_b**2
-    a, b = 1 / (2 * var_a), 1 / (2 * var_b)
-    curvature = sin**2 * a + cos**2 * b
-    with np.errstate(over="ignore"):
-        # 4 var_a var_b C = 2 (cos^2 var_a + sin^2 var_b), the second form where the first under- or overflows
-        spread = 4 * var_a * var_b * curvature
-        if not 0 < spread < np.inf:
-            spread = 2 * (cos**2 * var_a + sin**2 * var_b)
-        centre = -ws * cos * sin * (a - b) / curvature
-        offset = ws**2 / spread
+
+    def __init__(self, params: GaussianJsaParams, w: np.ndarray):
+        cos, sin = np.cos(params.theta), np.sin(params.theta)
+        var_a, var_b = params.sigma_a**2, params.sigma_b**2
+        a, b = 1 / (2 * var_a), 1 / (2 * var_b)
+        self._curvature = sin**2 * a + cos**2 * b
+        with np.errstate(over="ignore"):
+            # 4 var_a var_b C = 2 (cos^2 var_a + sin^2 var_b), the second form where the first under- or overflows
+            spread = 4 * var_a * var_b * self._curvature
+            if not 0 < spread < np.inf:
+                spread = 2 * (cos**2 * var_a + sin**2 * var_b)
+            centre = -w * cos * sin * (a - b) / self._curvature
+            self._offset = w**2 / spread
         # w_i - m as the product [1, -m] @ [w_i; 1]: both terms are exact, so each
         # entry is the difference rounded once, at a third of the time numpy
         # takes to broadcast m over a 40 x 1600 block
-        q = np.stack([np.ones_like(centre), -centre], axis=1) @ np.stack([wi, np.ones_like(wi)])
-        np.square(q, out=q)
-        q *= -curvature
-        q -= offset[:, None]
-    return np.exp(q, out=q)
+        self._left = np.stack([np.ones_like(centre), -centre], axis=1)
+        self._right = np.stack([w, np.ones_like(w)])
+
+    def __call__(self, rows, cols) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            q = self._left[rows] @ self._right[:, cols]
+            np.square(q, out=q)
+            q *= -self._curvature
+            q -= self._offset[rows, None]
+        return np.exp(q, out=q)
 
 
 @dataclass(frozen=True)
@@ -220,12 +228,12 @@ class GaussianJsa:
     """The tilted double-Gaussian amplitude in closed form, normalized on the grid.
 
     No sample is stored: :meth:`sample` evaluates any block of rows and
-    columns as the raw Gaussian over sqrt(``grid_mass``), one exponential a
-    sample, and every read of a sample gives the same bits.  ``skeleton``
-    holds the certified cross-approximation factors ``ut``, ``v`` (k x n)
-    with f * d_omega = ut.T @ v to the noise floor, as :class:`JsaMatrix`
-    reports them, and ``grid_mass`` is the rectangle-rule mass
-    sum |raw|^2 d_omega^2 of the raw samples, read from the raw factors.
+    columns as the raw Gaussian ``raw`` over sqrt(``grid_mass``), one
+    exponential a sample, and every read of a sample gives the same bits.
+    ``skeleton`` holds the certified cross-approximation factors ``ut``,
+    ``v`` (k x n) with f * d_omega = ut.T @ v to the noise floor, as
+    :class:`JsaMatrix` reports them, and ``grid_mass`` is the rectangle-rule
+    mass sum |raw|^2 d_omega^2 of the raw samples, read from the raw factors.
     Build it with :func:`build_gaussian_jsa`.
     """
 
@@ -233,10 +241,11 @@ class GaussianJsa:
     grid: FrequencyGrid
     grid_mass: float
     skeleton: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    raw: _RawGaussian = field(repr=False, compare=False)
 
     def sample(self, rows, cols) -> np.ndarray:
         """The samples f[rows, cols]; ``rows`` and ``cols`` are slices or index arrays."""
-        out = _raw_gaussian(self.params, self.grid.points, rows, cols)
+        out = self.raw(rows, cols)
         out /= np.sqrt(self.grid_mass)
         return out
 
@@ -316,8 +325,8 @@ def build_gaussian_jsa(
         Largest acceptable deviation of the sampled squared-amplitude mass,
         as a fraction of the analytic mass, in either direction.
     """
-    cross = _CrossApproximation(lambda rows, cols: _raw_gaussian(params, grid.points, rows, cols), grid)
-    ut, v = cross.certify()
+    raw = _RawGaussian(params, grid.points)
+    ut, v = _CrossApproximation(raw, grid).certify()
     grid_mass = _skeleton_mass(ut, v)
     analytic_mass = float(np.pi * params.sigma_a * params.sigma_b)
     off_grid = 1.0 - grid_mass / analytic_mass
@@ -337,7 +346,7 @@ def build_gaussian_jsa(
             )
         raise GridTruncationError(f"{problem} (limit {max_truncated_mass:.1e})")
     ut /= np.sqrt(grid_mass)
-    return GaussianJsa(params, grid, grid_mass, (ut, v))
+    return GaussianJsa(params, grid, grid_mass, (ut, v), raw)
 
 
 def _fix_phases(signal: np.ndarray, idler: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -439,10 +448,12 @@ class _CrossApproximation:
     row of each block above the floor, worst first, and checks again until
     none is left.  A new pivot k moves row i's residual by at most
     |ut_k[i]| max|v_k|, so a check re-reads only the rows whose recorded
-    residual plus that bound crosses the floor; the residual rows above half
-    the floor, up to ``_KEPT_SAMPLES`` samples, are kept and updated with
-    each new pivot instead.  The first nonzero start of a round always
-    becomes a pivot and the rank is at most n, so this ends.
+    residual plus that bound crosses the floor; the rows above half the
+    floor, up to ``_KEPT_SAMPLES`` samples, are kept and updated with each
+    new pivot instead.  A kept row stores its samples and the rank k it was
+    measured at, and its residual f d_omega - ut[:k]^T v[:k] is formed only
+    when the first new pivot arrives.  The first nonzero start of a round
+    always becomes a pivot and the rank is at most n, so this ends.
     """
 
     def __init__(self, sample, grid: FrequencyGrid):
@@ -464,8 +475,9 @@ class _CrossApproximation:
         self._rank, self._largest = 0, 0.0
         # an upper bound on each row's largest residual sample, times d_omega
         self._bound = np.full(n, np.inf)
-        # (rows, their residual rows times d_omega), updated with each new pivot
-        self._kept: list[tuple[np.ndarray, np.ndarray]] = []
+        # [rows, f * d_omega on them, k]: their residual rows are f * d_omega - ut[:k]^T v[:k],
+        # formed on first use (k is then 0) and updated with each new pivot
+        self._kept: list[list] = []
         self._is_kept = np.zeros(n, dtype=bool)
         self._pivot(itertools.chain([first], reads))
 
@@ -524,7 +536,7 @@ class _CrossApproximation:
         return [i for size, i in sorted(worst, reverse=True) if size > floor]
 
     def _measure(self, rows: np.ndarray) -> None:
-        """Record the largest residual sample of each of ``rows``, and keep the residual of those near the floor."""
+        """Record the largest residual sample of each of ``rows``, and keep those near the floor."""
         dw = self._grid.d_omega
         f = self._sample(rows, slice(None))
         self._note(f)
@@ -538,7 +550,7 @@ class _CrossApproximation:
         near = np.flatnonzero(self._bound[rows] > _NOISE_FLOOR * self._largest / 2)[: max(0, room)]
         if len(near):
             self._is_kept[rows[near]] = True
-            self._kept.append((rows[near], f[near] * dw - self._ut[:k, rows[near]].T @ self._v[:k]))
+            self._kept.append([rows[near], f[near] * dw, k])
 
     def certify(self) -> tuple[np.ndarray, np.ndarray]:
         """The factors ``ut``, ``v`` (k x n) with f * d_omega = ut.T @ v, once no row is above the floor."""
@@ -550,7 +562,11 @@ class _CrossApproximation:
             ut, v = self._ut[first : self._rank], self._v[first : self._rank]
             # v_k is a residual row over its largest sample, so max|v_k| = 1
             self._bound += np.sum(np.abs(ut), axis=0)
-            for rows, residual in self._kept:
+            for kept in self._kept:
+                rows, residual, k = kept
+                if k:
+                    residual -= self._ut[:k, rows].T @ self._v[:k]
+                    kept[2] = 0
                 residual -= ut[:, rows].T @ v
                 self._bound[rows] = np.max(np.abs(residual), axis=1)
             restarts = self._check()

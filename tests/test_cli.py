@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 import json
@@ -511,7 +512,7 @@ def test_artifact_header(artifacts, name, header):
 
 
 def test_float_table_writes_the_csv_writer_bytes(tmp_path):
-    # a float array is written one format call per row; the same table as
+    # a float array is written with one format call; the same table as
     # lists of floats goes through csv.writer, and both give the same bytes
     rng = np.random.default_rng(7)
     table = rng.standard_normal((60, 7)) * np.exp(rng.uniform(-700.0, 700.0, (60, 7)))
@@ -529,6 +530,41 @@ def test_float_table_writes_the_csv_writer_bytes(tmp_path):
         _write_csv(tmp_path / f"{name}_array.csv", header, rows)
         _write_csv(tmp_path / f"{name}_list.csv", header, rows.tolist())
         assert (tmp_path / f"{name}_array.csv").read_bytes() == (tmp_path / f"{name}_list.csv").read_bytes()
+
+
+# exact zeros of both signs, the smallest subnormal, huge and tiny values, the
+# first integers past 2^53 and integer-valued floats, among arbitrary floats
+_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, 1e16, 1e17, -1e17]),
+    st.integers(-(10**18), 10**18).map(float),
+    st.floats(),
+)
+
+
+@st.composite
+def _float_tables(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    table = np.array(draw(st.lists(st.lists(_CELLS, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+    table[draw(st.lists(st.booleans(), min_size=rows, max_size=rows))] = 0.0
+    return table
+
+
+@given(table=_float_tables(), headed=st.booleans())
+@example(table=np.zeros((1, 1)), headed=False)
+@example(table=np.array([[0.0, -0.0, 5e-324, 1e16, 1e17, 3.0]]), headed=True)
+@example(table=np.array([[1e300], [0.0], [-0.0], [1e-300], [-2.0]]), headed=False)
+@settings(max_examples=200, deadline=None)
+def test_float_table_bytes_equal_csv_writer_cell_by_cell(tmp_path_factory, table, headed):
+    # the one-call writer against csv.writer with format(x, ".17g") per cell
+    header = [f"c{k}" for k in range(table.shape[1])] if headed else None
+    path = tmp_path_factory.getbasetemp() / "float_table.csv"
+    _write_csv(path, header, table)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    if headed:
+        writer.writerow(header)
+    writer.writerows([format(x, ".17g") for x in row] for row in table.tolist())
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 class TestMainEntry:

@@ -126,6 +126,13 @@ class TestPurity:
         with pytest.raises(pf.NumericsError):
             pf.purity(np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200])
+    def test_non_finite_gap_rejected(self, scale):
+        # far below vacuum both routes overflow to inf, and their gap
+        # inf - inf is NaN, which no tolerance may pass
+        with np.errstate(over="ignore"), pytest.raises(pf.NumericsError, match="cross-check"):
+            pf.purity(scale * np.eye(4))
+
 
 class TestSingleModeCharacter:
     def test_single_squeezed_mode_is_infinite(self):

@@ -98,10 +98,10 @@ class TestGaussianJsa:
             exact, q = longdouble_gaussian(params, grid, block)
             mass += np.sum(exact * exact)
             bound = _SAMPLE_ERROR * eps * (1 + q) * exact
-            for raw in (spectral._raw_gaussian(params, grid.points, block, _ALL), meshgrid[block]):
+            for raw in (jsa.raw(block, _ALL), meshgrid[block]):
                 assert np.all(np.abs(raw - exact) <= bound)
         assert abs(jsa.grid_mass / float(mass * np.longdouble(grid.d_omega) ** 2) - 1) <= 1e-14
-        raw = spectral._raw_gaussian(params, grid.points, _ALL, _ALL)
+        raw = jsa.raw(_ALL, _ALL)
         assert np.array_equal(jsa.sample(_ALL, _ALL), raw / np.sqrt(jsa.grid_mass))
 
     @pytest.mark.parametrize("n", [100, 383, 1600])
@@ -125,7 +125,8 @@ class TestGaussianJsa:
     def test_holds_no_sample(self):
         # one pass of row blocks: a peak of a few MB at n = 1600 against
         # 20.5 MB for one 1600 x 1600 float array, and nothing of grid size
-        # kept but the k x n skeleton factors
+        # kept but the k x n skeleton factors and the sampler's five length-n
+        # constants (64 kB here, within the 1e5 bytes allowed for the rest)
         n = 1600
         grid = pf.build_frequency_grid(n, -10.0, 10.0)
         tracemalloc.start()
@@ -193,7 +194,7 @@ class TestPairwiseSquareSum:
         jsa = pf.build_gaussian_jsa(params, grid, max_truncated_mass=np.inf)
         total = 0.0
         for block in _row_blocks(n):
-            total += np.sum(np.square(spectral._raw_gaussian(params, grid.points, block, _ALL)))
+            total += np.sum(np.square(jsa.raw(block, _ALL)))
         assert abs(jsa.grid_mass / (total * grid.d_omega**2) - 1) <= 1e-14
 
 
@@ -351,21 +352,22 @@ class TestSchmidtDecompose:
         # about 0.06 n^2 more.  The sweep input (sigma_a 4.9, n = 600) leaves
         # rows just above the floor after that pass: their residuals are
         # kept and updated with the new pivots, so no second pass reads them
-        # (the check that re-read every sample read 2.21 n^2 there)
-        raw_gaussian = spectral._raw_gaussian
+        # (the check that re-read every sample read 2.21 n^2 there).  Every
+        # sample is read at least once, so a read the counter misses fails
+        raw_gaussian = spectral._RawGaussian.__call__
         evaluated = []
 
-        def counting(*args):
-            out = raw_gaussian(*args)
+        def counting(self, rows, cols):
+            out = raw_gaussian(self, rows, cols)
             evaluated.append(out.size)
             return out
 
-        monkeypatch.setattr(spectral, "_raw_gaussian", counting)
+        monkeypatch.setattr(spectral._RawGaussian, "__call__", counting)
         sweep_input = pf.GaussianJsaParams(4.924073604931264, 1.562717153426108, -0.847504713566843)
         for n, params, most in ((1600, pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), 1.1), (600, sweep_input, 1.15)):
             evaluated.clear()
             pf.schmidt_decompose(pf.build_gaussian_jsa(params, pf.build_frequency_grid(n, -10, 10)), 10)
-            assert sum(evaluated) <= most * n * n
+            assert n * n <= sum(evaluated) <= most * n * n
 
     def test_leading_triples_match_dense_svd(self):
         schmidt = self._assert_matches_dense_svd(self._reference_jsa(800))
