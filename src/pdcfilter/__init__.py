@@ -11,14 +11,9 @@ amplitude and a genetic search over orthonormal mode sets.
 
 __version__ = "0.1.0"
 
-from .basis_opt import (
-    FilteredProjectorModes,
-    filtered_projector_decomposition,
-    svd_effective_basis,
-)
+from .basis_opt import svd_effective_basis
 from .covariance import (
     CovarianceMatrix,
-    analytic_epr_block,
     assemble_covariance,
     check_physicality,
     read_covariance_csv,
@@ -81,7 +76,6 @@ __all__ = [
     "ConfigurationError",
     "CovarianceMatrix",
     "Filter",
-    "FilteredProjectorModes",
     "FrequencyGrid",
     "GaParams",
     "GaussianJsa",
@@ -99,7 +93,6 @@ __all__ = [
     "SqueezingEntry",
     "StateContext",
     "TradeoffRecord",
-    "analytic_epr_block",
     "apply_gain",
     "assemble_covariance",
     "build_frequency_grid",
@@ -109,7 +102,6 @@ __all__ = [
     "epr_variances",
     "export_report",
     "filtered_projections",
-    "filtered_projector_decomposition",
     "ga_optimize_basis",
     "gain_for_target_db",
     "make_blocking_filter",

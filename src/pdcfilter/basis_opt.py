@@ -1,37 +1,28 @@
-"""Measurement bases adapted to the applied filters.
+"""Measurement basis adapted to the applied filters.
 
-Two decompositions live here, each one call of ``spectral._decompose``, the
-function that also gives the Schmidt state: a QR of each thin factor of the
-kernel and one SVD of the small core, embedded on the grid.  The effective
-Schmidt basis comes from the SVD of the filter-masked amplitude
-T_a(w_s) T_b(w_i) f(w_s, w_i): its modes concentrate the surviving
-squeezing inside the passband and its singular values lambda'_k, scaled by
-the gain to r'_k = B lambda'_k, bound the per-mode squeezing left after
-filtering (they contract: r'_k <= r_k whenever |T| <= 1 on both arms).
-Neither depends on B, so one decomposition serves every gain.  The masked
-amplitude is read from the amplitude's certified cross-approximation
-factors, restricted to the transmitting samples and weighted by the
-transmissions: no sample is evaluated and no n x n array is formed,
-whatever the filter.  At T = 1 on both arms the factors are the skeleton
-itself, and the basis is the Schmidt state bit for bit.
-
-The second decomposition targets the special case of identical real
-signal/idler modes, one common filter, and uniform gain: the SVD of the
-filtered projector kernel T(w) sum_k psi_k(w) psi_k(w') yields per-mode
-transmissions kappa_k and mode pairs in which that filter acts as ordinary
-beam-splitter loss of transmissivity kappa_k^2, decoupling all modes.  It is
-exact only under those preconditions, which are checked, not assumed.
+The effective basis is one call of ``spectral._decompose``, the function
+that also gives the Schmidt state: a QR of each thin factor of the kernel
+and one SVD of the small core, embedded on the grid.  It comes from the
+SVD of the filter-masked amplitude T_a(w_s) T_b(w_i) f(w_s, w_i): its
+modes concentrate the surviving squeezing inside the passband and its
+singular values lambda'_k, scaled by the gain to r'_k = B lambda'_k, bound
+the per-mode squeezing left after filtering (they contract: r'_k <= r_k
+whenever |T| <= 1 on both arms).  Neither depends on B, so one
+decomposition serves every gain.  The masked amplitude is read from the
+amplitude's certified cross-approximation factors, restricted to the
+transmitting samples and weighted by the transmissions: no sample is
+evaluated and no n x n array is formed, whatever the filter.  At T = 1 on
+both arms the factors are the skeleton itself, and the basis is the
+Schmidt state bit for bit.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .filters import Filter
-from .spectral import FrequencyGrid, GaussianJsa, JsaMatrix, SchmidtData, _decompose
+from .spectral import GaussianJsa, JsaMatrix, SchmidtData, _decompose
 
 
 def svd_effective_basis(
@@ -68,53 +59,4 @@ def svd_effective_basis(
     rows, cols = np.flatnonzero(ta), np.flatnonzero(tb)
     ut, v = jsa.skeleton
     return _decompose(grid, ut[:, rows] * ta[rows], v[:, cols] * tb[cols], n_retained, rows, cols)
-
-
-@dataclass(frozen=True)
-class FilteredProjectorModes:
-    """Per-mode transmissions and mode pairs of the uniform-gain special case.
-
-    ``out_modes`` are the detection modes after the filter, ``in_modes`` the
-    matching combinations of the original modes; ``transmissions`` are the
-    amplitude transmissions kappa_k in [0, 1].
-    """
-
-    grid: FrequencyGrid
-    transmissions: np.ndarray
-    out_modes: np.ndarray
-    in_modes: np.ndarray
-
-
-def filtered_projector_decomposition(
-    schmidt: SchmidtData, filt: Filter, mode_tol: float = 1e-10
-) -> FilteredProjectorModes:
-    """SVD of the filtered projector onto the retained (identical, real) modes.
-
-    The kernel T(w) sum_k psi_k(w) psi_k(w') has rank m = n_retained and is
-    decomposed by ``spectral._decompose`` from its m x n factors T psi and
-    psi, never formed.
-    Preconditions of the special case are enforced: the retained signal and
-    idler mode functions must be real and identical to within ``mode_tol``.
-    The filter has |T| <= 1 by construction.  Transmissions are descending
-    and lie in [0, 1] up to round-off.
-    """
-    if filt.grid != schmidt.grid:
-        raise ConfigurationError("filter grid does not match the decomposition grid")
-    m = schmidt.n_retained
-    psi = schmidt.signal_modes[:m]
-    phi = schmidt.idler_modes[:m]
-    if np.max(np.abs(np.imag(psi))) > mode_tol or np.max(np.abs(np.imag(phi))) > mode_tol:
-        raise ConfigurationError("retained modes must be real for the uniform-loss decomposition")
-    if np.max(np.abs(psi - phi)) > mode_tol:
-        raise ConfigurationError(
-            "retained signal and idler modes must be identical for the uniform-loss decomposition"
-        )
-    rows = np.sqrt(schmidt.grid.d_omega) * np.real(psi)
-    dec = _decompose(schmidt.grid, rows * filt.transmission, rows, m)
-    return FilteredProjectorModes(
-        grid=schmidt.grid,
-        transmissions=dec.lambdas,
-        out_modes=dec.signal_modes,
-        in_modes=dec.idler_modes,
-    )
 

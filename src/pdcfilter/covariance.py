@@ -120,21 +120,6 @@ class CovarianceMatrix:
         return self.sigma[4 * (k - 1) : 4 * k, 4 * (l - 1) : 4 * l]
 
 
-def analytic_epr_block(r: float) -> np.ndarray:
-    """Covariance of one ideal two-mode squeezed pair with amplitude r."""
-    if r < 0:
-        raise ConfigurationError(f"squeezing amplitude must be >= 0, got {r}")
-    c2, s2 = np.cosh(2 * r), np.sinh(2 * r)
-    return 0.5 * np.array(
-        [
-            [c2, 0.0, s2, 0.0],
-            [0.0, c2, 0.0, -s2],
-            [s2, 0.0, c2, 0.0],
-            [0.0, -s2, 0.0, c2],
-        ]
-    )
-
-
 @cache
 def symplectic_form(n_pairs: int) -> np.ndarray:
     """Block-diagonal form with [[0, 1], [-1, 0]] per (X, Y) pair; built once per size, read-only."""

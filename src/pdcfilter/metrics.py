@@ -32,11 +32,20 @@ class SqueezingEntry:
     combination: str  # "minus" or "plus": which joint quadrature is squeezed
 
 
+def _joint_variances(cov: CovarianceMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(minus, plus) joint-quadrature variances of every measured mode, read off sigma's diagonals."""
+    s = cov.sigma
+    a, b, e, f = np.diagonal(s)[0::4], np.diagonal(s)[2::4], np.diagonal(s, 2)[0::4], np.diagonal(s, -2)[0::4]
+    return a + b - e - f, a + b + e + f
+
+
 def epr_variances(sigma, k: int) -> tuple[float, float]:
     """(minus, plus) joint-quadrature variances of measured mode k (1-based)."""
-    b = CovarianceMatrix.of(sigma).block(k)
-    a, bb, e, f = b[0, 0], b[2, 2], b[0, 2], b[2, 0]
-    return float(a + bb - e - f), float(a + bb + e + f)
+    cov = CovarianceMatrix.of(sigma)
+    if not 1 <= k <= cov.n_modes:
+        raise ConfigurationError(f"mode index {k} out of range 1..{cov.n_modes}")
+    minus, plus = _joint_variances(cov)
+    return float(minus[k - 1]), float(plus[k - 1])
 
 
 def mode_squeezing_db(sigma, k: int) -> SqueezingEntry:
@@ -63,10 +72,8 @@ def _squeezing_entry(k: int, d2m: float, d2p: float) -> SqueezingEntry:
 
 def squeezing_report(sigma) -> list[SqueezingEntry]:
     """Per-mode squeezing entries for every measured mode: ``epr_variances`` of all at once."""
-    s = CovarianceMatrix.of(sigma).sigma
-    a, b, e, f = np.diagonal(s)[0::4], np.diagonal(s)[2::4], np.diagonal(s, 2)[0::4], np.diagonal(s, -2)[0::4]
-    minus, plus = (a + b - e - f).tolist(), (a + b + e + f).tolist()
-    return [_squeezing_entry(k, *pair) for k, pair in enumerate(zip(minus, plus), start=1)]
+    minus, plus = _joint_variances(CovarianceMatrix.of(sigma))
+    return [_squeezing_entry(k, *pair) for k, pair in enumerate(zip(minus.tolist(), plus.tolist()), start=1)]
 
 
 def purity_routes(sigma) -> tuple[float, float]:

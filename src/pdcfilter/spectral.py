@@ -323,8 +323,11 @@ def build_gaussian_jsa(
         Shared signal/idler axis.
     max_truncated_mass : float
         Largest acceptable deviation of the sampled squared-amplitude mass,
-        as a fraction of the analytic mass, in either direction.
+        as a fraction of the analytic mass, in either direction; a negative
+        one raises ``ConfigurationError`` before any sample is read.
     """
+    if not max_truncated_mass >= 0:
+        raise ConfigurationError(f"mass_tolerance (max_truncated_mass) must be >= 0, got {max_truncated_mass!r}")
     raw = _RawGaussian(params, grid.points)
     ut, v = _CrossApproximation(raw, grid).certify()
     grid_mass = _skeleton_mass(ut, v)

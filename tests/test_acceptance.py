@@ -16,7 +16,7 @@ import pytest
 import pdcfilter as pf
 from pdcfilter.cli import RunConfig, run_single, sweep_tradeoff
 
-from oracles import geometric_lambdas, lossy_epr_block
+from oracles import full_schmidt, geometric_lambdas, lossy_epr_block
 
 # covariance matrices registered by criteria 1-8, swept by criterion 9
 _REGISTRY: list[tuple[str, np.ndarray]] = []
@@ -56,7 +56,7 @@ def test_criterion_1_unfiltered_analytic_limit():
     block_err = 0.0
     cross_err = 0.0
     for k in range(1, 6):
-        expected = pf.analytic_epr_block(schmidt.r_values[k - 1])
+        expected = lossy_epr_block(1.0, schmidt.r_values[k - 1])
         block_err = max(block_err, float(np.max(np.abs(cov.block(k) - expected))))
         for l in range(1, 6):
             if l != k:
@@ -171,8 +171,10 @@ def test_criterion_5_uniform_gain_loss_basis(state_200):
         tail_weight=0.0,
     )
     rect = pf.make_rect_filter(0.0, 4.0, schmidt.grid)
-    dec = pf.filtered_projector_decomposition(uniform, rect)
-    basis = pf.MeasurementBasis.from_shared(dec.out_modes, schmidt.grid)
+    # the loss basis: the dense SVD of the filtered projector kernel T(w) sum_k psi_k(w) psi_k(w')
+    psi = np.real(schmidt.signal_modes[:5])
+    kappa, out_modes, _ = full_schmidt(rect.transmission[:, None] * (psi.T @ psi), schmidt.grid)
+    basis = pf.MeasurementBasis.from_shared(out_modes[:5], schmidt.grid)
     proj = pf.filtered_projections(uniform, rect, rect, basis)
     cov = pf.assemble_covariance(proj)
     _register("criterion5_uniform_loss", cov)
@@ -182,7 +184,7 @@ def test_criterion_5_uniform_gain_loss_basis(state_200):
         for l in range(1, 6):
             if l != k:
                 cross = max(cross, float(np.max(np.abs(cov.block(k, l)))))
-        eta_k = float(dec.transmissions[k - 1] ** 2)
+        eta_k = float(kappa[k - 1] ** 2)
         expected = lossy_epr_block(eta_k, 0.5)
         var_err = max(var_err, float(np.max(np.abs(cov.block(k) - expected))))
     assert cross < 1e-8

@@ -309,11 +309,8 @@ class TestPassbandSvd:
 
 @pytest.fixture(scope="module")
 def uniform_state(reference_200):
-    return _uniform(reference_200[1])
-
-
-def _uniform(schmidt):
     # identical real modes on both arms, uniform r = 0.5 over 5 modes
+    schmidt = reference_200[1]
     lambdas = np.zeros_like(schmidt.lambdas)
     lambdas[:5] = 1 / np.sqrt(5)
     r = np.zeros_like(schmidt.lambdas)
@@ -329,97 +326,30 @@ def _uniform(schmidt):
 
 
 class TestFilteredProjectorDecomposition:
-    def test_identity_filter_unit_transmissions(self, uniform_state):
-        ident = pf.make_identity_filter(uniform_state.grid)
-        dec = pf.filtered_projector_decomposition(uniform_state, ident)
-        assert np.max(np.abs(dec.transmissions - 1.0)) < 1e-10
-        span = uniform_state.signal_modes[:5]
-        gram = (dec.out_modes @ span.conj().T) * uniform_state.grid.d_omega
-        assert np.max(np.abs(gram @ gram.conj().T - np.eye(5))) < 1e-10
+    """Identical real modes, one common filter and uniform gain: in the
+    out-modes of the filtered projector kernel T(w) sum_k psi_k(w) psi_k(w')
+    the filter acts on each mode as plain beam-splitter loss kappa_k^2, with
+    kappa_k the kernel's singular values, and the modes decouple.  The
+    kernel is decomposed by the dense SVD of the oracle."""
 
-    def test_blocking_filter_zero_transmissions(self, uniform_state):
-        block = pf.make_blocking_filter(uniform_state.grid)
-        dec = pf.filtered_projector_decomposition(uniform_state, block)
-        assert np.max(dec.transmissions) < 1e-12
-
-    def test_transmissions_bounded_and_descending(self, uniform_state, rect4_200):
-        dec = pf.filtered_projector_decomposition(uniform_state, rect4_200)
-        assert np.all(dec.transmissions <= 1 + 1e-10)
-        assert np.all(np.diff(dec.transmissions) <= 1e-14)
-
-    def test_uniform_gain_decouples_into_per_mode_loss(self, uniform_state, rect4_200):
-        # in the decomposition basis the filter acts as plain loss kappa_k^2
-        dec = pf.filtered_projector_decomposition(uniform_state, rect4_200)
-        basis = pf.MeasurementBasis.from_shared(dec.out_modes, uniform_state.grid)
-        proj = pf.filtered_projections(uniform_state, rect4_200, rect4_200, basis)
-        cov = pf.assemble_covariance(proj)
+    @staticmethod
+    def _assert_per_mode_loss(state, filt):
+        psi = np.real(state.signal_modes[:5])
+        kappa, out_modes, _ = full_schmidt(filt.transmission[:, None] * (psi.T @ psi), state.grid)
+        basis = pf.MeasurementBasis.from_shared(out_modes[:5], state.grid)
+        cov = pf.assemble_covariance(pf.filtered_projections(state, filt, filt, basis))
         for k in range(1, 6):
             for l in range(1, 6):
                 if k != l:
                     assert np.max(np.abs(cov.block(k, l))) < 1e-8
-            expected = lossy_epr_block(float(dec.transmissions[k - 1] ** 2), 0.5)
+            expected = lossy_epr_block(float(kappa[k - 1] ** 2), 0.5)
             assert np.max(np.abs(cov.block(k) - expected)) < 1e-8
+
+    def test_uniform_gain_decouples_into_per_mode_loss(self, uniform_state, rect4_200):
+        self._assert_per_mode_loss(uniform_state, rect4_200)
 
     def test_gauss_filter_also_decouples(self, uniform_state):
-        gauss = pf.make_gauss_filter(0.0, 5.0, uniform_state.grid)
-        dec = pf.filtered_projector_decomposition(uniform_state, gauss)
-        basis = pf.MeasurementBasis.from_shared(dec.out_modes, uniform_state.grid)
-        proj = pf.filtered_projections(uniform_state, gauss, gauss, basis)
-        cov = pf.assemble_covariance(proj)
-        for k in range(1, 6):
-            expected = lossy_epr_block(float(dec.transmissions[k - 1] ** 2), 0.5)
-            assert np.max(np.abs(cov.block(k) - expected)) < 1e-8
-
-    @pytest.mark.parametrize("n", [200, 800])
-    @pytest.mark.parametrize("kind", ["rect", "gauss", "blocking", "identity"])
-    def test_matches_dense_kernel_svd(self, n, kind):
-        # the old route: the dense SVD of the n x n kernel T(w) sum_k psi_k(w) psi_k(w')
-        grid = pf.build_frequency_grid(n, -10.0, 10.0)
-        jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
-        state = _uniform(pf.schmidt_decompose(jsa, 10))
-        filt = {
-            "rect": pf.make_rect_filter(0.0, 4.0, grid),
-            "gauss": pf.make_gauss_filter(0.0, 5.0, grid),
-            "blocking": pf.make_blocking_filter(grid),
-            "identity": pf.make_identity_filter(grid),
-        }[kind]
-        dec = pf.filtered_projector_decomposition(state, filt)
-        psi = np.real(state.signal_modes[:5])
-        kappa, out_modes, in_modes = full_schmidt(filt.transmission[:, None] * (psi.T @ psi), grid)
-        assert np.max(np.abs(dec.transmissions - kappa[:5])) < 1e-12
-        # a mode is fixed to eps / gap, so only modes 1e-3 from every other
-        # transmission (the sixth, beyond the rank, is 0) are compared
-        gaps = np.abs(kappa[:5, None] - kappa[None, :6])
-        np.fill_diagonal(gaps, np.inf)
-        distinct = np.min(gaps, axis=1) > 1e-3
-        assert (kind in ("rect", "gauss")) == bool(np.all(distinct))
-        assert np.max(np.abs(dec.out_modes - out_modes[:5])[distinct], initial=0.0) < 1e-12
-        assert np.max(np.abs(dec.in_modes - in_modes[:5])[distinct], initial=0.0) < 1e-12
-        if kind == "identity":
-            # kappa = 1 five times: any basis of the same span is the decomposition
-            for modes, dense in ((dec.out_modes, out_modes[:5]), (dec.in_modes, in_modes[:5])):
-                overlap = grid.d_omega * modes @ dense.conj().T
-                assert np.max(np.abs(overlap @ overlap.conj().T - np.eye(5))) < 1e-12
-
-    def test_forms_no_n_by_n_array(self):
-        grid = pf.build_frequency_grid(1600, -10.0, 10.0)
-        jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
-        state = _uniform(pf.schmidt_decompose(jsa, 10))
-        rect = pf.make_rect_filter(0.0, 4.0, grid)
-        tracemalloc.start()
-        try:
-            dec = pf.filtered_projector_decomposition(state, rect)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert dec.out_modes.shape == dec.in_modes.shape == (5, 1600)
-        # 2 MB against 20 MB for one 1600 x 1600 float array
-        assert peak < 2e6
-
-    def test_non_identical_modes_rejected(self, reference_200, rect4_200):
-        _, schmidt, _ = reference_200  # idler modes carry alternating signs
-        with pytest.raises(ConfigurationError):
-            pf.filtered_projector_decomposition(schmidt, rect4_200)
+        self._assert_per_mode_loss(uniform_state, pf.make_gauss_filter(0.0, 5.0, uniform_state.grid))
 
 
 def test_modes_csv_real(tmp_path, reference_200):

@@ -22,24 +22,26 @@ from oracles import (
 
 
 class TestAnalyticBlock:
+    """The ideal two-mode squeezed block: the oracle's lossless case, eta = 1."""
+
     def test_vacuum(self):
-        assert np.array_equal(pf.analytic_epr_block(0.0), 0.5 * np.eye(4))
+        assert np.array_equal(lossy_epr_block(1.0, 0.0), 0.5 * np.eye(4))
 
     def test_three_db_values(self):
         # frozen from cosh/sinh of 2r at r = 0.3454
-        block = pf.analytic_epr_block(0.3454)
+        block = lossy_epr_block(1.0, 0.3454)
         assert block[0, 0] == pytest.approx(0.624121528125291, abs=1e-14)
         assert block[0, 2] == pytest.approx(0.3735340437891149, abs=1e-14)
 
     def test_sign_pattern(self):
-        block = pf.analytic_epr_block(0.8)
+        block = lossy_epr_block(1.0, 0.8)
         assert block[0, 2] > 0  # X-X correlated
         assert block[1, 3] < 0  # Y-Y anticorrelated
 
     @given(st.floats(min_value=0.0, max_value=3.0))
     @settings(max_examples=30, deadline=None)
     def test_pure_for_any_r(self, r):
-        nu = pf.symplectic_eigenvalues(pf.analytic_epr_block(r))
+        nu = pf.symplectic_eigenvalues(lossy_epr_block(1.0, r))
         assert np.max(np.abs(nu - 0.5)) < 1e-9
 
 
@@ -58,7 +60,7 @@ class TestSymplectics:
         assert pf.check_physicality(0.5 * np.eye(8))[0]
 
     def test_epr_block_passes(self):
-        assert pf.check_physicality(pf.analytic_epr_block(1.0))[0]
+        assert pf.check_physicality(lossy_epr_block(1.0, 1.0))[0]
 
     def test_nonsymmetric_rejected(self):
         bad = np.eye(4)
@@ -140,7 +142,7 @@ class TestAssembleCovariance:
         proj = pf.filtered_projections(schmidt, ident, ident, basis)
         cov = pf.assemble_covariance(proj)
         for k in range(1, 6):
-            expected = pf.analytic_epr_block(schmidt.r_values[k - 1])
+            expected = lossy_epr_block(1.0, schmidt.r_values[k - 1])
             assert np.max(np.abs(cov.block(k) - expected)) < 1e-9
             for l in range(1, 6):
                 if l != k:

@@ -26,7 +26,7 @@ class TestEprVariances:
     @given(st.floats(min_value=0.0, max_value=2.0))
     @settings(max_examples=30, deadline=None)
     def test_unfiltered_closed_form(self, r):
-        d2m, d2p = pf.epr_variances(pf.analytic_epr_block(r), 1)
+        d2m, d2p = pf.epr_variances(lossy_epr_block(1.0, r), 1)
         assert d2m == pytest.approx(np.exp(-2 * r), rel=1e-12)
         assert d2p == pytest.approx(np.exp(2 * r), rel=1e-12)
 
@@ -40,9 +40,28 @@ class TestEprVariances:
         assert d2m == pytest.approx(eta * np.exp(-2 * r) + 1 - eta, rel=1e-12)
         assert d2p == pytest.approx(eta * np.exp(2 * r) + 1 - eta, rel=1e-12)
 
-    def test_index_checked(self):
+    def test_index_checked(self, reference_200):
         with pytest.raises(ConfigurationError):
             pf.epr_variances(0.5 * np.eye(4), 2)
+        # on pipeline covariances every mode reads, bit for bit, the variances of squeezing_report
+        jsa, schmidt, _ = reference_200
+        grid = schmidt.grid
+        for filt in (
+            pf.make_rect_filter(0.0, 4.0, grid),
+            pf.make_gauss_filter(0.0, 4.0, grid),
+            pf.make_identity_filter(grid),
+        ):
+            eff = pf.svd_effective_basis(jsa, filt, filt, n_retained=10)
+            for basis in (
+                pf.MeasurementBasis.from_schmidt(schmidt, 10),
+                pf.MeasurementBasis(eff.signal_modes[:10], eff.idler_modes[:10], grid),
+            ):
+                cov = pf.assemble_covariance(pf.filtered_projections(schmidt, filt, filt, basis))
+                report = [(e.delta2_minus, e.delta2_plus) for e in pf.squeezing_report(cov)]
+                assert [pf.epr_variances(cov, k) for k in range(1, 11)] == report
+                for k in (0, 11):
+                    with pytest.raises(ConfigurationError):
+                        pf.epr_variances(cov, k)
 
 
 class TestModeSqueezing:
@@ -51,7 +70,7 @@ class TestModeSqueezing:
         assert entry.squeezing_db == 0.0
 
     def test_six_db_minus_combination(self):
-        entry = pf.mode_squeezing_db(pf.analytic_epr_block(R_6DB), 1)
+        entry = pf.mode_squeezing_db(lossy_epr_block(1.0, R_6DB), 1)
         assert entry.squeezing_db == pytest.approx(6.0, abs=1e-9)
         assert entry.combination == "minus"
 
@@ -101,7 +120,7 @@ class TestPurity:
     @given(st.floats(min_value=0.0, max_value=2.0))
     @settings(max_examples=30, deadline=None)
     def test_pure_epr_block(self, r):
-        assert pf.purity(pf.analytic_epr_block(r)) == pytest.approx(1.0, abs=1e-9)
+        assert pf.purity(lossy_epr_block(1.0, r)) == pytest.approx(1.0, abs=1e-9)
 
     def test_half_loss_on_6db_frozen_value(self):
         # nu = sqrt(A^2 - E^2) with A, E from the eta = 1/2 lossy block

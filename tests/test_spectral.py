@@ -152,9 +152,15 @@ class TestGaussianJsa:
         with pytest.raises(GridTruncationError, match="under-resolved"):
             pf.build_gaussian_jsa(pf.GaussianJsaParams(sigma_a, 2.0, -np.pi / 4), coarse)
 
-    def test_bad_params_rejected(self):
+    def test_bad_params_rejected(self, monkeypatch):
         with pytest.raises(ConfigurationError):
             pf.GaussianJsaParams(0.0, 2.0, 0.0)
+        # a negative mass tolerance is refused as itself, before the sampler is built
+        monkeypatch.setattr(spectral, "_RawGaussian", None)
+        grid = pf.build_frequency_grid(100, -10, 10)
+        with pytest.raises(ConfigurationError, match=r"^mass_tolerance \(max_truncated_mass\) must be >= 0") as info:
+            pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid, max_truncated_mass=-1.0)
+        assert not isinstance(info.value, GridTruncationError)
 
 
 class TestPairwiseSquareSum:
