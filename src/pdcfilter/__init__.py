@@ -16,8 +16,6 @@ from .covariance import (
     CovarianceMatrix,
     assemble_covariance,
     check_physicality,
-    read_covariance_csv,
-    symplectic_eigenvalues,
     symplectic_form,
 )
 from .errors import ConfigurationError, GridTruncationError, NumericsError, PhysicalityError
@@ -42,8 +40,6 @@ from .genetic import (
 )
 from .metrics import (
     SqueezingEntry,
-    epr_variances,
-    mode_squeezing_db,
     purity,
     single_mode_character,
     squeezing_report,
@@ -99,7 +95,6 @@ __all__ = [
     "build_gaussian_jsa",
     "check_physicality",
     "commutator_defects",
-    "epr_variances",
     "export_report",
     "filtered_projections",
     "ga_optimize_basis",
@@ -110,10 +105,8 @@ __all__ = [
     "make_identity_filter",
     "make_rect_filter",
     "make_state_context",
-    "mode_squeezing_db",
     "purity",
     "r_for_squeezing_db",
-    "read_covariance_csv",
     "run_single",
     "schmidt_decompose",
     "single_mode_character",
@@ -121,6 +114,5 @@ __all__ = [
     "squeezing_report",
     "svd_effective_basis",
     "sweep_tradeoff",
-    "symplectic_eigenvalues",
     "symplectic_form",
 ]

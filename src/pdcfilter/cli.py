@@ -48,8 +48,10 @@ from .genetic import (
     ga_working_set_bytes,
     make_state_context,
 )
-from .metrics import SqueezingEntry, purity, purity_routes, single_mode_character, squeezing_report
+from .metrics import _PURITY_XCHECK_TOL, SqueezingEntry, purity, purity_routes, single_mode_character, squeezing_report
 from .spectral import (
+    _NORM_TOL,
+    _PARSEVAL_TOL,
     GaussianJsa,
     GaussianJsaParams,
     SchmidtData,
@@ -155,13 +157,14 @@ class RunConfig:
 
 
 def parse_config_file(path) -> dict:
-    """Read ``key = value`` lines; '#' starts a comment, unknown keys error.
+    """Read ``key = value`` lines; '#' starts a comment, unknown and repeated keys error.
 
     Each value is parsed as the type of its ``RunConfig`` field: a
     ``tuple[float, ...]`` as a comma-separated list, ``float | None`` as a float.
     """
     types = typing.get_type_hints(RunConfig)
     values: dict = {}
+    first_line: dict = {}  # key -> the line that set it
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -176,6 +179,8 @@ def parse_config_file(path) -> dict:
         key, value = key.strip(), value.strip()
         if key not in types:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+        if first_line.setdefault(key, lineno) != lineno:
+            raise ConfigurationError(f"{path}:{lineno}: {key} set twice, on lines {first_line[key]} and {lineno}")
         kind = types[key]
         try:
             if kind == tuple[float, ...]:
@@ -467,25 +472,26 @@ def validate(config: RunConfig, stream=None) -> bool:
     schmidt = proj.schmidt
 
     norm_dev = abs(jsa.l2_norm_sq - 1)
-    results.append(("jsa_normalization", norm_dev <= 1e-12, f"|norm-1| = {norm_dev:.2e}"))
+    results.append(("jsa_normalization", norm_dev <= _NORM_TOL, f"|norm-1| = {norm_dev:.2e}"))
     dw = jsa.grid.d_omega
     for name, modes in (("signal", schmidt.signal_modes), ("idler", schmidt.idler_modes)):
         gram = modes @ modes.conj().T * dw
         dev = float(np.max(np.abs(gram - np.eye(modes.shape[0]))))
         results.append((f"{name}_orthonormality", dev <= 1e-10, f"max dev {dev:.2e}"))
     parseval = abs(float(np.sum(schmidt.lambdas**2)) - 1)
-    results.append(("parseval", parseval <= 1e-10, f"|sum-1| = {parseval:.2e}"))
+    results.append(("parseval", parseval <= _PARSEVAL_TOL, f"|sum-1| = {parseval:.2e}"))
 
     defect = float(np.max(np.abs(commutator_defects(proj))))
     results.append(
         ("commutator_preservation", defect <= 1e-8, f"max defect {defect:.2e} over both arms")
     )
 
-    passed_phys, lowest = check_physicality(report.covariance, tol=1e-9)
+    passed_phys, lowest = check_physicality(report.covariance)
     results.append(("physicality", passed_phys, f"min nu = {lowest!r}"))
     p_det, p_symp = purity_routes(report.covariance)
     gap = abs(p_det - p_symp)
-    results.append(("purity_crosscheck", gap <= 1e-9, f"purity = {p_det:.9f}, |det - Williamson| = {gap:.2e}"))
+    detail = f"purity = {p_det:.9f}, |det - Williamson| = {gap:.2e}"
+    results.append(("purity_crosscheck", gap <= _PURITY_XCHECK_TOL, detail))
     product_ok = all(
         entry.delta2_minus * entry.delta2_plus >= 1 - 1e-9 for entry in report.squeezing
     )

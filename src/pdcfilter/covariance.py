@@ -24,7 +24,9 @@ and the block reads (prefactor 1/2 included in the stored entries)
      [ f,  h,  b,  d],      e = Re P(k,l),     g = Im P(k,l)
      [ h, -f, -d,  b]] / 2  f(k,l) = e(l,k),   h(k,l) = g(l,k)
 
-and b, d mirror a, c with N_b = 1 + 2 c_b S c_b^H.  The numbers here are actual
+and b, d mirror a, c with N_b = 1 + 2 c_b S c_b^H.  Built from the Hermitian parts
+of N_a and N_b, each block is its mirror's transpose entry for entry, so sigma is
+exactly symmetric.  The numbers here are actual
 covariance entries: at r = 0 the diagonal is 1/2 and the difference-quadrature
 variance a + b - e - f equals 1 (0 dB), consistent with the dB conversion.  A
 state that reaches no measured mode (a blocking filter, or r = 0) is
@@ -40,8 +42,6 @@ sigma >= i Omega / 2 is positive definite, so one that is not is unphysical
 
 from __future__ import annotations
 
-import csv
-import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -50,9 +50,8 @@ import numpy as np
 from .errors import ConfigurationError, NumericsError, PhysicalityError
 from .filters import ProjectionSet
 
-_ASYMMETRY_WARN = 1e-8
 _PHYSICALITY_RAISE = 1e-6
-# largest |sigma - sigma^T| entry a covariance may carry
+# largest |sigma - sigma^T| entry a covariance passed in from outside may carry
 _SYMMETRY_TOL = 1e-12
 
 
@@ -65,7 +64,6 @@ class CovarianceMatrix:
     """
 
     sigma: np.ndarray
-    asymmetry: float = 0.0
 
     def __post_init__(self):
         s = np.asarray(self.sigma)
@@ -128,11 +126,6 @@ def symplectic_form(n_pairs: int) -> np.ndarray:
     return omega
 
 
-def symplectic_eigenvalues(sigma) -> np.ndarray:
-    """``CovarianceMatrix.symplectic_eigenvalues`` of ``sigma``."""
-    return CovarianceMatrix.of(sigma).symplectic_eigenvalues
-
-
 def check_physicality(sigma, tol: float = 1e-9) -> tuple[bool, float]:
     """Whether all symplectic eigenvalues clear the vacuum bound 1/2 - tol.
 
@@ -141,7 +134,7 @@ def check_physicality(sigma, tol: float = 1e-9) -> tuple[bool, float]:
     Williamson spectrum and reads (False, 0.0).
     """
     try:
-        lowest = float(np.min(symplectic_eigenvalues(sigma)))
+        lowest = float(np.min(CovarianceMatrix.of(sigma).symplectic_eigenvalues))
     except PhysicalityError as exc:
         return False, exc.min_symplectic_eigenvalue
     return lowest >= 0.5 - tol, lowest
@@ -152,8 +145,7 @@ def assemble_covariance(projections: ProjectionSet) -> CovarianceMatrix:
 
     The blocks are contractions of the overlaps over the k Schmidt pairs
     (see the module docstring); no product runs over the grid.  The result
-    is symmetrized (the construction is symmetric up to BLAS rounding,
-    recorded as ``asymmetry``) and validated against the bosonic
+    is symmetric by construction and validated against the bosonic
     uncertainty bound.
 
     Raises
@@ -170,6 +162,8 @@ def assemble_covariance(projections: ProjectionSet) -> CovarianceMatrix:
     vacuum = np.eye(n)  # the module docstring's identity
     n_a = vacuum + 2 * (ca * sq) @ ca.conj().T
     n_b = vacuum + 2 * (cb * sq) @ cb.conj().T
+    # Hermitian to round-off; their Hermitian parts make sigma symmetric to the bit
+    n_a, n_b = (n_a + n_a.conj().T) / 2, (n_b + n_b.conj().T) / 2
     pair = 2 * (ca * cs) @ cb.T
     a, c = np.real(n_a), -np.imag(n_a)
     b, d = np.real(n_b), -np.imag(n_b)
@@ -177,19 +171,10 @@ def assemble_covariance(projections: ProjectionSet) -> CovarianceMatrix:
 
     # the module docstring's 4x4 block of every mode pair (k, l), interleaved
     table = np.array([[a, c, e, g], [-c, a, g, -e], [e.T, g.T, b, d], [g.T, -e.T, -d, b]]) / 2
-    sigma = table.transpose(2, 0, 3, 1).reshape(4 * n, 4 * n)
-
-    asymmetry = float(np.max(np.abs(sigma - sigma.T)))
-    if asymmetry > _ASYMMETRY_WARN:
-        warnings.warn(
-            f"covariance asymmetry {asymmetry:.3e} exceeds {_ASYMMETRY_WARN:.0e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     # + 0.0 clears the -0.0 that negating a zero entry leaves, so vacuum reads identity/2
-    sigma = (sigma + sigma.T) / 2 + 0.0
+    sigma = table.transpose(2, 0, 3, 1).reshape(4 * n, 4 * n) + 0.0
 
-    cov = CovarianceMatrix(sigma=sigma, asymmetry=asymmetry)
+    cov = CovarianceMatrix(sigma=sigma)
     passed, lowest = check_physicality(cov, tol=_PHYSICALITY_RAISE)
     if not passed:
         raise PhysicalityError(
@@ -198,10 +183,3 @@ def assemble_covariance(projections: ProjectionSet) -> CovarianceMatrix:
             min_symplectic_eigenvalue=lowest,
         )
     return cov
-
-
-def read_covariance_csv(path) -> np.ndarray:
-    """The matrix of a ``covariance.csv`` artifact, checked as a ``CovarianceMatrix``."""
-    with open(path, newline="") as fh:
-        rows = [[float(x) for x in row] for row in csv.reader(fh) if row]
-    return CovarianceMatrix.of(rows).sigma

@@ -1,4 +1,4 @@
-"""EPR variances, squeezing in dB, Gaussian purity, and single-mode character.
+"""EPR squeezing in dB, Gaussian purity, and single-mode character.
 
 Variances refer to the joint quadratures of one measured mode pair:
 the (-) combination is Var(X_a - X_b) = Var(Y_a + Y_b), the (+) combination
@@ -32,48 +32,27 @@ class SqueezingEntry:
     combination: str  # "minus" or "plus": which joint quadrature is squeezed
 
 
-def _joint_variances(cov: CovarianceMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(minus, plus) joint-quadrature variances of every measured mode, read off sigma's diagonals."""
-    s = cov.sigma
-    a, b, e, f = np.diagonal(s)[0::4], np.diagonal(s)[2::4], np.diagonal(s, 2)[0::4], np.diagonal(s, -2)[0::4]
-    return a + b - e - f, a + b + e + f
-
-
-def epr_variances(sigma, k: int) -> tuple[float, float]:
-    """(minus, plus) joint-quadrature variances of measured mode k (1-based)."""
-    cov = CovarianceMatrix.of(sigma)
-    if not 1 <= k <= cov.n_modes:
-        raise ConfigurationError(f"mode index {k} out of range 1..{cov.n_modes}")
-    minus, plus = _joint_variances(cov)
-    return float(minus[k - 1]), float(plus[k - 1])
-
-
-def mode_squeezing_db(sigma, k: int) -> SqueezingEntry:
-    """Squeezing of mode k in dB, maximized over the two joint quadratures.
-
-    Negative values (no squeezing in either combination) are reported as-is,
-    and a vacuum mode (both variances exactly 1) as +0.0 dB, not -0.0.
-    """
-    return _squeezing_entry(k, *epr_variances(sigma, k))
-
-
-def _squeezing_entry(k: int, d2m: float, d2p: float) -> SqueezingEntry:
-    if not (d2m > 0 and d2p > 0):
-        raise NumericsError(
-            f"mode {k}: joint-quadrature variances ({d2m:.3e}, {d2p:.3e}) are not positive"
-        )
-    # + 0.0 turns -10 log10(1.0) = -0.0 into 0.0 and leaves every other value as it is
-    db_minus = -10.0 * math.log10(d2m) + 0.0
-    db_plus = -10.0 * math.log10(d2p) + 0.0
-    if db_minus >= db_plus:
-        return SqueezingEntry(k, d2m, d2p, db_minus, "minus")
-    return SqueezingEntry(k, d2m, d2p, db_plus, "plus")
-
-
 def squeezing_report(sigma) -> list[SqueezingEntry]:
-    """Per-mode squeezing entries for every measured mode: ``epr_variances`` of all at once."""
-    minus, plus = _joint_variances(CovarianceMatrix.of(sigma))
-    return [_squeezing_entry(k, *pair) for k, pair in enumerate(zip(minus.tolist(), plus.tolist()), start=1)]
+    """Squeezing in dB of every measured mode, maximized over the two joint quadratures.
+
+    The variances are read off sigma's diagonals.  Negative values (no
+    squeezing in either combination) are reported as-is, and a vacuum mode
+    (both variances exactly 1) as +0.0 dB, not -0.0.
+    """
+    s = CovarianceMatrix.of(sigma).sigma
+    a, b, e, f = np.diagonal(s)[0::4], np.diagonal(s)[2::4], np.diagonal(s, 2)[0::4], np.diagonal(s, -2)[0::4]
+    report = []
+    for k, (d2m, d2p) in enumerate(zip((a + b - e - f).tolist(), (a + b + e + f).tolist()), start=1):
+        if not (d2m > 0 and d2p > 0):
+            raise NumericsError(
+                f"mode {k}: joint-quadrature variances ({d2m:.3e}, {d2p:.3e}) are not positive"
+            )
+        # + 0.0 turns -10 log10(1.0) = -0.0 into 0.0 and leaves every other value as it is
+        db_minus = -10.0 * math.log10(d2m) + 0.0
+        db_plus = -10.0 * math.log10(d2p) + 0.0
+        db, combination = (db_minus, "minus") if db_minus >= db_plus else (db_plus, "plus")
+        report.append(SqueezingEntry(k, d2m, d2p, db, combination))
+    return report
 
 
 def purity_routes(sigma) -> tuple[float, float]:

@@ -58,6 +58,8 @@ _PEAK_TIE = 1e-8
 # samples' round-off: by up to 4.2e-4 for the benchmark reference's mode 10,
 # at 3e-13 lambda_1
 _PHASE_TIE = 1e-3
+# largest |sum |f|^2 d_omega^2 - 1| of a normalized amplitude, and |sum lambda^2 - 1| of its decomposition
+_NORM_TOL, _PARSEVAL_TOL = 1e-12, 1e-10
 # the first mode's squeezed variance e^(-2r) is a difference of terms of size
 # cosh(2r); beyond this r it falls below their round-off eps * cosh(2r)
 _R_MAX = 0.25 * float(np.log(2.0 / np.finfo(float).eps))
@@ -159,7 +161,7 @@ class JsaMatrix:
         n = self.grid.n_points
         if v.shape != (n, n):
             raise ConfigurationError(f"JSA shape {v.shape} does not match grid size {n}")
-        if not abs(self.l2_norm_sq - 1.0) <= 1e-12:
+        if not abs(self.l2_norm_sq - 1.0) <= _NORM_TOL:
             raise NumericsError(
                 f"JSA not normalized: sum|f|^2 d_omega^2 = {self.l2_norm_sq!r}"
             )
@@ -586,7 +588,7 @@ def schmidt_decompose(jsa: GaussianJsa | JsaMatrix, n_retained: int = 10) -> Sch
     """
     schmidt = _decompose(jsa.grid, *jsa.skeleton, n_retained)
     total = float(np.sum(schmidt.lambdas[:n_retained] ** 2)) + schmidt.tail_weight
-    if not abs(total - 1.0) <= 1e-10:
+    if not abs(total - 1.0) <= _PARSEVAL_TOL:
         raise NumericsError(f"Schmidt amplitudes violate Parseval: sum lambda^2 = {total!r}")
     return schmidt
 

@@ -401,7 +401,7 @@ def objective_squeezing(schmidt, filter_signal, filter_idler, phi_columns, k_pri
     mode = cols[:, k_prime - 1] / np.sqrt(grid.d_omega)
     basis = pf.MeasurementBasis.from_shared(mode[None, :], grid)
     proj = pf.filtered_projections(schmidt, filter_signal, filter_idler, basis)
-    return pf.mode_squeezing_db(pf.assemble_covariance(proj), 1).squeezing_db
+    return pf.squeezing_report(pf.assemble_covariance(proj))[0].squeezing_db
 
 
 def dense_forms(schmidt, filter_signal, filter_idler):

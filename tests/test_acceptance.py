@@ -314,7 +314,7 @@ def test_criterion_9_physicality_suite():
         assert passed, f"{label}: min symplectic eigenvalue {lowest!r}"
         if lowest < worst:
             worst, worst_label = lowest, label
-        nu = pf.symplectic_eigenvalues(sigma)
+        nu = pf.CovarianceMatrix.of(sigma).symplectic_eigenvalues
         p_symp = float(np.prod(1.0 / (2 * nu)))
         p_det = pf.purity(sigma)  # raises if the two routes disagree > 1e-9
         purity_dev = max(purity_dev, abs(p_det - p_symp))

@@ -160,6 +160,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError):
             parse_config_file(path)
 
+    def test_repeated_key_rejected(self, tmp_path):
+        # the last value used to win silently; the error names the key and both lines
+        path = tmp_path / "twice.cfg"
+        path.write_text("n_points = 120\nbasis = svd\nn_points = 140\n")
+        with pytest.raises(ConfigurationError, match=r":3: n_points set twice, on lines 1 and 3$"):
+            parse_config_file(path)
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("n_points 64\n")
@@ -330,7 +337,7 @@ class TestExport:
         config = RunConfig(n_retained=4)
         report = run_single(config)
         export_report(report, tmp_path)
-        loaded = pf.read_covariance_csv(tmp_path / "covariance.csv")
+        loaded = pf.CovarianceMatrix.of(np.loadtxt(tmp_path / "covariance.csv", delimiter=",")).sigma
         assert np.max(np.abs(loaded - report.covariance.sigma)) < 1e-15
 
     def test_manifest_captures_config_and_seed(self, tmp_path):

@@ -41,13 +41,13 @@ class TestAnalyticBlock:
     @given(st.floats(min_value=0.0, max_value=3.0))
     @settings(max_examples=30, deadline=None)
     def test_pure_for_any_r(self, r):
-        nu = pf.symplectic_eigenvalues(lossy_epr_block(1.0, r))
+        nu = pf.CovarianceMatrix.of(lossy_epr_block(1.0, r)).symplectic_eigenvalues
         assert np.max(np.abs(nu - 0.5)) < 1e-9
 
 
 class TestSymplectics:
     def test_vacuum_eigenvalues(self):
-        nu = pf.symplectic_eigenvalues(0.5 * np.eye(12))
+        nu = pf.CovarianceMatrix.of(0.5 * np.eye(12)).symplectic_eigenvalues
         assert nu.shape == (6,)
         assert np.allclose(nu, 0.5)
 
@@ -66,16 +66,16 @@ class TestSymplectics:
         bad = np.eye(4)
         bad[0, 1] = 0.3
         with pytest.raises(ConfigurationError):
-            pf.symplectic_eigenvalues(bad)
+            pf.CovarianceMatrix.of(bad).symplectic_eigenvalues
 
     def test_non_finite_raises_numerics_error(self):
         # the Cholesky factor would carry NaN or inf silently, so construction refuses them
         with pytest.raises(NumericsError):
-            pf.symplectic_eigenvalues(np.full((4, 4), np.nan))
+            pf.CovarianceMatrix.of(np.full((4, 4), np.nan)).symplectic_eigenvalues
         for bad in (np.nan, np.inf, -np.inf):
             sigma = 0.5 * np.eye(4)
             sigma[1, 1] = bad
-            for check in (pf.symplectic_eigenvalues, pf.check_physicality, pf.purity):
+            for check in (lambda s: pf.CovarianceMatrix.of(s).symplectic_eigenvalues, pf.check_physicality, pf.purity):
                 with pytest.raises(NumericsError, match="non-finite"):
                     check(sigma)
 
@@ -95,7 +95,7 @@ class TestWilliamsonRoute:
         # bosons per measured mode: both routes read the drawn spectrum to
         # round-off of the largest nu
         sigma, nu = drawn_gaussian_state(np.random.default_rng(seed), 2 * n_modes)
-        got = pf.symplectic_eigenvalues(sigma)
+        got = pf.CovarianceMatrix.of(sigma).symplectic_eigenvalues
         assert np.max(np.abs(got - eigvals_williamson(sigma))) < 1e-12 * nu[0]
         assert np.max(np.abs(got - nu)) < 1e-12 * nu[0]
 
@@ -117,7 +117,7 @@ class TestWilliamsonRoute:
     def test_vacuum_is_exact(self, n_modes):
         # 2 sigma = I: the factor, the antisymmetric form and its Gram are exact
         sigma = 0.5 * np.eye(4 * n_modes)
-        assert np.all(pf.symplectic_eigenvalues(sigma) == 0.5)
+        assert np.all(pf.CovarianceMatrix.of(sigma).symplectic_eigenvalues == 0.5)
         assert pf.check_physicality(sigma, tol=0.0) == (True, 0.5)
         assert purity_routes(sigma) == (1.0, 1.0)
 
@@ -252,13 +252,29 @@ class TestAssembleCovariance:
         oracle = wick_covariance(complete_kernels(jsa, 0.8), fa, fb, basis)
         assert np.max(np.abs(cov.sigma - oracle)) < 1e-12
 
-    def test_symmetry_and_asymmetry_diagnostic(self, reference_200, rect4_200):
-        _, schmidt, _ = reference_200
-        basis = pf.MeasurementBasis.from_schmidt(schmidt, 4)
-        proj = pf.filtered_projections(schmidt, rect4_200, rect4_200, basis)
-        cov = pf.assemble_covariance(proj)
-        assert np.array_equal(cov.sigma, cov.sigma.T)
-        assert cov.asymmetry < 1e-12
+    @pytest.mark.parametrize("case", ["chirped", "complex_transmissions", "schmidt", "svd", "ga", "blocking"])
+    def test_exact_symmetry(self, grid200, rect4_200, case):
+        # every 4x4 block is its mirror's transpose entry for entry, so
+        # symmetrizing changes no bit, and no entry is -0.0
+        if case in ("chirped", "complex_transmissions"):
+            w = grid200.points
+            fa = fb = rect4_200
+            if case == "chirped":
+                jsa = chirped_jsa(grid200, 0.05)
+            else:
+                jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid200)
+                fa = pf.Filter(rect4_200.transmission * np.exp(0.7j * w), grid200)
+                fb = pf.Filter(pf.make_gauss_filter(0.3, 4.0, grid200).transmission * np.exp(-0.4j * w), grid200)
+            schmidt = pf.apply_gain(pf.schmidt_decompose(jsa, 5), 0.8)
+            basis = pf.MeasurementBasis.from_schmidt(schmidt, 4)
+            sigma = pf.assemble_covariance(pf.filtered_projections(schmidt, fa, fb, basis)).sigma
+        else:
+            basis = "svd" if case == "blocking" else case
+            kind = "blocking" if case == "blocking" else "rect"
+            config = pf.RunConfig(basis=basis, filter_kind=kind, ga_modes=3, population=16, max_generations=40)
+            sigma = pf.run_single(config).covariance.sigma
+        assert np.array_equal(sigma, sigma.T)
+        assert ((sigma + sigma.T) / 2 + 0.0).tobytes() == sigma.tobytes()
 
     def test_truncated_kernels_raise_physicality(self, reference_200, rect4_200):
         # a duplicated Schmidt row counts one pair's squeezing twice against a

@@ -138,7 +138,7 @@ class TestObjective:
         value = objective_squeezing(schmidt, rect4_100, rect4_100, col[:, None], 1)
         basis = pf.MeasurementBasis.from_shared(eff.signal_modes[:1], schmidt.grid)
         proj = pf.filtered_projections(schmidt, rect4_100, rect4_100, basis)
-        entry = pf.mode_squeezing_db(pf.assemble_covariance(proj), 1)
+        entry = pf.squeezing_report(pf.assemble_covariance(proj))[0]
         assert value == pytest.approx(entry.squeezing_db, abs=1e-10)
 
     def test_fast_fitness_equals_objective(self, ctx_rect4, rect4_100):

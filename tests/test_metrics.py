@@ -21,12 +21,14 @@ def _filtered_cov(schmidt, filt, n_modes):
 
 class TestEprVariances:
     def test_vacuum(self):
-        assert pf.epr_variances(0.5 * np.eye(4), 1) == (1.0, 1.0)
+        entry = pf.squeezing_report(0.5 * np.eye(4))[0]
+        assert (entry.delta2_minus, entry.delta2_plus) == (1.0, 1.0)
 
     @given(st.floats(min_value=0.0, max_value=2.0))
     @settings(max_examples=30, deadline=None)
     def test_unfiltered_closed_form(self, r):
-        d2m, d2p = pf.epr_variances(lossy_epr_block(1.0, r), 1)
+        entry = pf.squeezing_report(lossy_epr_block(1.0, r))[0]
+        d2m, d2p = entry.delta2_minus, entry.delta2_plus
         assert d2m == pytest.approx(np.exp(-2 * r), rel=1e-12)
         assert d2p == pytest.approx(np.exp(2 * r), rel=1e-12)
 
@@ -36,41 +38,19 @@ class TestEprVariances:
     )
     @settings(max_examples=30, deadline=None)
     def test_flat_loss_closed_form(self, eta, r):
-        d2m, d2p = pf.epr_variances(lossy_epr_block(eta, r), 1)
+        entry = pf.squeezing_report(lossy_epr_block(eta, r))[0]
+        d2m, d2p = entry.delta2_minus, entry.delta2_plus
         assert d2m == pytest.approx(eta * np.exp(-2 * r) + 1 - eta, rel=1e-12)
         assert d2p == pytest.approx(eta * np.exp(2 * r) + 1 - eta, rel=1e-12)
-
-    def test_index_checked(self, reference_200):
-        with pytest.raises(ConfigurationError):
-            pf.epr_variances(0.5 * np.eye(4), 2)
-        # on pipeline covariances every mode reads, bit for bit, the variances of squeezing_report
-        jsa, schmidt, _ = reference_200
-        grid = schmidt.grid
-        for filt in (
-            pf.make_rect_filter(0.0, 4.0, grid),
-            pf.make_gauss_filter(0.0, 4.0, grid),
-            pf.make_identity_filter(grid),
-        ):
-            eff = pf.svd_effective_basis(jsa, filt, filt, n_retained=10)
-            for basis in (
-                pf.MeasurementBasis.from_schmidt(schmidt, 10),
-                pf.MeasurementBasis(eff.signal_modes[:10], eff.idler_modes[:10], grid),
-            ):
-                cov = pf.assemble_covariance(pf.filtered_projections(schmidt, filt, filt, basis))
-                report = [(e.delta2_minus, e.delta2_plus) for e in pf.squeezing_report(cov)]
-                assert [pf.epr_variances(cov, k) for k in range(1, 11)] == report
-                for k in (0, 11):
-                    with pytest.raises(ConfigurationError):
-                        pf.epr_variances(cov, k)
 
 
 class TestModeSqueezing:
     def test_vacuum_zero_db(self):
-        entry = pf.mode_squeezing_db(0.5 * np.eye(4), 1)
+        entry = pf.squeezing_report(0.5 * np.eye(4))[0]
         assert entry.squeezing_db == 0.0
 
     def test_six_db_minus_combination(self):
-        entry = pf.mode_squeezing_db(lossy_epr_block(1.0, R_6DB), 1)
+        entry = pf.squeezing_report(lossy_epr_block(1.0, R_6DB))[0]
         assert entry.squeezing_db == pytest.approx(6.0, abs=1e-9)
         assert entry.combination == "minus"
 
@@ -83,7 +63,7 @@ class TestModeSqueezing:
             schmidt.signal_modes[:1], -schmidt.idler_modes[:1], schmidt.grid
         )
         proj = pf.filtered_projections(schmidt, ident, ident, flipped)
-        entry = pf.mode_squeezing_db(pf.assemble_covariance(proj), 1)
+        entry = pf.squeezing_report(pf.assemble_covariance(proj))[0]
         assert entry.combination == "plus"
         assert entry.squeezing_db == pytest.approx(6.0, abs=1e-9)
 
@@ -93,7 +73,7 @@ class TestModeSqueezing:
         _, schmidt, _ = reference_200
         ident = pf.make_identity_filter(schmidt.grid)
         cov = _filtered_cov(schmidt, ident, 4)
-        combos = [pf.mode_squeezing_db(cov, k).combination for k in range(1, 5)]
+        combos = [entry.combination for entry in pf.squeezing_report(cov)]
         assert combos == ["minus"] * 4
 
     def test_shared_basis_alternates_with_idler_parity(self, reference_200):
@@ -104,12 +84,12 @@ class TestModeSqueezing:
         shared = pf.MeasurementBasis.from_shared(schmidt.signal_modes[:4], schmidt.grid)
         proj = pf.filtered_projections(schmidt, ident, ident, shared)
         cov = pf.assemble_covariance(proj)
-        combos = [pf.mode_squeezing_db(cov, k).combination for k in range(1, 5)]
+        combos = [entry.combination for entry in pf.squeezing_report(cov)]
         assert combos == ["minus", "plus", "minus", "plus"]
 
     def test_negative_db_reported_as_is(self):
         thermal = 0.8 * np.eye(4)  # above-vacuum noise in both combinations
-        entry = pf.mode_squeezing_db(thermal, 1)
+        entry = pf.squeezing_report(thermal)[0]
         assert entry.squeezing_db == pytest.approx(-10 * math.log10(1.6), abs=1e-12)
 
 
@@ -138,7 +118,7 @@ class TestPurity:
         _, schmidt, _ = reference_200
         cov = _filtered_cov(schmidt, rect4_200, 6)
         p = pf.purity(cov)
-        nu = pf.symplectic_eigenvalues(cov)
+        nu = cov.symplectic_eigenvalues
         assert p == pytest.approx(float(np.prod(1.0 / (2 * nu))), abs=1e-9)
 
     def test_degenerate_matrix_rejected(self):
@@ -204,7 +184,7 @@ class TestInvariants:
         for width in (20.0, 12.0, 8.0, 6.0, 4.0, 3.0, 2.0, 1.0):
             filt = pf.make_rect_filter(0.0, width, schmidt.grid)
             cov = _filtered_cov(schmidt, filt, 5)
-            first = pf.mode_squeezing_db(cov, 1).squeezing_db
+            first = pf.squeezing_report(cov)[0].squeezing_db
             assert first <= previous + 1e-6
             previous = first
 
@@ -243,7 +223,7 @@ class TestInvariants:
             center = rng.uniform(-1.0, 1.0)
             filt = pf.make_rect_filter(center, width, schmidt.grid)
             cov = _filtered_cov(schmidt, filt, 5)
-            d2m = np.array([min(pf.epr_variances(cov, k)) for k in range(1, 6)])
+            d2m = np.array([min(entry.delta2_minus, entry.delta2_plus) for entry in pf.squeezing_report(cov)])
             assert np.all(d2m >= floor)
             assert np.all(d2m <= 1 + 1e-9)
 
