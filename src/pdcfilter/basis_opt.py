@@ -9,8 +9,9 @@ singular values lambda'_k, scaled by the gain to r'_k = B lambda'_k, bound
 the per-mode squeezing left after filtering (they contract: r'_k <= r_k
 whenever |T| <= 1 on both arms).  Neither depends on B, so one
 decomposition serves every gain.  The masked amplitude is read from the
-amplitude's certified cross-approximation factors, restricted to the
-transmitting samples and weighted by the transmissions: no sample is
+amplitude's skeleton factors (Mehler's series for the double Gaussian,
+certified cross-approximation factors for a sampled amplitude), restricted
+to the transmitting samples and weighted by the transmissions: no sample is
 evaluated and no n x n array is formed, whatever the filter.  At T = 1 on
 both arms the factors are the skeleton itself, and the basis is the
 Schmidt state bit for bit.
@@ -34,8 +35,8 @@ def svd_effective_basis(
     """Decompose the filter-masked amplitude into the effective basis.
 
     The masked amplitude is (ut T_a)^T (v T_b) with ``ut``, ``v`` the
-    amplitude's certified factors (``jsa.skeleton``, f * d_omega = ut^T v to
-    the noise floor).  Its factors on S and I, the samples where the signal
+    amplitude's skeleton factors (``jsa.skeleton``, f * d_omega = ut^T v to
+    the noise floor: Mehler's K x n tables for the double Gaussian).  Its factors on S and I, the samples where the signal
     and idler filters transmit, are decomposed by ``spectral._decompose``
     as :func:`~pdcfilter.spectral.schmidt_decompose` decomposes the whole
     skeleton, and the singular vectors are embedded on the grid, so every

@@ -9,26 +9,29 @@ squeezing[dB] = -10 log10(exp(-2 r)).
 
 Everything here is discretized on a uniform frequency grid with rectangle-rule
 quadrature weight d_omega; mode functions are normalized so that
-sum |psi|^2 d_omega = 1.  The double-Gaussian amplitude is not stored: it is
-evaluated from its closed form, one exponential a sample, on whatever rows
-and columns a step reads, and its normalization is read from the certified
-cross-approximation factors.  Samples agree with a dense evaluation of the
-closed form to round-off, c eps (1 + q) of exp(-q), not to the bit.
+sum |psi|^2 d_omega = 1.  The double-Gaussian amplitude is not stored and a
+run evaluates none of its samples: its skeleton, the thin factors of
+f * d_omega, is Mehler's formula (Law, Walmsley & Eberly, PRL 84, 5304
+(2000)), K Hermite-function terms whose Cramer tail is below round-off of
+the largest grid sample, and its normalization is read from that skeleton.
+Samples are evaluated from the closed form, one exponential a sample, only
+where a check reads them, and agree with a dense evaluation of it to
+round-off, c eps (1 + q) of exp(-q), not to the bit.  A sampled amplitude
+(:class:`JsaMatrix`) finds its skeleton by adaptive cross approximation
+(Bebendorf, Numer. Math. 86, 565 (2000)) checked against every sample.
 
-Only the leading Schmidt triples are computed, on one route for every grid
-and rank: adaptive cross approximation (Bebendorf, Numer. Math. 86, 565
-(2000)) checked against every sample.  Every decomposition, the Schmidt
-state here and the effective basis and uniform-loss modes of ``basis_opt``,
-is one call of :func:`_decompose` on the thin factors of its kernel, so the
-Schmidt state is the effective basis at T = 1, bit for bit.  Each keeps
-max(n_retained, #{lambda_k > 1e-14 lambda_1}) pairs; every mode beyond them
-has r = 0 to round-off and enters the squeezer only through the exact
-identity part of its Bogoliubov transformation.
+Every decomposition, the Schmidt state here and the effective basis of
+``basis_opt``, is one call of :func:`_decompose` on the thin factors of its
+kernel, so the Schmidt state is the effective basis at T = 1, bit for bit.
+Each keeps max(n_retained, #{lambda_k > 1e-14 lambda_1}) pairs; every mode
+beyond them has r = 0 to round-off and enters the squeezer only through the
+exact identity part of its Bogoliubov transformation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -63,6 +66,34 @@ _NORM_TOL, _PARSEVAL_TOL = 1e-12, 1e-10
 # the first mode's squeezed variance e^(-2r) is a difference of terms of size
 # cosh(2r); beyond this r it falls below their round-off eps * cosh(2r)
 _R_MAX = 0.25 * float(np.log(2.0 / np.finfo(float).eps))
+# Cramer's inequality |h_k| <= 1.086435 pi^(-1/4) (Abramowitz & Stegun 22.14.17),
+# squared, times sqrt(pi): Mehler's series of the raw Gaussian has a tail after K
+# terms of at most _CRAMER sqrt(1 - t^2) |t|^K / (1 - |t|)
+_CRAMER = 1.086435**2
+# the series keeps terms until that tail is below this fraction of the largest grid
+# sample.  A filter deep in the tail reads the terms sample by sample: with a tail
+# of 1e-14 the effective basis of a rect filter at the window edge moved by 7e-9
+_MEHLER_TAIL = 1e-16
+# the series is exact to round-off of the Gaussian's peak, not of each sample: a
+# grid whose largest sample is below this fraction of the peak is refused.  Above
+# it, cancellation costs about eps / _MEHLER_LARGEST of the largest sample, inside
+# the 1e-14 noise floor (the CI high-aspect state on [2, 22], at 1.1e-7 of the
+# peak, read 1.1e-9 of it, on its 2-point grid, at 1.2e-4, 2.3e-14, and a window
+# whose largest sample was 0.020 of the peak read 1.6e-14)
+_MEHLER_LARGEST = 0.05
+# the most terms K a skeleton may hold, and the most entries K n of each of its
+# tables.  The series' round-off grows with K: on resolved grids it read 6.7e-15
+# of the largest sample at K = 1568, 1.1e-14 at 1831 and 1.8e-14 at 3164, against
+# the 1e-14 floor, and the decomposition's O(K^2 n) took 30 s at K = 3164, n = 3200
+_MAX_TERMS, _MAX_TABLE = 1 << 10, 1 << 24
+# h_0 = pi^(-1/4) e^(-x^2/2) underflows past |x| = 38.6 while high-order h_k need
+# not be small there: such a column starts from e^(-_CARRY) and carries the rest
+# of its exponent aside, taking it back _CARRY_STEP at a time as the recurrence
+# grows past e^_CARRY_STEP.  Both are integers, so each subtraction from the
+# carried exponent is exact
+_CARRY, _CARRY_STEP = 600.0, 256.0
+# _decompose factors a longer thin factor this many samples at a time
+_QR_ROWS = 800
 
 
 @dataclass(frozen=True)
@@ -138,7 +169,14 @@ def _row_blocks(n: int) -> list[slice]:
 
 
 def _skeleton_mass(ut: np.ndarray, v: np.ndarray) -> float:
-    """sum |ut^T v|^2 of a real k-term skeleton, as sum (ut ut^T) o (v v^T) in O(k^2 n)."""
+    """sum |ut^T v|^2 of a real k-term skeleton, as sum (ut ut^T) o (v v^T) in O(k^2 n).
+
+    A skeleton of more terms than samples (k^2 above rows x cols; a Mehler
+    series on a coarse grid) sums the squares of ut^T v instead, so neither
+    form holds more than k n entries.
+    """
+    if len(ut) ** 2 > ut.shape[1] * v.shape[1]:
+        return float(np.sum(np.square(ut.T @ v)))
     return float(np.sum((ut @ ut.T) * (v @ v.T)))
 
 
@@ -149,8 +187,8 @@ class JsaMatrix:
     Normalized so that the discrete L2 norm sum |f|^2 d_omega^2 equals one.
     Any amplitude (chirped, multi-lobe, high-rank) can be given this way;
     it is read only through :meth:`sample` and ``skeleton``, as the
-    closed-form :class:`GaussianJsa` is, and its skeleton is found and
-    certified on the same route as the builder's.
+    closed-form :class:`GaussianJsa` is.  Its skeleton is found by cross
+    approximation, certified against every sample.
     """
 
     values: np.ndarray
@@ -224,6 +262,121 @@ class _RawGaussian:
             q -= self._offset[rows, None]
         return np.exp(q, out=q)
 
+    def largest(self) -> float:
+        """The largest sample on the grid: each row's lies at the column nearest its centre m."""
+        w, centre = self._right[0], -self._left[:, 1]
+        above = np.clip(np.searchsorted(w, centre), 1, len(w) - 1)
+        with np.errstate(over="ignore"):
+            gap = np.minimum(np.abs(w[above] - centre), np.abs(centre - w[above - 1]))
+            q = self._curvature * gap**2 + self._offset
+        return float(np.exp(-np.min(q)))
+
+
+def _hermite_table(x: np.ndarray, terms: int) -> np.ndarray:
+    """h_0(x) ... h_{terms-1}(x), the orthonormal Hermite functions, one row each.
+
+    The forward recurrence h_{k+1} = sqrt(2 / (k+1)) x h_k - sqrt(k / (k+1)) h_{k-1}
+    from h_0 = pi^(-1/4) e^(-x^2/2) is stable.  Where e^(-x^2/2) is below
+    e^(-_CARRY) a column starts at pi^(-1/4) e^(-_CARRY) and carries the rest of
+    its exponent aside; whenever the column grows past e^_CARRY_STEP, up to
+    _CARRY_STEP of the carried exponent is taken back, and each row is written
+    as the column times e^(-carried).  A column with x^2 >= max(4 (2 terms + 1),
+    3000) lies past twice the last turning point sqrt(2 terms + 1), where every
+    h_k is below e^(-0.27 x^2) and underflows: it stays 0.  So no step grows a
+    column by more than sqrt(2) |x| + 1 < 130 for terms <= _MAX_TERMS.
+    """
+    n = len(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.square(x)
+        near = np.flatnonzero(sq < max(4 * (2 * terms + 1), 3000))
+    x, sq = x[near], sq[near]
+    carried = np.maximum(sq / 2 - _CARRY, 0.0)
+    h, prev = np.pi**-0.25 * np.exp(carried - sq / 2), np.zeros_like(x)
+    rows = np.empty((terms, len(x)))
+    carrying = bool(carried.any())
+    for k in range(terms):
+        rows[k] = h * np.exp(-carried) if carrying else h
+        step = x * h
+        step *= math.sqrt(2 / (k + 1))
+        step -= math.sqrt(k / (k + 1)) * prev
+        h, prev = step, h
+        if carrying:
+            shift = np.where(np.abs(h) > np.exp(_CARRY_STEP), np.minimum(carried, _CARRY_STEP), 0.0)
+            scale = np.exp(-shift)
+            h *= scale
+            prev *= scale
+            carried -= shift
+            carrying = bool(carried.any())
+    if len(near) == n:
+        return rows
+    table = np.zeros((terms, n))
+    table[:, near] = rows
+    return table
+
+
+def _mehler_skeleton(params: GaussianJsaParams, grid: FrequencyGrid, largest: float) -> tuple[np.ndarray, np.ndarray]:
+    """The raw Gaussian's skeleton ``ut``, ``v`` (K x n): raw * d_omega = ut^T v to round-off.
+
+    The raw exponent is -(A x^2 + 2 B x y + C y^2), and Mehler's formula writes
+    the Gaussian exactly as sqrt(pi (1 - t^2)) sum_k t^k h_k(x / s_1) h_k(y / s_2),
+    with rho = |B| / sqrt(A C), t = -sign(B) rho / (1 + sqrt(1 - rho^2)) and
+    s_1^2 = (1 + t^2) / (2 (1 - t^2) A), s_2 likewise from C.  So
+    ut_k = sqrt(pi (1 - t^2)) t^k h_k(w / s_1) d_omega and v_k = h_k(w / s_2), for
+    the fewest terms K whose Cramer tail is at most _MEHLER_TAIL of ``largest``,
+    the largest raw grid sample.  A grid whose largest sample is below
+    _MEHLER_LARGEST of the peak is refused first.  Frequencies are measured
+    in units of sqrt(sigma_a sigma_b), where A C - B^2 = 1/4: no coefficient
+    over- or underflows for accepted widths, and 1 - rho^2 = 1 / (4 A C) and
+    1 - |t| are formed without cancellation.  As rho -> 1 the terms grow without
+    bound; a K above _MAX_TERMS, or above _MAX_TABLE / n, is refused before any
+    table is built, as under-resolved when the grid spacing exceeds a width.
+    """
+    n = grid.n_points
+    coarse = grid.d_omega > min(params.sigma_a, params.sigma_b)
+    if not largest >= _MEHLER_LARGEST:
+        problem = (
+            f"the amplitude is under-resolved at d_omega = {grid.d_omega:.3g}"
+            if coarse and grid.omega_min <= 0 <= grid.omega_max
+            else f"the window [{grid.omega_min}, {grid.omega_max}] misses the amplitude's peak"
+        )
+        raise GridTruncationError(
+            f"{problem}: its largest grid sample is {largest:.3e} of the peak, below the "
+            f"{_MEHLER_LARGEST} Mehler's series holds to the noise floor"
+        )
+    cos, sin = np.cos(params.theta), np.sin(params.theta)
+    unit = float(np.sqrt(params.sigma_a) * np.sqrt(params.sigma_b))
+    ratio = float(np.sqrt(params.sigma_a) / np.sqrt(params.sigma_b))
+    a, b = 0.5 / ratio / ratio, 0.5 * ratio * ratio
+    curv_a, curv_c, cross = cos**2 * a + sin**2 * b, sin**2 * a + cos**2 * b, cos * sin * (a - b)
+    root = float(np.sqrt(curv_a) * np.sqrt(curv_c))
+    rho, r = abs(cross) / root, 0.5 / root
+    mag, gap = rho / (1 + r), (r + r * r / (1 + rho)) / (1 + r)  # |t| and 1 - |t|
+    if mag == 0:
+        terms = 1.0
+    else:
+        # |t|^K <= _MEHLER_TAIL largest (1 - |t|) / (_CRAMER sqrt(1 - t^2)), 1 - t^2 = (1 - |t|) (1 + |t|);
+        # the quotient overflows to inf as 1 - |t| reaches the smallest normal float
+        log_bound = math.log(_MEHLER_TAIL * largest / _CRAMER) + 0.5 * (math.log(gap) - math.log1p(mag))
+        terms = max(1.0, log_bound / (math.log(mag) if mag < 0.5 else math.log1p(-gap)))
+    limit = min(_MAX_TERMS, _MAX_TABLE // n)
+    if not terms <= limit:
+        problem = (
+            f"its Mehler series needs {terms:.3g} terms, above the {limit} a {n}-point grid may hold "
+            f"(K <= {_MAX_TERMS}, K n <= {_MAX_TABLE}): the width ratio {params.sigma_a / params.sigma_b:.3g} "
+            f"at theta {params.theta:.3g} is too large"
+        )
+        if coarse:
+            raise GridTruncationError(f"the amplitude is under-resolved at d_omega = {grid.d_omega:.3g}: {problem}")
+        raise ConfigurationError(f"the amplitude cannot be factored: {problem}")
+    terms = math.ceil(terms)
+    t = -math.copysign(mag, cross) if mag else 0.0
+    one_minus_t2 = gap * (1 + mag)
+    scales = [math.sqrt((1 + t * t) / (2 * one_minus_t2 * curv)) for curv in (curv_a, curv_c)]
+    with np.errstate(over="ignore"):
+        tables = [_hermite_table(grid.points / unit / scale, terms) for scale in dict.fromkeys(scales)]
+    coef = math.sqrt(math.pi * one_minus_t2) * grid.d_omega * np.power(t, np.arange(terms))
+    return tables[0] * coef[:, None], tables[-1]
+
 
 @dataclass(frozen=True)
 class GaussianJsa:
@@ -232,11 +385,12 @@ class GaussianJsa:
     No sample is stored: :meth:`sample` evaluates any block of rows and
     columns as the raw Gaussian ``raw`` over sqrt(``grid_mass``), one
     exponential a sample, and every read of a sample gives the same bits.
-    ``skeleton`` holds the certified cross-approximation factors ``ut``,
-    ``v`` (k x n) with f * d_omega = ut.T @ v to the noise floor, as
-    :class:`JsaMatrix` reports them, and ``grid_mass`` is the rectangle-rule
-    mass sum |raw|^2 d_omega^2 of the raw samples, read from the raw factors.
-    Build it with :func:`build_gaussian_jsa`.
+    ``skeleton`` holds Mehler's factors ``ut``, ``v`` (K x n) with
+    f * d_omega = ut.T @ v to round-off of the largest sample, as
+    :class:`JsaMatrix` reports its factors, and ``grid_mass`` is the
+    rectangle-rule mass sum |raw|^2 d_omega^2 of the raw samples, read from
+    the raw factors.  Only :meth:`audit` reads samples.  Build it with
+    :func:`build_gaussian_jsa`.
     """
 
     params: GaussianJsaParams
@@ -251,11 +405,29 @@ class GaussianJsa:
         out /= np.sqrt(self.grid_mass)
         return out
 
+    def audit(self) -> tuple[float, float, float]:
+        """One pass over every sample, a row block at a time, checked against the skeleton.
+
+        Returns sum |f|^2 d_omega^2, the largest residual max |ut^T v - f d_omega|
+        and the largest sample max |f d_omega|: the a posteriori check of the
+        skeleton's a priori bound.
+        """
+        dw = self.grid.d_omega
+        ut, v = self.skeleton
+        mass, residual, largest = 0, 0.0, 0.0
+        for block in _row_blocks(self.grid.n_points):
+            f = self.sample(block, slice(None))
+            mass += float(np.vdot(f, f))
+            f *= dw
+            largest = max(largest, float(np.max(f)))
+            f -= ut[:, block].T @ v
+            residual = max(residual, float(np.max(np.abs(f))))
+        return mass * dw**2, residual, largest
+
     @property
     def l2_norm_sq(self) -> float:
         """sum |f|^2 d_omega^2 over every sample, read a row block at a time."""
-        blocks = (self.sample(block, slice(None)) for block in _row_blocks(self.grid.n_points))
-        return sum(float(np.vdot(f, f)) for f in blocks) * self.grid.d_omega**2
+        return self.audit()[0]
 
 
 @dataclass(frozen=True)
@@ -309,13 +481,18 @@ def build_gaussian_jsa(
     amplitude is under-resolved).  Either corrupts the normalization and the
     mode spectrum.
 
-    Every raw sample is evaluated once and none is kept: the cross
-    approximation of :class:`_CrossApproximation` pivots on the raw closed
-    form and checks every sample against its skeleton.  The mass is then
-    read from the certified raw factors, sum (ut ut^T) o (v v^T) in O(k^2 n),
-    and the factors scaled by 1 / sqrt(mass) are stored on the amplitude
-    for :func:`schmidt_decompose`.  Samples, mass and factors agree with a
-    dense evaluation of the closed form to round-off, not to the bit.
+    No sample is evaluated: the raw factors are Mehler's series of the closed
+    form (:func:`_mehler_skeleton`), K Hermite-function terms whose Cramer
+    tail is at most 1e-16 of the largest raw grid sample, which the completed
+    square gives in O(n).  The mass is read from them, sum (ut ut^T) o
+    (v v^T) in O(K^2 n), and the factors scaled by 1 / sqrt(mass) are stored
+    on the amplitude for :func:`schmidt_decompose`.  Samples, mass and
+    factors agree with a dense evaluation of the closed form to round-off,
+    not to the bit; :meth:`GaussianJsa.audit` checks the factors against
+    every sample.  An amplitude whose series needs more terms than the grid
+    allows (the widths' ratio far from 1 at a tilt) is refused with a
+    ``ConfigurationError``, a ``GridTruncationError`` when the grid spacing
+    also exceeds a width.
 
     Parameters
     ----------
@@ -331,15 +508,13 @@ def build_gaussian_jsa(
     if not max_truncated_mass >= 0:
         raise ConfigurationError(f"mass_tolerance (max_truncated_mass) must be >= 0, got {max_truncated_mass!r}")
     raw = _RawGaussian(params, grid.points)
-    ut, v = _CrossApproximation(raw, grid).certify()
+    ut, v = _mehler_skeleton(params, grid, raw.largest())
     grid_mass = _skeleton_mass(ut, v)
     analytic_mass = float(np.pi * params.sigma_a * params.sigma_b)
     off_grid = 1.0 - grid_mass / analytic_mass
-    # grid_mass > 0 refuses a grid holding no mass also under a tolerance >= 1;
-    # such a grid is under-resolved when it holds the peak but its spacing exceeds a width
-    coarse = grid.d_omega > min(params.sigma_a, params.sigma_b)
+    # grid_mass > 0 refuses a grid holding no mass (d_omega^2 underflows) also under a tolerance >= 1
     if not (abs(off_grid) <= max_truncated_mass and grid_mass > 0):
-        if off_grid < 0 or (grid_mass == 0 and grid.omega_min <= 0 <= grid.omega_max and coarse):
+        if off_grid < 0:
             problem = (
                 f"the sampled |f|^2 mass is {grid_mass / analytic_mass:.3e} times the analytic mass: the "
                 f"amplitude is under-resolved at d_omega = {grid.d_omega:.3g}; add grid points or widen the widths"
@@ -396,6 +571,33 @@ def _embed(vectors: np.ndarray, support, n: int, k: int) -> np.ndarray:
     return out
 
 
+def _thin_qr(a: np.ndarray):
+    """R of a tall factor ``a`` and a function that multiplies its Q into a matrix y: Q @ y.
+
+    A factor of at most _QR_ROWS rows takes one QR.  A longer one takes the R of
+    each block of _QR_ROWS rows, then one QR of the stacked R's; Q @ y then forms
+    each block's Q once more in turn and multiplies it straight into its rows of
+    the stacked Q times y, so no Q of the factor's length is ever held.
+    """
+    if len(a) <= _QR_ROWS:
+        q, r = np.linalg.qr(a)
+        return r, q.__matmul__
+    blocks = [slice(start, start + _QR_ROWS) for start in range(0, len(a), _QR_ROWS)]
+    tops = [np.linalg.qr(a[block], mode="r") for block in blocks]
+    ends = np.cumsum([0] + [len(top) for top in tops])
+    stacked, r = np.linalg.qr(np.concatenate(tops))
+    del tops
+
+    def q_times(y: np.ndarray) -> np.ndarray:
+        z = stacked @ y
+        out = np.empty((len(a), y.shape[1]), np.result_type(a, y))
+        for block, start, end in zip(blocks, ends, ends[1:]):
+            out[block] = np.linalg.qr(a[block])[0] @ z[start:end]
+        return out
+
+    return r, q_times
+
+
 def _decompose(
     grid: FrequencyGrid,
     left: np.ndarray,
@@ -409,8 +611,9 @@ def _decompose(
     ``left`` (m x |rows|) and ``right`` (m x |cols|) factor K on the grid
     samples ``rows`` and ``cols`` (all samples by default); K is zero
     elsewhere.  Both are zero-padded to ``n_retained`` rows, and a QR of each
-    and one SVD of the product of their triangles give the triples, never
-    forming K; the QRs complete factors of rank below ``n_retained`` with
+    (:func:`_thin_qr`, a block of samples at a time past _QR_ROWS) and one
+    SVD of the product of their triangles give the triples, never forming
+    K; the QRs complete factors of rank below ``n_retained`` with
     orthonormal vectors of amplitude 0.  The reported and excited pairs,
     max(n_retained, #{lambda_k > 1e-14 lambda_1}), are embedded on the grid:
     past min(|rows|, |cols|, m) triples each arm fills them first with its
@@ -424,16 +627,17 @@ def _decompose(
         raise ConfigurationError(f"n_retained must lie in [1, {n}], got {n_retained}")
     left, right = (f if len(f) >= n_retained else np.pad(f, ((0, n_retained - len(f)), (0, 0))) for f in (left, right))
     try:
-        qu, ru = np.linalg.qr(left.T)
-        qv, rv = np.linalg.qr(right.T)
+        ru, qu_times = _thin_qr(left.T)
+        rv, qv_times = _thin_qr(right.T)
         w, s, zh = np.linalg.svd(ru @ rv.T)
+        k = max(int(n_retained), _excited_count(s))
+        signal, idler = qu_times(w[:, :k]), qv_times(zh[:k].T)
     except np.linalg.LinAlgError as exc:
         raise _svd_failure(np.concatenate([left, right], axis=1)) from exc
-    k = max(int(n_retained), _excited_count(s))
     s = np.concatenate([s, np.zeros(max(0, k - len(s)))])
     sqrt_dw = np.sqrt(grid.d_omega)
-    signal = _embed(qu @ w, rows, n, k).T / sqrt_dw
-    idler = _embed((zh @ qv.T).T, cols, n, k).T / sqrt_dw
+    signal = _embed(signal, rows, n, k).T / sqrt_dw
+    idler = _embed(idler, cols, n, k).T / sqrt_dw
     signal, idler = _fix_phases(signal, idler)
     return SchmidtData(grid, signal, idler, s[:k], int(n_retained), float(np.sum(s[n_retained:] ** 2)))
 
@@ -581,8 +785,9 @@ class _CrossApproximation:
 def schmidt_decompose(jsa: GaussianJsa | JsaMatrix, n_retained: int = 10) -> SchmidtData:
     """Decompose a normalized amplitude into its reported and excited broadband mode pairs.
 
-    :func:`_decompose` of the amplitude's certified cross-approximation
-    factors (``skeleton``) on every sample; factors of rank below
+    :func:`_decompose` of the amplitude's skeleton factors (Mehler's for
+    the Gaussian, certified cross-approximation ones for a
+    :class:`JsaMatrix`) on every sample; factors of rank below
     ``n_retained`` are completed to orthonormal pairs of amplitude 0.
     Amplitudes descend and satisfy sum lambda^2 = 1 to 1e-10.
     """

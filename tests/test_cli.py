@@ -237,8 +237,8 @@ class TestConfigParsing:
         assert len(peaks) == 1 and peaks[0] < 20e6
 
     def test_grid_size_guard_exits_before_any_sample(self, tmp_path):
-        # every basis evaluates all n_points^2 samples once: 1e10 of them
-        # would take minutes, so the config is refused before the first
+        # validate reads all n_points^2 samples once, and a config serves every
+        # verb: 1e10 of them would take minutes, so the config is refused first
         cfg = tmp_path / "huge.cfg"
         cfg.write_text("n_points = 100000\n")
         err = io.StringIO()

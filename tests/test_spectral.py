@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import pdcfilter as pf
 from pdcfilter import spectral
 from pdcfilter.blas import calling_thread
+from pdcfilter.cli import RunConfig, main, validate
 from pdcfilter.errors import ConfigurationError, GridTruncationError, NumericsError
 from pdcfilter.spectral import _fix_phases, _row_blocks, _skeleton_mass
 
@@ -123,9 +125,9 @@ class TestGaussianJsa:
         assert np.array_equal(jsa.sample(rows, cols), dense[np.ix_(rows, cols)])
 
     def test_holds_no_sample(self):
-        # one pass of row blocks: a peak of a few MB at n = 1600 against
-        # 20.5 MB for one 1600 x 1600 float array, and nothing of grid size
-        # kept but the k x n skeleton factors and the sampler's five length-n
+        # Mehler's tables and their recurrence: a peak of a few MB at n = 1600
+        # against 20.5 MB for one 1600 x 1600 float array, and nothing of grid
+        # size kept but the K x n skeleton factors and the sampler's five length-n
         # constants (64 kB here, within the 1e5 bytes allowed for the rest)
         n = 1600
         grid = pf.build_frequency_grid(n, -10.0, 10.0)
@@ -354,12 +356,10 @@ class TestSchmidtDecompose:
         return pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
 
     def test_evaluates_every_sample_once(self, monkeypatch):
-        # one pass reads every sample; the start rows and the pivots read
-        # about 0.06 n^2 more.  The sweep input (sigma_a 4.9, n = 600) leaves
-        # rows just above the floor after that pass: their residuals are
-        # kept and updated with the new pivots, so no second pass reads them
-        # (the check that re-read every sample read 2.21 n^2 there).  Every
-        # sample is read at least once, so a read the counter misses fails
+        # a run reads no sample: the skeleton is Mehler's series.  validate
+        # reads every sample once, in the one pass that checks the skeleton and
+        # the normalization against it.  Every sample is read at least once
+        # there, so a read the counter misses fails
         raw_gaussian = spectral._RawGaussian.__call__
         evaluated = []
 
@@ -370,10 +370,13 @@ class TestSchmidtDecompose:
 
         monkeypatch.setattr(spectral._RawGaussian, "__call__", counting)
         sweep_input = pf.GaussianJsaParams(4.924073604931264, 1.562717153426108, -0.847504713566843)
-        for n, params, most in ((1600, pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), 1.1), (600, sweep_input, 1.15)):
+        for n, params in ((1600, pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4)), (600, sweep_input)):
             evaluated.clear()
             pf.schmidt_decompose(pf.build_gaussian_jsa(params, pf.build_frequency_grid(n, -10, 10)), 10)
-            assert n * n <= sum(evaluated) <= most * n * n
+            assert sum(evaluated) == 0
+            config = RunConfig(n_points=n, sigma_a=params.sigma_a, sigma_b=params.sigma_b, theta=params.theta)
+            assert validate(config, stream=io.StringIO())
+            assert n * n <= sum(evaluated) <= 1.1 * n * n
 
     def test_leading_triples_match_dense_svd(self):
         schmidt = self._assert_matches_dense_svd(self._reference_jsa(800))
@@ -463,6 +466,104 @@ class TestSchmidtDecompose:
             pf.schmidt_decompose(jsa, 0)
         with pytest.raises(ConfigurationError):
             pf.schmidt_decompose(jsa, 101)
+
+
+class TestMehlerSkeleton:
+    """Mehler's skeleton against every sample, its refusals and its memory."""
+
+    # the floor the skeleton is stated to, a fraction of the largest grid sample
+    _FLOOR = spectral._NOISE_FLOOR
+    _CI_STATES = {
+        "high_rank": (pf.GaussianJsaParams(20.0, 1.0, -np.pi / 4), -60.0, 60.0),
+        "high_aspect": (pf.GaussianJsaParams(20.0, 0.5, -np.pi / 4), -60.0, 60.0),
+    }
+
+    def _assert_within_floor(self, params, grid):
+        # no grid guard: the 3-point grids are refused as under-resolved
+        jsa = pf.build_gaussian_jsa(params, grid, max_truncated_mass=np.inf)
+        _, residual, largest = jsa.audit()
+        assert residual <= self._FLOOR * largest
+        return jsa
+
+    def test_within_floor_on_benchmark_states(self):
+        rng = np.random.default_rng(12)
+        for n in (100, 383, 600, 1600):
+            for _ in range(2):
+                theta = -np.pi / 4 + rng.uniform(-0.1, 0.1)
+                params = pf.GaussianJsaParams(rng.uniform(4.0, 6.0), rng.uniform(1.5, 2.5), theta)
+                self._assert_within_floor(params, pf.build_frequency_grid(n, -10.0, 10.0))
+
+    @pytest.mark.parametrize("n", [3, 100, 1600, 3200])
+    @pytest.mark.parametrize("state", sorted(_CI_STATES))
+    def test_within_floor_on_ci_states(self, state, n):
+        # K = 385 and 777 terms; a sample is a term of every one of them
+        params, low, high = self._CI_STATES[state]
+        jsa = self._assert_within_floor(params, pf.build_frequency_grid(n, low, high))
+        assert len(jsa.skeleton[0]) == {"high_rank": 385, "high_aspect": 777}[state]
+
+    def test_within_floor_on_a_window_without_the_peak(self):
+        # on [2, 22] the reference state's largest sample is 0.37 of its peak
+        self._assert_within_floor(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), pf.build_frequency_grid(400, 2.0, 22.0))
+
+    @pytest.mark.parametrize(
+        "state, n, low, high",
+        [("high_rank", 2, -60.0, 60.0), ("high_aspect", 2, -60.0, 60.0), ("high_aspect", 400, 2.0, 22.0)],
+    )
+    def test_refuses_a_grid_far_below_the_peak(self, state, n, low, high):
+        # the series is exact to round-off of the peak: every sample of these
+        # grids lies at 1.2e-4 (the 2-point corners) or 1.1e-7 (on [2, 22]) of it,
+        # where the high-aspect series reads 2.3e-14 and 1.1e-9 of the largest sample
+        params = self._CI_STATES[state][0]
+        with pytest.raises(GridTruncationError, match="largest grid sample"):
+            pf.build_gaussian_jsa(params, pf.build_frequency_grid(n, low, high), max_truncated_mass=np.inf)
+
+    def test_refuses_a_series_beyond_its_tables(self, tmp_path, capsys):
+        # width ratio 1e4 along the diagonal: |t| = 1 - 2e-4 needs some 1.9e5
+        # terms, above the 2^10 allowed; on a grid coarser than the narrow width
+        # the same refusal reads under-resolved
+        params = pf.GaussianJsaParams(1e4, 1.0, -np.pi / 4)
+        with pytest.raises(ConfigurationError, match="Mehler series needs") as info:
+            pf.build_gaussian_jsa(params, pf.build_frequency_grid(100, -10.0, 10.0))
+        assert not isinstance(info.value, GridTruncationError)
+        with pytest.raises(GridTruncationError, match="under-resolved"):
+            pf.build_gaussian_jsa(params, pf.build_frequency_grid(10, -10.0, 10.0))
+        # and through the command line: exit 1, one line, before any table is built
+        cfg = tmp_path / "ratio.cfg"
+        cfg.write_text("sigma_a = 10000\nsigma_b = 1\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("configuration error:") and "Mehler series" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_carries_the_exponent_where_h0_underflows(self):
+        # past |x| = 38.6 h_0 underflows but h_k of high order does not: the
+        # table there equals the extended-precision recurrence, which does not
+        # underflow, to the round-off of 2000 recurrence steps (1.7e-14 of the
+        # functions' size at x = 54, 5e-15 where no exponent is carried).  The
+        # points have exact squares, so x^2 / 2 adds no error.  Past twice the
+        # last turning point every entry is 0
+        x = np.concatenate([np.linspace(30.0, 70.0, 81), [-45.0, 130.0, 1e200]])
+        table = spectral._hermite_table(x, 2000)
+        exact = hermite_functions(2000, x[:82].astype(np.longdouble))
+        assert np.max(np.abs(table[:, :82] - exact.astype(float))) <= 3e-14 * np.max(np.abs(exact))
+        assert np.max(np.abs(table[:, 45:81])) > 0.1
+        assert np.all(table[:, 82:] == 0.0)
+
+    def test_peak_memory_of_build_and_decompose(self):
+        # the widest benchmark state, K = 74 terms (the cross approximation read
+        # 34 rows): the sampled build and its decomposition peaked at 3.53 MB, this
+        # route at 4.15 MB, of which the two 74 x 1600 tables are 1.9 MB.  One
+        # QR of each whole table, not a block at a time, peaked at 5.6 MB
+        grid = pf.build_frequency_grid(1600, -10.0, 10.0)
+        tracemalloc.start()
+        try:
+            jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 1.5, -np.pi / 4), grid)
+            pf.schmidt_decompose(jsa, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(jsa.skeleton[0]) == 74
+        assert peak <= 1.25 * 3.53e6
 
 
 class TestGainAndDb:
