@@ -75,11 +75,12 @@ _FILTERS = {
     "blocking": lambda config, grid: make_blocking_filter(grid),
     "flat": lambda config, grid: make_flat_filter(config.filter_amplitude, grid),
 }
-# amplitude samples a configuration may ask validate to read.  run and sweep
-# evaluate none (the skeleton's K x n tables are bounded where K is known, in
-# build_gaussian_jsa), but validate reads all n_points^2 once against the
-# skeleton, about 10 ns a sample with the residual at 55 to 74 terms (one BLAS
-# thread): some 11 s at this size, more for an amplitude of more terms
+# amplitude samples one pass over the amplitude may read: validate reads all
+# n_points^2 once against the skeleton, as does a run whose Gaussian takes the
+# cross approximation (build_gaussian_jsa), about 10 ns a sample with the
+# residual at up to 64 Mehler terms (one BLAS thread): some 11 s at this size.
+# build_gaussian_jsa keeps the audit of a Mehler skeleton within that time; a
+# cross-approximation skeleton's audit costs what its build's own check did
 _MAX_SAMPLES = 2**30
 
 
@@ -152,8 +153,8 @@ class RunConfig:
             )
         if self.n_points**2 > _MAX_SAMPLES:
             raise ConfigurationError(
-                f"n_points {self.n_points} gives {float(self.n_points) ** 2:.3g} amplitude samples, "
-                f"above the {_MAX_SAMPLES} validate evaluates at most (n_points <= {math.isqrt(_MAX_SAMPLES)})"
+                f"n_points {self.n_points} gives {float(self.n_points) ** 2:.3g} amplitude samples, above the "
+                f"{_MAX_SAMPLES} one pass over the amplitude may read (n_points <= {math.isqrt(_MAX_SAMPLES)})"
             )
 
     def ga_params(self) -> GaParams:
@@ -470,7 +471,8 @@ def validate(config: RunConfig, stream=None) -> bool:
     and projections of that run.  Only the first two read samples, in one
     pass: the normalization, and the skeleton against every sample, whose
     largest residual must lie within the 1e-14 noise floor of the largest
-    sample (the a posteriori check of Mehler's a priori bound).
+    sample (for Mehler's skeleton, the a posteriori check of its a priori
+    bound).
     """
     stream = stream or sys.stdout
     results: list[tuple[str, bool, str]] = []

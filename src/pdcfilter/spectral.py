@@ -17,8 +17,10 @@ the largest grid sample, and its normalization is read from that skeleton.
 Samples are evaluated from the closed form, one exponential a sample, only
 where a check reads them, and agree with a dense evaluation of it to
 round-off, c eps (1 + q) of exp(-q), not to the bit.  A sampled amplitude
-(:class:`JsaMatrix`) finds its skeleton by adaptive cross approximation
-(Bebendorf, Numer. Math. 86, 565 (2000)) checked against every sample.
+(:class:`JsaMatrix`), and a Gaussian whose series would need too many terms
+or whose grid lies far below its peak, finds its skeleton by adaptive cross
+approximation (Bebendorf, Numer. Math. 86, 565 (2000)) checked against
+every sample.
 
 Every decomposition, the Schmidt state here and the effective basis of
 ``basis_opt``, is one call of :func:`_decompose` on the thin factors of its
@@ -75,17 +77,20 @@ _CRAMER = 1.086435**2
 # of 1e-14 the effective basis of a rect filter at the window edge moved by 7e-9
 _MEHLER_TAIL = 1e-16
 # the series is exact to round-off of the Gaussian's peak, not of each sample: a
-# grid whose largest sample is below this fraction of the peak is refused.  Above
-# it, cancellation costs about eps / _MEHLER_LARGEST of the largest sample, inside
-# the 1e-14 noise floor (the CI high-aspect state on [2, 22], at 1.1e-7 of the
-# peak, read 1.1e-9 of it, on its 2-point grid, at 1.2e-4, 2.3e-14, and a window
-# whose largest sample was 0.020 of the peak read 1.6e-14)
+# grid whose largest sample is below this fraction of the peak takes the cross
+# approximation instead.  Above it, cancellation costs about eps / _MEHLER_LARGEST
+# of the largest sample, inside the 1e-14 noise floor (the CI high-aspect state on
+# [2, 22], at 1.1e-7 of the peak, read 1.1e-9 of it, on its 2-point grid, at
+# 1.2e-4, 2.3e-14, and a window whose largest sample was 0.020 of the peak read 1.6e-14)
 _MEHLER_LARGEST = 0.05
-# the most terms K a skeleton may hold, and the most entries K n of each of its
-# tables.  The series' round-off grows with K: on resolved grids it read 6.7e-15
-# of the largest sample at K = 1568, 1.1e-14 at 1831 and 1.8e-14 at 3164, against
-# the 1e-14 floor, and the decomposition's O(K^2 n) took 30 s at K = 3164, n = 3200
-_MAX_TERMS, _MAX_TABLE = 1 << 10, 1 << 24
+# the most terms K a series may hold, and the most multiply-adds K n^2 of
+# validate's audit of it; past either the cross approximation is taken.  The
+# series' round-off grows with K: on resolved grids it read 6.7e-15 of the
+# largest sample at K = 1568, 1.1e-14 at 1831 and 1.8e-14 at 3164, against the
+# 1e-14 floor.  The audit takes about 4 ns a sample plus 0.1 ns a sample and
+# term (one BLAS thread, 2 vCPU), so at most some 11 s (K <= 64 at n = 32768);
+# the cross approximation's own check already costs its k rows times n^2
+_MAX_TERMS, _MAX_AUDIT = 1 << 10, 1 << 36
 # h_0 = pi^(-1/4) e^(-x^2/2) underflows past |x| = 38.6 while high-order h_k need
 # not be small there: such a column starts from e^(-_CARRY) and carries the rest
 # of its exponent aside, taking it back _CARRY_STEP at a time as the recurrence
@@ -169,14 +174,7 @@ def _row_blocks(n: int) -> list[slice]:
 
 
 def _skeleton_mass(ut: np.ndarray, v: np.ndarray) -> float:
-    """sum |ut^T v|^2 of a real k-term skeleton, as sum (ut ut^T) o (v v^T) in O(k^2 n).
-
-    A skeleton of more terms than samples (k^2 above rows x cols; a Mehler
-    series on a coarse grid) sums the squares of ut^T v instead, so neither
-    form holds more than k n entries.
-    """
-    if len(ut) ** 2 > ut.shape[1] * v.shape[1]:
-        return float(np.sum(np.square(ut.T @ v)))
+    """sum |ut^T v|^2 of a real k-term skeleton, as sum (ut ut^T) o (v v^T) in O(k^2 n)."""
     return float(np.sum((ut @ ut.T) * (v @ v.T)))
 
 
@@ -314,7 +312,9 @@ def _hermite_table(x: np.ndarray, terms: int) -> np.ndarray:
     return table
 
 
-def _mehler_skeleton(params: GaussianJsaParams, grid: FrequencyGrid, largest: float) -> tuple[np.ndarray, np.ndarray]:
+def _mehler_skeleton(
+    params: GaussianJsaParams, grid: FrequencyGrid, largest: float
+) -> tuple[np.ndarray, np.ndarray] | None:
     """The raw Gaussian's skeleton ``ut``, ``v`` (K x n): raw * d_omega = ut^T v to round-off.
 
     The raw exponent is -(A x^2 + 2 B x y + C y^2), and Mehler's formula writes
@@ -323,26 +323,17 @@ def _mehler_skeleton(params: GaussianJsaParams, grid: FrequencyGrid, largest: fl
     s_1^2 = (1 + t^2) / (2 (1 - t^2) A), s_2 likewise from C.  So
     ut_k = sqrt(pi (1 - t^2)) t^k h_k(w / s_1) d_omega and v_k = h_k(w / s_2), for
     the fewest terms K whose Cramer tail is at most _MEHLER_TAIL of ``largest``,
-    the largest raw grid sample.  A grid whose largest sample is below
-    _MEHLER_LARGEST of the peak is refused first.  Frequencies are measured
-    in units of sqrt(sigma_a sigma_b), where A C - B^2 = 1/4: no coefficient
-    over- or underflows for accepted widths, and 1 - rho^2 = 1 / (4 A C) and
-    1 - |t| are formed without cancellation.  As rho -> 1 the terms grow without
-    bound; a K above _MAX_TERMS, or above _MAX_TABLE / n, is refused before any
-    table is built, as under-resolved when the grid spacing exceeds a width.
+    the largest raw grid sample.  Frequencies are measured in units of
+    sqrt(sigma_a sigma_b), where A C - B^2 = 1/4: no coefficient over- or
+    underflows for accepted widths, and 1 - rho^2 = 1 / (4 A C) and 1 - |t| are
+    formed without cancellation.
+
+    None, before any table is built, where the series does not hold the grid
+    to round-off: its largest sample is below _MEHLER_LARGEST of the peak, or
+    K exceeds _MAX_TERMS or _MAX_AUDIT / n^2 (as rho -> 1 K grows without bound).
     """
-    n = grid.n_points
-    coarse = grid.d_omega > min(params.sigma_a, params.sigma_b)
     if not largest >= _MEHLER_LARGEST:
-        problem = (
-            f"the amplitude is under-resolved at d_omega = {grid.d_omega:.3g}"
-            if coarse and grid.omega_min <= 0 <= grid.omega_max
-            else f"the window [{grid.omega_min}, {grid.omega_max}] misses the amplitude's peak"
-        )
-        raise GridTruncationError(
-            f"{problem}: its largest grid sample is {largest:.3e} of the peak, below the "
-            f"{_MEHLER_LARGEST} Mehler's series holds to the noise floor"
-        )
+        return None
     cos, sin = np.cos(params.theta), np.sin(params.theta)
     unit = float(np.sqrt(params.sigma_a) * np.sqrt(params.sigma_b))
     ratio = float(np.sqrt(params.sigma_a) / np.sqrt(params.sigma_b))
@@ -358,16 +349,8 @@ def _mehler_skeleton(params: GaussianJsaParams, grid: FrequencyGrid, largest: fl
         # the quotient overflows to inf as 1 - |t| reaches the smallest normal float
         log_bound = math.log(_MEHLER_TAIL * largest / _CRAMER) + 0.5 * (math.log(gap) - math.log1p(mag))
         terms = max(1.0, log_bound / (math.log(mag) if mag < 0.5 else math.log1p(-gap)))
-    limit = min(_MAX_TERMS, _MAX_TABLE // n)
-    if not terms <= limit:
-        problem = (
-            f"its Mehler series needs {terms:.3g} terms, above the {limit} a {n}-point grid may hold "
-            f"(K <= {_MAX_TERMS}, K n <= {_MAX_TABLE}): the width ratio {params.sigma_a / params.sigma_b:.3g} "
-            f"at theta {params.theta:.3g} is too large"
-        )
-        if coarse:
-            raise GridTruncationError(f"the amplitude is under-resolved at d_omega = {grid.d_omega:.3g}: {problem}")
-        raise ConfigurationError(f"the amplitude cannot be factored: {problem}")
+    if not terms <= min(_MAX_TERMS, _MAX_AUDIT // grid.n_points**2):
+        return None
     terms = math.ceil(terms)
     t = -math.copysign(mag, cross) if mag else 0.0
     one_minus_t2 = gap * (1 + mag)
@@ -386,7 +369,8 @@ class GaussianJsa:
     columns as the raw Gaussian ``raw`` over sqrt(``grid_mass``), one
     exponential a sample, and every read of a sample gives the same bits.
     ``skeleton`` holds Mehler's factors ``ut``, ``v`` (K x n) with
-    f * d_omega = ut.T @ v to round-off of the largest sample, as
+    f * d_omega = ut.T @ v to round-off of the largest sample (or, where the
+    series does not hold the grid, certified cross-approximation factors), as
     :class:`JsaMatrix` reports its factors, and ``grid_mass`` is the
     rectangle-rule mass sum |raw|^2 d_omega^2 of the raw samples, read from
     the raw factors.  Only :meth:`audit` reads samples.  Build it with
@@ -409,8 +393,8 @@ class GaussianJsa:
         """One pass over every sample, a row block at a time, checked against the skeleton.
 
         Returns sum |f|^2 d_omega^2, the largest residual max |ut^T v - f d_omega|
-        and the largest sample max |f d_omega|: the a posteriori check of the
-        skeleton's a priori bound.
+        and the largest sample max |f d_omega|: for Mehler's skeleton the a
+        posteriori check of its a priori bound.
         """
         dw = self.grid.d_omega
         ut, v = self.skeleton
@@ -489,10 +473,11 @@ def build_gaussian_jsa(
     on the amplitude for :func:`schmidt_decompose`.  Samples, mass and
     factors agree with a dense evaluation of the closed form to round-off,
     not to the bit; :meth:`GaussianJsa.audit` checks the factors against
-    every sample.  An amplitude whose series needs more terms than the grid
-    allows (the widths' ratio far from 1 at a tilt) is refused with a
-    ``ConfigurationError``, a ``GridTruncationError`` when the grid spacing
-    also exceeds a width.
+    every sample.  Where the series does not hold the grid to round-off (a
+    grid far below the peak, or more terms than allowed, as the widths'
+    ratio grows at a tilt) the raw factors come from the cross approximation
+    of :class:`_CrossApproximation` instead, which evaluates every raw
+    sample once and checks it against its skeleton.
 
     Parameters
     ----------
@@ -508,13 +493,16 @@ def build_gaussian_jsa(
     if not max_truncated_mass >= 0:
         raise ConfigurationError(f"mass_tolerance (max_truncated_mass) must be >= 0, got {max_truncated_mass!r}")
     raw = _RawGaussian(params, grid.points)
-    ut, v = _mehler_skeleton(params, grid, raw.largest())
+    skeleton = _mehler_skeleton(params, grid, raw.largest())
+    ut, v = skeleton if skeleton is not None else _CrossApproximation(raw, grid).certify()
     grid_mass = _skeleton_mass(ut, v)
     analytic_mass = float(np.pi * params.sigma_a * params.sigma_b)
     off_grid = 1.0 - grid_mass / analytic_mass
-    # grid_mass > 0 refuses a grid holding no mass (d_omega^2 underflows) also under a tolerance >= 1
+    # grid_mass > 0 refuses a grid holding no mass also under a tolerance >= 1;
+    # such a grid is under-resolved when it holds the peak but its spacing exceeds a width
+    coarse = grid.d_omega > min(params.sigma_a, params.sigma_b)
     if not (abs(off_grid) <= max_truncated_mass and grid_mass > 0):
-        if off_grid < 0:
+        if off_grid < 0 or (grid_mass == 0 and grid.omega_min <= 0 <= grid.omega_max and coarse):
             problem = (
                 f"the sampled |f|^2 mass is {grid_mass / analytic_mass:.3e} times the analytic mass: the "
                 f"amplitude is under-resolved at d_omega = {grid.d_omega:.3g}; add grid points or widen the widths"

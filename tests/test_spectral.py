@@ -469,7 +469,7 @@ class TestSchmidtDecompose:
 
 
 class TestMehlerSkeleton:
-    """Mehler's skeleton against every sample, its refusals and its memory."""
+    """Mehler's skeleton against every sample, where the cross approximation replaces it, and its memory."""
 
     # the floor the skeleton is stated to, a fraction of the largest grid sample
     _FLOOR = spectral._NOISE_FLOOR
@@ -505,35 +505,68 @@ class TestMehlerSkeleton:
         # on [2, 22] the reference state's largest sample is 0.37 of its peak
         self._assert_within_floor(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), pf.build_frequency_grid(400, 2.0, 22.0))
 
+    @staticmethod
+    def _count_samples(monkeypatch) -> list[int]:
+        raw_gaussian = spectral._RawGaussian.__call__
+        evaluated = []
+
+        def counting(self, rows, cols):
+            out = raw_gaussian(self, rows, cols)
+            evaluated.append(out.size)
+            return out
+
+        monkeypatch.setattr(spectral._RawGaussian, "__call__", counting)
+        return evaluated
+
+    def _assert_route(self, evaluated, params, grid, mehler, **kwargs):
+        # the Mehler route reads no sample; the cross approximation reads
+        # every one and certifies its skeleton to the same floor
+        evaluated.clear()
+        jsa = pf.build_gaussian_jsa(params, grid, **kwargs)
+        assert (sum(evaluated) == 0) == mehler
+        assert mehler or sum(evaluated) >= grid.n_points**2
+        _, residual, largest = jsa.audit()
+        assert residual <= self._FLOOR * largest
+        return jsa
+
     @pytest.mark.parametrize(
         "state, n, low, high",
         [("high_rank", 2, -60.0, 60.0), ("high_aspect", 2, -60.0, 60.0), ("high_aspect", 400, 2.0, 22.0)],
     )
-    def test_refuses_a_grid_far_below_the_peak(self, state, n, low, high):
+    def test_cross_approximation_far_below_the_peak(self, monkeypatch, state, n, low, high):
         # the series is exact to round-off of the peak: every sample of these
         # grids lies at 1.2e-4 (the 2-point corners) or 1.1e-7 (on [2, 22]) of it,
         # where the high-aspect series reads 2.3e-14 and 1.1e-9 of the largest sample
+        grid = pf.build_frequency_grid(n, low, high)
         params = self._CI_STATES[state][0]
-        with pytest.raises(GridTruncationError, match="largest grid sample"):
-            pf.build_gaussian_jsa(params, pf.build_frequency_grid(n, low, high), max_truncated_mass=np.inf)
+        self._assert_route(self._count_samples(monkeypatch), params, grid, False, max_truncated_mass=np.inf)
 
-    def test_refuses_a_series_beyond_its_tables(self, tmp_path, capsys):
-        # width ratio 1e4 along the diagonal: |t| = 1 - 2e-4 needs some 1.9e5
-        # terms, above the 2^10 allowed; on a grid coarser than the narrow width
-        # the same refusal reads under-resolved
-        params = pf.GaussianJsaParams(1e4, 1.0, -np.pi / 4)
-        with pytest.raises(ConfigurationError, match="Mehler series needs") as info:
-            pf.build_gaussian_jsa(params, pf.build_frequency_grid(100, -10.0, 10.0))
-        assert not isinstance(info.value, GridTruncationError)
-        with pytest.raises(GridTruncationError, match="under-resolved"):
-            pf.build_gaussian_jsa(params, pf.build_frequency_grid(10, -10.0, 10.0))
-        # and through the command line: exit 1, one line, before any table is built
+    @pytest.mark.parametrize("sigma_a, mehler", [(25.0, True), (30.0, False)])
+    def test_cross_approximation_past_the_term_cap(self, monkeypatch, sigma_a, mehler):
+        # about 20 sigma_a / sigma_b terms at theta = -pi/4: 974 at sigma_a 25,
+        # above the 2^10 allowed at 30, which the cross approximation factors
+        grid = pf.build_frequency_grid(400, -80.0, 80.0)
+        params = pf.GaussianJsaParams(sigma_a, 0.5, -np.pi / 4)
+        jsa = self._assert_route(self._count_samples(monkeypatch), params, grid, mehler)
+        assert (len(jsa.skeleton[0]) == 974) == mehler
+
+    def test_cross_approximation_past_the_audit_budget(self, monkeypatch):
+        # validate's audit of K terms costs K n^2: one multiply-add past the
+        # budget the cross approximation is taken, whose build checks as much
+        evaluated = self._count_samples(monkeypatch)
+        grid = pf.build_frequency_grid(100, -10.0, 10.0)
+        params = pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4)
+        terms = len(pf.build_gaussian_jsa(params, grid).skeleton[0])
+        for budget, mehler in ((terms * 100**2, True), (terms * 100**2 - 1, False)):
+            monkeypatch.setattr(spectral, "_MAX_AUDIT", budget)
+            self._assert_route(evaluated, params, grid, mehler)
+
+    def test_runs_a_state_past_the_term_cap(self, tmp_path):
+        # the sigma_a 30 state above, through the command line, to the end
         cfg = tmp_path / "ratio.cfg"
-        cfg.write_text("sigma_a = 10000\nsigma_b = 1\n")
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("configuration error:") and "Mehler series" in err
-        assert not (tmp_path / "out").exists()
+        cfg.write_text("sigma_a = 30\nsigma_b = 0.5\nn_points = 400\nomega_min = -80\nomega_max = 80\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "covariance.csv").exists()
 
     def test_carries_the_exponent_where_h0_underflows(self):
         # past |x| = 38.6 h_0 underflows but h_k of high order does not: the
