@@ -8,6 +8,8 @@ import argparse
 import time
 from pathlib import Path
 
+import numpy as np
+
 import pdcfilter as pf
 
 
@@ -31,7 +33,7 @@ def main() -> None:
     svd_modes = svd.projections.basis.signal_fns
     print(f"genetic search: {elapsed:.1f} s, generations {ga.generations_used}")
     for k in range(args.modes):
-        overlap = abs(grid.overlap(ga.modes[k], svd_modes[k]))
+        overlap = abs(np.sum(ga.modes[k].conj() * svd_modes[k]) * grid.d_omega)
         print(
             f"mode {k + 1}: ga {ga.per_mode_squeezing_db[k]:7.4f} dB  "
             f"svd {svd.squeezing[k].squeezing_db:7.4f} dB  |overlap| = {overlap:.4f}"

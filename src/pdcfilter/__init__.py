@@ -48,7 +48,6 @@ from .spectral import (
     FrequencyGrid,
     GaussianJsa,
     GaussianJsaParams,
-    JsaMatrix,
     SchmidtData,
     apply_gain,
     build_frequency_grid,
@@ -77,7 +76,6 @@ __all__ = [
     "GaussianJsa",
     "GaussianJsaParams",
     "GridTruncationError",
-    "JsaMatrix",
     "MeasurementBasis",
     "NumericsError",
     "OptimizedBasis",

@@ -9,12 +9,12 @@ singular values lambda'_k, scaled by the gain to r'_k = B lambda'_k, bound
 the per-mode squeezing left after filtering (they contract: r'_k <= r_k
 whenever |T| <= 1 on both arms).  Neither depends on B, so one
 decomposition serves every gain.  The masked amplitude is read from the
-amplitude's skeleton factors (Mehler's series for the double Gaussian,
-certified cross-approximation factors for a sampled amplitude), restricted
-to the transmitting samples and weighted by the transmissions: no sample is
-evaluated and no n x n array is formed, whatever the filter.  At T = 1 on
-both arms the factors are the skeleton itself, and the basis is the
-Schmidt state bit for bit.
+amplitude's skeleton factors (Mehler's series for the double Gaussian, or
+its certified cross-approximation factors where the series does not hold
+the grid), restricted to the transmitting samples and weighted by the
+transmissions: no sample is evaluated and no n x n array is formed,
+whatever the filter.  At T = 1 on both arms the factors are the skeleton
+itself, and the basis is the Schmidt state bit for bit.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .filters import Filter
-from .spectral import GaussianJsa, JsaMatrix, SchmidtData, _decompose
+from .spectral import GaussianJsa, SchmidtData, _decompose
 
 
 def svd_effective_basis(
-    jsa: GaussianJsa | JsaMatrix,
+    jsa: GaussianJsa,
     filter_signal: Filter,
     filter_idler: Filter,
     n_retained: int = 10,
@@ -36,9 +36,11 @@ def svd_effective_basis(
 
     The masked amplitude is (ut T_a)^T (v T_b) with ``ut``, ``v`` the
     amplitude's skeleton factors (``jsa.skeleton``, f * d_omega = ut^T v to
-    the noise floor: Mehler's K x n tables for the double Gaussian).  Its factors on S and I, the samples where the signal
-    and idler filters transmit, are decomposed by ``spectral._decompose``
-    as :func:`~pdcfilter.spectral.schmidt_decompose` decomposes the whole
+    the noise floor: Mehler's K x n tables for the double Gaussian); any
+    object with a ``grid`` and a ``skeleton`` will do.  Its factors on S and
+    I, the samples where the signal and idler filters transmit, are
+    decomposed by ``spectral._decompose`` as
+    :func:`~pdcfilter.spectral.schmidt_decompose` decomposes the whole
     skeleton, and the singular vectors are embedded on the grid, so every
     mode with r' > 0 is exactly zero outside its arm's passband.  A global
     positive gain changes no singular vector, so the basis holds for every

@@ -4,13 +4,12 @@ OpenBLAS threads the level-2 steps inside every LAPACK panel, so the QR of a
 skeleton factor wakes its pool once per column; at a run's sizes (K x n
 factors with K of 45 to 75 Mehler terms on the benchmark's states, a K x K
 core, the genetic search's products) that costs more than it saves, and it
-stalls whenever another process holds a core.  The evidence is from the
-cross-approximation skeleton of about 26 rows, not yet re-measured with the
-Mehler tables: on a 2-vCPU machine a 600 x 26 QR took 0.38 ms on one thread
-against 0.81 ms on two, and ten alternating 35 s benchmark runs with and
-without this read median ``run_hires`` 19.6 against 17.8 items/s and
-``ga_search`` 0.61 against 0.58 /s; ``sweep_grid`` was level (566 against 555).
-``cli.main`` therefore runs its verb under ``calling_thread()``.  Library
+stalls whenever another process holds a core.  On a 2-vCPU machine, three
+12 s benchmark pairs (seeds 51-53) with and without this read ``run_hires``
+44.3-47.8 against 27.2-27.5 items/s and ``sweep_grid`` 890-952 against
+653-778; ``ga_search`` read 0.61-0.82 against 0.74-0.81, inside its
+run-to-run swing.  ``cli.main`` therefore runs its verb under
+``calling_thread()``.  Library
 calls keep the library default; nothing here changes a result, only which
 thread computes it.
 

@@ -76,11 +76,16 @@ _FILTERS = {
     "flat": lambda config, grid: make_flat_filter(config.filter_amplitude, grid),
 }
 # amplitude samples one pass over the amplitude may read: validate reads all
-# n_points^2 once against the skeleton, as does a run whose Gaussian takes the
-# cross approximation (build_gaussian_jsa), about 10 ns a sample with the
-# residual at up to 64 Mehler terms (one BLAS thread): some 11 s at this size.
-# build_gaussian_jsa keeps the audit of a Mehler skeleton within that time; a
-# cross-approximation skeleton's audit costs what its build's own check did
+# n_points^2 once against the skeleton, about 10 ns a sample with the residual
+# at up to 64 Mehler terms (one BLAS thread): some 11 s at this size, and
+# build_gaussian_jsa keeps a Mehler skeleton's audit within it.  A Gaussian that
+# takes the cross approximation reads more in its build: 1.06 n^2 samples on the
+# reference state forced through it and 1.93 n^2 on sigma_a 30 / sigma_b 0.5 at
+# n = 1600, 3.0 n^2 on the latter at n = 400, where the rank reaches n.  Each
+# sample's residual costs a multiply-add a pivot, so a sample took 7 ns at rank
+# 26 and 140 ns at rank 589: at this size some 1.1e9 to 3.2e9 samples, from
+# about 8 s at a low rank to minutes at a rank in the hundreds; validate's audit
+# of such a skeleton reads n^2 more at the same cost a sample
 _MAX_SAMPLES = 2**30
 
 

@@ -16,11 +16,11 @@ f * d_omega, is Mehler's formula (Law, Walmsley & Eberly, PRL 84, 5304
 the largest grid sample, and its normalization is read from that skeleton.
 Samples are evaluated from the closed form, one exponential a sample, only
 where a check reads them, and agree with a dense evaluation of it to
-round-off, c eps (1 + q) of exp(-q), not to the bit.  A sampled amplitude
-(:class:`JsaMatrix`), and a Gaussian whose series would need too many terms
-or whose grid lies far below its peak, finds its skeleton by adaptive cross
-approximation (Bebendorf, Numer. Math. 86, 565 (2000)) checked against
-every sample.
+round-off, c eps (1 + q) of exp(-q), not to the bit.  A Gaussian whose
+series would need too many terms, or whose grid lies far below its peak,
+falls back to a skeleton found by adaptive cross approximation (Bebendorf,
+Numer. Math. 86, 565 (2000)) of its samples, :func:`_cross_approximation`,
+checked against every sample.
 
 Every decomposition, the Schmidt state here and the effective basis of
 ``basis_opt``, is one call of :func:`_decompose` on the thin factors of its
@@ -32,7 +32,6 @@ exact identity part of its Bogoliubov transformation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -50,13 +49,9 @@ _LN10 = float(np.log(10.0))
 _NOISE_FLOOR = 1e-14
 # an amplitude is read a row block of at most this many samples (or one row) at a time
 _BLOCK_SAMPLES = 1 << 16
-# a check keeps the residual rows above half the floor, up to this many samples
-_KEPT_SAMPLES = 4 * _BLOCK_SAMPLES
 # the widths for which 2 sigma^2, the Gaussians' divisor, is a normal finite float
 _SIGMA_MIN = float(np.sqrt(np.finfo(float).tiny / 2))
 _SIGMA_MAX = float(np.sqrt(np.finfo(float).max / 2))
-# relative gap below which two rows tie for the one nearest zero detuning
-_PEAK_TIE = 1e-8
 # relative magnitude gap below which two samples tie for a mode's peak.  SVD
 # round-off fixes mode k only to about eps lambda_1 / lambda_k, so the mirror
 # peaks of an odd mode near the noise floor differ by far more than the
@@ -89,7 +84,8 @@ _MEHLER_LARGEST = 0.05
 # largest sample at K = 1568, 1.1e-14 at 1831 and 1.8e-14 at 3164, against the
 # 1e-14 floor.  The audit takes about 4 ns a sample plus 0.1 ns a sample and
 # term (one BLAS thread, 2 vCPU), so at most some 11 s (K <= 64 at n = 32768);
-# the cross approximation's own check already costs its k rows times n^2
+# the cross approximation's own build costs its rank k times the 1.06 to 3.0 n^2
+# samples it reads
 _MAX_TERMS, _MAX_AUDIT = 1 << 10, 1 << 36
 # h_0 = pi^(-1/4) e^(-x^2/2) underflows past |x| = 38.6 while high-order h_k need
 # not be small there: such a column starts from e^(-_CARRY) and carries the rest
@@ -134,10 +130,6 @@ class FrequencyGrid:
     def points(self) -> np.ndarray:
         return np.linspace(self.omega_min, self.omega_max, self.n_points)
 
-    def overlap(self, f: np.ndarray, g: np.ndarray) -> complex:
-        """Quadrature inner product integral(conj(f) * g) d_omega."""
-        return complex(np.sum(np.conjugate(f) * g) * self.d_omega)
-
 
 def build_frequency_grid(n_points: int, omega_min: float, omega_max: float) -> FrequencyGrid:
     """Validated constructor for :class:`FrequencyGrid`."""
@@ -176,45 +168,6 @@ def _row_blocks(n: int) -> list[slice]:
 def _skeleton_mass(ut: np.ndarray, v: np.ndarray) -> float:
     """sum |ut^T v|^2 of a real k-term skeleton, as sum (ut ut^T) o (v v^T) in O(k^2 n)."""
     return float(np.sum((ut @ ut.T) * (v @ v.T)))
-
-
-@dataclass(frozen=True)
-class JsaMatrix:
-    """Joint spectral amplitude stored as samples on grid x grid (rows = signal axis).
-
-    Normalized so that the discrete L2 norm sum |f|^2 d_omega^2 equals one.
-    Any amplitude (chirped, multi-lobe, high-rank) can be given this way;
-    it is read only through :meth:`sample` and ``skeleton``, as the
-    closed-form :class:`GaussianJsa` is.  Its skeleton is found by cross
-    approximation, certified against every sample.
-    """
-
-    values: np.ndarray
-    grid: FrequencyGrid
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        n = self.grid.n_points
-        if v.shape != (n, n):
-            raise ConfigurationError(f"JSA shape {v.shape} does not match grid size {n}")
-        if not abs(self.l2_norm_sq - 1.0) <= _NORM_TOL:
-            raise NumericsError(
-                f"JSA not normalized: sum|f|^2 d_omega^2 = {self.l2_norm_sq!r}"
-            )
-
-    @property
-    def l2_norm_sq(self) -> float:
-        v = self.values
-        return float(np.vdot(v, v).real) * self.grid.d_omega**2
-
-    def sample(self, rows, cols) -> np.ndarray:
-        """The samples f[rows, cols]; ``rows`` and ``cols`` are slices or index arrays."""
-        return self.values[rows][:, cols]
-
-    @cached_property
-    def skeleton(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cross-approximation factors ``ut``, ``v`` (k x n): f * d_omega = ut.T @ v to the noise floor."""
-        return _CrossApproximation(self.sample, self.grid).certify()
 
 
 class _RawGaussian:
@@ -370,11 +323,10 @@ class GaussianJsa:
     exponential a sample, and every read of a sample gives the same bits.
     ``skeleton`` holds Mehler's factors ``ut``, ``v`` (K x n) with
     f * d_omega = ut.T @ v to round-off of the largest sample (or, where the
-    series does not hold the grid, certified cross-approximation factors), as
-    :class:`JsaMatrix` reports its factors, and ``grid_mass`` is the
-    rectangle-rule mass sum |raw|^2 d_omega^2 of the raw samples, read from
-    the raw factors.  Only :meth:`audit` reads samples.  Build it with
-    :func:`build_gaussian_jsa`.
+    series does not hold the grid, certified cross-approximation factors),
+    and ``grid_mass`` is the rectangle-rule mass sum |raw|^2 d_omega^2 of the
+    raw samples, read from the raw factors.  Once it is built only
+    :meth:`audit` reads samples.  Build it with :func:`build_gaussian_jsa`.
     """
 
     params: GaussianJsaParams
@@ -407,11 +359,6 @@ class GaussianJsa:
             f -= ut[:, block].T @ v
             residual = max(residual, float(np.max(np.abs(f))))
         return mass * dw**2, residual, largest
-
-    @property
-    def l2_norm_sq(self) -> float:
-        """sum |f|^2 d_omega^2 over every sample, read a row block at a time."""
-        return self.audit()[0]
 
 
 @dataclass(frozen=True)
@@ -475,9 +422,10 @@ def build_gaussian_jsa(
     not to the bit; :meth:`GaussianJsa.audit` checks the factors against
     every sample.  Where the series does not hold the grid to round-off (a
     grid far below the peak, or more terms than allowed, as the widths'
-    ratio grows at a tilt) the raw factors come from the cross approximation
-    of :class:`_CrossApproximation` instead, which evaluates every raw
-    sample once and checks it against its skeleton.
+    ratio grows at a tilt) the raw factors come from
+    :func:`_cross_approximation` instead, which reads every raw sample at
+    least once (1.06 to 3.0 n^2 samples in all) and checks its skeleton
+    against them.
 
     Parameters
     ----------
@@ -494,7 +442,7 @@ def build_gaussian_jsa(
         raise ConfigurationError(f"mass_tolerance (max_truncated_mass) must be >= 0, got {max_truncated_mass!r}")
     raw = _RawGaussian(params, grid.points)
     skeleton = _mehler_skeleton(params, grid, raw.largest())
-    ut, v = skeleton if skeleton is not None else _CrossApproximation(raw, grid).certify()
+    ut, v = skeleton if skeleton is not None else _cross_approximation(raw, grid)
     grid_mass = _skeleton_mass(ut, v)
     analytic_mass = float(np.pi * params.sigma_a * params.sigma_b)
     off_grid = 1.0 - grid_mass / analytic_mass
@@ -630,154 +578,72 @@ def _decompose(
     return SchmidtData(grid, signal, idler, s[:k], int(n_retained), float(np.sum(s[n_retained:] ** 2)))
 
 
-class _CrossApproximation:
-    """Adaptive cross approximation of f * d_omega, certified against every sample.
+def _cross_approximation(sample, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive cross approximation ``ut``, ``v`` (k x n) of f * d_omega, certified against every sample.
 
     ``sample(rows, cols)`` reads f.  Partial pivoting (a residual row's
     largest sample is the pivot, the pivot column's largest residual on an
-    unvisited row picks the next row) stalls on rows it never reads, so it
-    starts from one row of every row block: the row nearest zero detuning,
-    where a centred Gaussian's block peak lies, nearest first, which is
-    largest first for such a Gaussian.  A round pivots from each start
-    while its residual row is above the floor, 1e-14 of the largest sample
-    read so far.  :meth:`certify` then reads every sample once and records
-    each row's largest residual sample; it resumes pivoting from the worst
-    row of each block above the floor, worst first, and checks again until
-    none is left.  A new pivot k moves row i's residual by at most
-    |ut_k[i]| max|v_k|, so a check re-reads only the rows whose recorded
-    residual plus that bound crosses the floor; the rows above half the
-    floor, up to ``_KEPT_SAMPLES`` samples, are kept and updated with each
-    new pivot instead.  A kept row stores its samples and the rank k it was
-    measured at, and its residual f d_omega - ut[:k]^T v[:k] is formed only
-    when the first new pivot arrives.  The first nonzero start of a round
-    always becomes a pivot and the rank is at most n, so this ends.
+    unvisited row picks the next row) stalls on rows it never reads, so the
+    first round starts from one row of every row block, the row nearest zero
+    detuning, nearest first: where a centred Gaussian's block peaks lie.  A
+    round pivots from each start while its residual row is above the floor,
+    1e-14 of the largest sample read so far; its first nonzero residual row
+    always becomes a pivot.  A check then reads rows a row block's worth at
+    a time and records each one's largest residual sample, and the next
+    round starts from the worst row of each block above the floor, worst
+    first, until none is left.  A new pivot k moves row i's residual by at
+    most |ut_k[i]| max|v_k| = |ut_k[i]|, so each record is raised by that
+    much and a check re-reads only the rows whose record crosses the floor.
+    The rank is at most n, so this ends.
     """
+    n, dw = grid.n_points, grid.d_omega
+    blocks = _row_blocks(n)
+    detuning = np.abs(grid.points)
+    starts = sorted((block.start + int(np.argmin(detuning[block])) for block in blocks), key=lambda i: detuning[i])
+    ut = v = np.zeros((0, n))
+    rank, largest = 0, 0.0
+    # an upper bound on each row's largest residual sample
+    record = np.full(n, np.inf)
 
-    def __init__(self, sample, grid: FrequencyGrid):
-        self._sample, self._grid = sample, grid
-        n = grid.n_points
-        # the two middle rows of a grid symmetric about zero tie to round-off: in
-        # one block the lower is its start, in two the higher goes first
-        detuning = np.abs(grid.points)
-        starts = sorted(
-            (
-                block.start + int(np.argmax(detuning[block] <= np.min(detuning[block]) * (1 + _PEAK_TIE)))
-                for block in _row_blocks(n)
-            ),
-            key=lambda i: (round(2 * detuning[i] / grid.d_omega), -i),
-        )
-        reads = self._rows(starts)
-        first = next(reads)
-        self._ut, self._v = np.zeros((2, 16, n), np.result_type(first[1].dtype, float))
-        self._rank, self._largest = 0, 0.0
-        # an upper bound on each row's largest residual sample, times d_omega
-        self._bound = np.full(n, np.inf)
-        # [rows, f * d_omega on them, k]: their residual rows are f * d_omega - ut[:k]^T v[:k],
-        # formed on first use (k is then 0) and updated with each new pivot
-        self._kept: list[list] = []
-        self._is_kept = np.zeros(n, dtype=bool)
-        self._pivot(itertools.chain([first], reads))
+    def read(rows, cols) -> np.ndarray:
+        nonlocal largest
+        f = sample(rows, cols) * dw
+        largest = max(largest, float(np.max(np.abs(f))))
+        return f
 
-    def _chunks(self, rows):
-        """``rows`` in order, a row block's worth at a time."""
-        per = _row_blocks(self._grid.n_points)[0].stop
-        return (rows[start : start + per] for start in range(0, len(rows), per))
-
-    def _rows(self, rows):
-        """(row, its samples) for each of ``rows`` in turn, read a row block's worth at a time."""
-        for chunk in self._chunks(rows):
-            yield from zip(chunk, self._sample(chunk, slice(None)))
-
-    def _note(self, samples: np.ndarray) -> None:
-        """Raise the floor to 1e-14 of the largest of some ``samples``."""
-        top = np.abs(samples).max() if np.iscomplexobj(samples) else max(samples.max(), -samples.min())
-        self._largest = max(self._largest, float(top) * self._grid.d_omega)
-
-    def _pivot(self, starts) -> None:
-        """One round from each (row, its samples or None) in turn."""
-        n, dw = self._grid.n_points, self._grid.d_omega
-        visited, first = np.zeros(n, dtype=bool), self._rank
-        for i, samples in starts:
-            while True:
-                k = self._rank
-                if samples is None:
-                    samples = self._sample([i], slice(None))[0]
-                self._note(samples)
-                row = samples * dw - self._ut[:k, i] @ self._v[:k]
-                j = int(np.abs(row).argmax())
-                # the first nonzero residual row of a round is always a pivot
-                if not (k < n and abs(row[j]) > (0.0 if k == first else _NOISE_FLOOR * self._largest)):
+    while starts and rank < n:
+        first, visited = rank, np.zeros(n, dtype=bool)
+        for i in starts:
+            while rank < n:
+                row = read([i], slice(None))[0] - ut[:rank, i] @ v[:rank]
+                j = int(np.argmax(np.abs(row)))
+                if not abs(row[j]) > (0.0 if rank == first else _NOISE_FLOOR * largest):
                     break
+                if rank == len(ut):
+                    ut, v = (np.concatenate([factor, np.zeros((len(factor) + 16, n), row.dtype)]) for factor in (ut, v))
+                v[rank] = row / row[j]
+                ut[rank] = read(slice(None), [j])[:, 0] - ut[:rank].T @ v[:rank, j]
                 visited[i] = True
-                if k == len(self._ut):
-                    self._ut, self._v = np.concatenate([self._ut, 0 * self._ut]), np.concatenate([self._v, 0 * self._v])
-                column = self._sample(slice(None), [j])[:, 0]
-                self._note(column)
-                self._v[k] = row / row[j]
-                self._ut[k] = column * dw - self._ut[:k].T @ self._v[:k, j]
-                self._rank += 1
-                i, samples = int(np.argmax(np.where(visited, -1.0, np.abs(self._ut[k])))), None
-
-    def _check(self) -> list[int]:
-        """Measure every row whose bound is above the floor; the restart rows, worst first.
-
-        Rows are read a row block's worth at a time; a kept row's residual
-        is exact and is not read again.  The restart rows are the worst row
-        of each block whose residual is above the floor.
-        """
-        for chunk in self._chunks(np.flatnonzero((self._bound > _NOISE_FLOOR * self._largest) & ~self._is_kept)):
-            self._measure(chunk)
-        floor = _NOISE_FLOOR * self._largest
-        blocks = _row_blocks(self._grid.n_points)
-        worst = ((self._bound[i], i) for i in (block.start + int(np.argmax(self._bound[block])) for block in blocks))
-        return [i for size, i in sorted(worst, reverse=True) if size > floor]
-
-    def _measure(self, rows: np.ndarray) -> None:
-        """Record the largest residual sample of each of ``rows``, and keep those near the floor."""
-        dw = self._grid.d_omega
-        f = self._sample(rows, slice(None))
-        self._note(f)
-        k = self._rank
-        r = self._ut[:k, rows].T / dw @ self._v[:k]
-        r -= f
-        self._bound[rows] = np.max(np.abs(r, out=r), axis=1).real * dw
-        # one new pivot moves a row by at most its own residual, so a row below
-        # half the floor stays below it
-        room = _KEPT_SAMPLES // len(self._bound) - np.count_nonzero(self._is_kept)
-        near = np.flatnonzero(self._bound[rows] > _NOISE_FLOOR * self._largest / 2)[: max(0, room)]
-        if len(near):
-            self._is_kept[rows[near]] = True
-            self._kept.append([rows[near], f[near] * dw, k])
-
-    def certify(self) -> tuple[np.ndarray, np.ndarray]:
-        """The factors ``ut``, ``v`` (k x n) with f * d_omega = ut.T @ v, once no row is above the floor."""
-        n = self._grid.n_points
-        restarts = self._check()
-        while restarts and self._rank < n:
-            first = self._rank
-            self._pivot(self._rows(restarts))
-            ut, v = self._ut[first : self._rank], self._v[first : self._rank]
-            # v_k is a residual row over its largest sample, so max|v_k| = 1
-            self._bound += np.sum(np.abs(ut), axis=0)
-            for kept in self._kept:
-                rows, residual, k = kept
-                if k:
-                    residual -= self._ut[:k, rows].T @ self._v[:k]
-                    kept[2] = 0
-                residual -= ut[:, rows].T @ v
-                self._bound[rows] = np.max(np.abs(residual), axis=1)
-            restarts = self._check()
-        return self._ut[: self._rank].copy(), self._v[: self._rank].copy()
+                i = int(np.argmax(np.where(visited, -1.0, np.abs(ut[rank]))))
+                rank += 1
+        record += np.sum(np.abs(ut[first:rank]), axis=0)
+        stale = np.flatnonzero(record > _NOISE_FLOOR * largest)
+        for start in range(0, len(stale), blocks[0].stop):
+            rows = stale[start : start + blocks[0].stop]
+            record[rows] = np.max(np.abs(read(rows, slice(None)) - ut[:rank, rows].T @ v[:rank]), axis=1)
+        worst = (block.start + int(np.argmax(record[block])) for block in blocks)
+        starts = sorted((i for i in worst if record[i] > _NOISE_FLOOR * largest), key=lambda i: -record[i])
+    return ut[:rank].copy(), v[:rank].copy()
 
 
-def schmidt_decompose(jsa: GaussianJsa | JsaMatrix, n_retained: int = 10) -> SchmidtData:
+def schmidt_decompose(jsa: GaussianJsa, n_retained: int = 10) -> SchmidtData:
     """Decompose a normalized amplitude into its reported and excited broadband mode pairs.
 
-    :func:`_decompose` of the amplitude's skeleton factors (Mehler's for
-    the Gaussian, certified cross-approximation ones for a
-    :class:`JsaMatrix`) on every sample; factors of rank below
-    ``n_retained`` are completed to orthonormal pairs of amplitude 0.
-    Amplitudes descend and satisfy sum lambda^2 = 1 to 1e-10.
+    :func:`_decompose` of the amplitude's skeleton factors on every sample:
+    any object with a ``grid`` and a ``skeleton`` (``ut``, ``v``, k x n, with
+    f * d_omega = ut^T v) will do, and :class:`GaussianJsa` holds Mehler's;
+    factors of rank below ``n_retained`` are completed to orthonormal pairs
+    of amplitude 0.  Amplitudes descend and satisfy sum lambda^2 = 1 to 1e-10.
     """
     schmidt = _decompose(jsa.grid, *jsa.skeleton, n_retained)
     total = float(np.sum(schmidt.lambdas[:n_retained] ** 2)) + schmidt.tail_weight

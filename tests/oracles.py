@@ -6,6 +6,7 @@ paths, so that agreement is meaningful.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -129,6 +130,44 @@ def longdouble_gaussian(params, grid, rows):
     return np.exp(-q), q
 
 
+def overlap(grid, f, g) -> complex:
+    """Quadrature inner product integral(conj(f) * g) d_omega."""
+    return complex(np.sum(np.conjugate(f) * g) * grid.d_omega)
+
+
+@dataclass(frozen=True)
+class JsaMatrix:
+    """Any amplitude (chirped, multi-lobe, high-rank) stored as samples on grid x grid (rows = signal axis).
+
+    Normalized so that sum |f|^2 d_omega^2 = 1, and read as the library reads
+    a ``GaussianJsa``: through :meth:`sample` and ``skeleton``.  The skeleton
+    is the library's cross approximation of the samples, certified against
+    every one, so its tests reach the fallback with complex and stalling inputs.
+    """
+
+    values: np.ndarray
+    grid: object
+
+    def __post_init__(self):
+        n = self.grid.n_points
+        if np.shape(self.values) != (n, n):
+            raise ValueError(f"JSA shape {np.shape(self.values)} does not match grid size {n}")
+        norm = float(np.vdot(self.values, self.values).real) * self.grid.d_omega**2
+        if not abs(norm - 1.0) <= 1e-12:
+            raise ValueError(f"JSA not normalized: sum|f|^2 d_omega^2 = {norm!r}")
+
+    def sample(self, rows, cols):
+        """The samples f[rows, cols]; ``rows`` and ``cols`` are slices or index arrays."""
+        return self.values[rows][:, cols]
+
+    @cached_property
+    def skeleton(self):
+        """Cross-approximation factors ``ut``, ``v`` (k x n): f * d_omega = ut.T @ v to the noise floor."""
+        from pdcfilter.spectral import _cross_approximation
+
+        return _cross_approximation(self.sample, self.grid)
+
+
 def dense_values(jsa):
     """Every sample of an amplitude as one n x n array, read through its own ``sample``."""
     return jsa.sample(slice(None), slice(None))
@@ -144,7 +183,7 @@ def chirped_jsa(grid, rate):
 
     base = meshgrid_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
     w = grid.points
-    return pf.JsaMatrix(base * np.exp(1j * rate * (w[:, None] ** 2 + w[None, :] ** 2)), grid)
+    return JsaMatrix(base * np.exp(1j * rate * (w[:, None] ** 2 + w[None, :] ** 2)), grid)
 
 
 def loop_modes_csv(grid, modes, path):

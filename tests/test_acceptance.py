@@ -16,7 +16,7 @@ import pytest
 import pdcfilter as pf
 from pdcfilter.cli import RunConfig, run_single, sweep_tradeoff
 
-from oracles import full_schmidt, geometric_lambdas, lossy_epr_block
+from oracles import full_schmidt, geometric_lambdas, lossy_epr_block, overlap
 
 # covariance matrices registered by criteria 1-8, swept by criterion 9
 _REGISTRY: list[tuple[str, np.ndarray]] = []
@@ -217,7 +217,7 @@ def test_criterion_6_optimizer_agreement(reference_100, rect4_100):
 
     db_dev = float(np.max(np.abs(ga_dbs - svd_dbs)))
     overlaps = [
-        abs(grid.overlap(result.modes[k], eff.signal_modes[k])) for k in range(3)
+        abs(overlap(grid, result.modes[k], eff.signal_modes[k])) for k in range(3)
     ]
     elapsed = time.perf_counter() - start
     assert all(result.converged)

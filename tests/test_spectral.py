@@ -17,6 +17,7 @@ from oracles import (
     GAIN_6DB,
     R_3DB,
     R_6DB,
+    JsaMatrix,
     chirped_jsa,
     dense_values,
     full_schmidt,
@@ -26,6 +27,7 @@ from oracles import (
     mehler_mode_scale,
     meshgrid_gaussian_jsa,
     meshgrid_raw_gaussian,
+    overlap,
 )
 
 
@@ -59,7 +61,7 @@ class TestFrequencyGrid:
 class TestGaussianJsa:
     def test_normalized_to_1e12(self, grid100):
         jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid100)
-        assert abs(jsa.l2_norm_sq - 1.0) <= 1e-12
+        assert abs(jsa.audit()[0] - 1.0) <= 1e-12
 
     def test_diagonal_tilt_closed_form(self, grid100):
         # at theta = -pi/4 the amplitude factorizes over the +/- diagonals
@@ -139,7 +141,7 @@ class TestGaussianJsa:
             tracemalloc.stop()
         assert peak < 0.15 * n * n * 8
         assert kept < sum(factor.nbytes for factor in jsa.skeleton) + 1e5
-        assert abs(jsa.l2_norm_sq - 1.0) <= 1e-12
+        assert abs(jsa.audit()[0] - 1.0) <= 1e-12
 
     def test_truncation_refused(self):
         tight = pf.build_frequency_grid(64, -3, 3)
@@ -261,15 +263,14 @@ class TestSchmidtDecompose:
         scale = mehler_mode_scale(6.0, 2.0)
         h = hermite_functions(6, grid.points / scale) / np.sqrt(scale)
         for k in range(6):
-            overlap = abs(grid.overlap(schmidt.signal_modes[k], h[k]))
-            assert overlap > 1 - 1e-6
+            assert abs(overlap(grid, schmidt.signal_modes[k], h[k])) > 1 - 1e-6
 
     def test_idler_sign_alternation(self, reference_wide):
         # odd modes of the idler carry an extra -1 relative to the signal
         _, schmidt, _ = reference_wide
         grid = schmidt.grid
         for k in range(6):
-            sign = np.real(grid.overlap(schmidt.signal_modes[k], schmidt.idler_modes[k]))
+            sign = np.real(overlap(grid, schmidt.signal_modes[k], schmidt.idler_modes[k]))
             assert sign == pytest.approx((-1.0) ** k, abs=1e-9)
 
     def test_phase_convention_deterministic(self, grid100):
@@ -423,7 +424,7 @@ class TestSchmidtDecompose:
         v, _ = np.linalg.qr(rng.standard_normal((n, 80)))
         values = (u * 0.95 ** np.arange(80)) @ v.T
         values /= np.sqrt(np.sum(values**2) * grid.d_omega**2)
-        schmidt = pf.schmidt_decompose(pf.JsaMatrix(values, grid), 5)
+        schmidt = pf.schmidt_decompose(JsaMatrix(values, grid), 5)
         assert schmidt.n_modes == schmidt.n_excited == 80
         s = np.linalg.svd(values * grid.d_omega, compute_uv=False)
         assert np.max(np.abs(schmidt.lambdas - s[:80])) < 1e-12
@@ -446,7 +447,7 @@ class TestSchmidtDecompose:
         values[:200, :200] = lobe
         values[200:, 200:] = 0.3 * lobe
         values /= np.sqrt(np.sum(values**2) * grid.d_omega**2)
-        self._assert_matches_dense_svd(pf.JsaMatrix(values, grid))
+        self._assert_matches_dense_svd(JsaMatrix(values, grid))
 
     def test_rank_below_n_retained_completes_orthonormal_pairs(self, grid100):
         # a separable amplitude has one pair; the other reported pairs have
@@ -520,14 +521,16 @@ class TestMehlerSkeleton:
 
     def _assert_route(self, evaluated, params, grid, mehler, **kwargs):
         # the Mehler route reads no sample; the cross approximation reads
-        # every one and certifies its skeleton to the same floor
+        # every one and certifies its skeleton to the same floor.  Returns the
+        # amplitude and the samples its build read
         evaluated.clear()
         jsa = pf.build_gaussian_jsa(params, grid, **kwargs)
-        assert (sum(evaluated) == 0) == mehler
-        assert mehler or sum(evaluated) >= grid.n_points**2
+        reads = sum(evaluated)
+        assert (reads == 0) == mehler
+        assert mehler or reads >= grid.n_points**2
         _, residual, largest = jsa.audit()
         assert residual <= self._FLOOR * largest
-        return jsa
+        return jsa, reads
 
     @pytest.mark.parametrize(
         "state, n, low, high",
@@ -547,19 +550,30 @@ class TestMehlerSkeleton:
         # above the 2^10 allowed at 30, which the cross approximation factors
         grid = pf.build_frequency_grid(400, -80.0, 80.0)
         params = pf.GaussianJsaParams(sigma_a, 0.5, -np.pi / 4)
-        jsa = self._assert_route(self._count_samples(monkeypatch), params, grid, mehler)
+        jsa, _ = self._assert_route(self._count_samples(monkeypatch), params, grid, mehler)
         assert (len(jsa.skeleton[0]) == 974) == mehler
 
     def test_cross_approximation_past_the_audit_budget(self, monkeypatch):
         # validate's audit of K terms costs K n^2: one multiply-add past the
-        # budget the cross approximation is taken, whose build checks as much
+        # budget the cross approximation is taken, whose build checks as much.
+        # At n = 1600 the reference state reads 1.06 n^2 samples, one check of
+        # every row.  The high-rank state restarts, and reads 1.39 n^2 because a
+        # check re-reads only the rows whose bound crosses the floor: re-reading
+        # every row at every check read 2.31 n^2
         evaluated = self._count_samples(monkeypatch)
-        grid = pf.build_frequency_grid(100, -10.0, 10.0)
-        params = pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4)
-        terms = len(pf.build_gaussian_jsa(params, grid).skeleton[0])
-        for budget, mehler in ((terms * 100**2, True), (terms * 100**2 - 1, False)):
-            monkeypatch.setattr(spectral, "_MAX_AUDIT", budget)
-            self._assert_route(evaluated, params, grid, mehler)
+        reference = pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4)
+        cases = [  # (params, grid, most samples the fallback's build reads, in n^2)
+            (reference, pf.build_frequency_grid(100, -10.0, 10.0), np.inf),
+            (reference, pf.build_frequency_grid(1600, -10.0, 10.0), 1.25),
+            (self._CI_STATES["high_rank"][0], pf.build_frequency_grid(1600, -60.0, 60.0), 1.6),
+        ]
+        terms = [len(pf.build_gaussian_jsa(params, grid).skeleton[0]) for params, grid, _ in cases]
+        for (params, grid, most), k in zip(cases, terms):
+            budget = k * grid.n_points**2
+            for limit, mehler in ((budget, True), (budget - 1, False)):
+                monkeypatch.setattr(spectral, "_MAX_AUDIT", limit)
+                _, reads = self._assert_route(evaluated, params, grid, mehler)
+            assert reads <= most * grid.n_points**2
 
     def test_runs_a_state_past_the_term_cap(self, tmp_path):
         # the sigma_a 30 state above, through the command line, to the end
