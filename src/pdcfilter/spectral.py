@@ -93,7 +93,9 @@ _MAX_TERMS, _MAX_AUDIT = 1 << 10, 1 << 36
 # grows past e^_CARRY_STEP.  Both are integers, so each subtraction from the
 # carried exponent is exact
 _CARRY, _CARRY_STEP = 600.0, 256.0
-# _decompose factors a longer thin factor this many samples at a time
+# _decompose keeps the Q of a thin factor of at most this many samples and applies a
+# longer one's from its reflectors, which is slower on short factors: a rect-4
+# effective basis at n = 600 took 1.08 ms that way against 0.82 ms (one BLAS thread)
 _QR_ROWS = 800
 
 
@@ -507,28 +509,35 @@ def _embed(vectors: np.ndarray, support, n: int, k: int) -> np.ndarray:
     return out
 
 
-def _thin_qr(a: np.ndarray):
+def _thin_qr(a: np.ndarray, lazy: bool = False):
     """R of a tall factor ``a`` and a function that multiplies its Q into a matrix y: Q @ y.
 
-    A factor of at most _QR_ROWS rows takes one QR.  A longer one takes the R of
-    each block of _QR_ROWS rows, then one QR of the stacked R's; Q @ y then forms
-    each block's Q once more in turn and multiplies it straight into its rows of
-    the stacked Q times y, so no Q of the factor's length is ever held.
+    A factor of at most _QR_ROWS rows takes one QR and keeps its Q.  A longer one
+    takes one Householder QR and keeps its k reflectors V (unit lower trapezoidal,
+    as long as ``a``) and tau: Q @ y = [y; 0] - V T V[:k]^H y in compact WY form
+    (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 53 (1989)), with
+    T^-1 = striu(V^H V) + diag(1 / tau) (Joffrain et al., ACM TOMS 32, 169 (2006)),
+    two products and one solve.  A reflector with tau = 0, as a zero-padded
+    column gives, is the identity and is dropped.  ``lazy`` holds no reflectors
+    of a longer factor: it takes R alone, and factors ``a`` again for Q @ y.
     """
     if len(a) <= _QR_ROWS:
         q, r = np.linalg.qr(a)
         return r, q.__matmul__
-    blocks = [slice(start, start + _QR_ROWS) for start in range(0, len(a), _QR_ROWS)]
-    tops = [np.linalg.qr(a[block], mode="r") for block in blocks]
-    ends = np.cumsum([0] + [len(top) for top in tops])
-    stacked, r = np.linalg.qr(np.concatenate(tops))
-    del tops
+    if lazy:
+        return np.linalg.qr(a, mode="r"), lambda y: _thin_qr(a)[1](y)
+    h, tau = np.linalg.qr(a, mode="raw")
+    k = len(tau)
+    r, v = np.triu(h.T[:k]), h.T[:, :k]
+    v[:k] = np.tril(v[:k], -1) + np.eye(k)
+    keep = tau != 0
+    if not keep.all():
+        v, tau = v[:, keep], tau[keep]
+    t_inv = np.triu(v.conj().T @ v, 1) + np.diag(1 / tau)
 
     def q_times(y: np.ndarray) -> np.ndarray:
-        z = stacked @ y
-        out = np.empty((len(a), y.shape[1]), np.result_type(a, y))
-        for block, start, end in zip(blocks, ends, ends[1:]):
-            out[block] = np.linalg.qr(a[block])[0] @ z[start:end]
+        out = v @ -np.linalg.solve(t_inv, v[:k].conj().T @ y)
+        out[:k] += y
         return out
 
     return r, q_times
@@ -547,8 +556,9 @@ def _decompose(
     ``left`` (m x |rows|) and ``right`` (m x |cols|) factor K on the grid
     samples ``rows`` and ``cols`` (all samples by default); K is zero
     elsewhere.  Both are zero-padded to ``n_retained`` rows, and a QR of each
-    (:func:`_thin_qr`, a block of samples at a time past _QR_ROWS) and one
-    SVD of the product of their triangles give the triples, never forming
+    (:func:`_thin_qr`: past _QR_ROWS samples Q is applied from the
+    reflectors, and the idler's are formed once the signal's are freed) and
+    one SVD of the product of their triangles give the triples, never forming
     K; the QRs complete factors of rank below ``n_retained`` with
     orthonormal vectors of amplitude 0.  The reported and excited pairs,
     max(n_retained, #{lambda_k > 1e-14 lambda_1}), are embedded on the grid:
@@ -563,11 +573,15 @@ def _decompose(
         raise ConfigurationError(f"n_retained must lie in [1, {n}], got {n_retained}")
     left, right = (f if len(f) >= n_retained else np.pad(f, ((0, n_retained - len(f)), (0, 0))) for f in (left, right))
     try:
+        # a long factor's reflectors are as large as the factor: only the signal's
+        # are held with the tables, and the idler's are formed once those are freed
+        rv, qv_times = _thin_qr(right.T, lazy=True)
         ru, qu_times = _thin_qr(left.T)
-        rv, qv_times = _thin_qr(right.T)
         w, s, zh = np.linalg.svd(ru @ rv.T)
         k = max(int(n_retained), _excited_count(s))
-        signal, idler = qu_times(w[:, :k]), qv_times(zh[:k].T)
+        signal = qu_times(w[:, :k])
+        del qu_times
+        idler = qv_times(zh[:k].T)
     except np.linalg.LinAlgError as exc:
         raise _svd_failure(np.concatenate([left, right], axis=1)) from exc
     s = np.concatenate([s, np.zeros(max(0, k - len(s)))])

@@ -16,12 +16,16 @@ def _basis_from_effective(eff, n):
 
 
 class TestSvdEffectiveBasis:
-    def test_identity_filter_recovers_original(self, reference_200):
-        jsa, schmidt, _ = reference_200
-        ident = pf.make_identity_filter(schmidt.grid)
+    @pytest.mark.parametrize("n", [200, 1600])
+    def test_identity_filter_recovers_original(self, n):
+        grid = pf.build_frequency_grid(n, -10.0, 10.0)
+        jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid)
+        schmidt = pf.schmidt_decompose(jsa, 10)
+        ident = pf.make_identity_filter(grid)
         eff = pf.svd_effective_basis(jsa, ident, ident, n_retained=8)
         # at T = 1 the masked factors are the skeleton's, decomposed on the same
-        # route: the same amplitudes and modes, bit for bit
+        # route: the same amplitudes and modes, bit for bit (past 800 samples
+        # the route that applies each Q from its reflectors)
         assert np.array_equal(eff.lambdas[:8], schmidt.lambdas[:8])
         assert np.array_equal(eff.signal_modes[:8], schmidt.signal_modes[:8])
         assert np.array_equal(eff.idler_modes[:8], schmidt.idler_modes[:8])

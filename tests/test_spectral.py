@@ -449,15 +449,20 @@ class TestSchmidtDecompose:
         values /= np.sqrt(np.sum(values**2) * grid.d_omega**2)
         self._assert_matches_dense_svd(JsaMatrix(values, grid))
 
-    def test_rank_below_n_retained_completes_orthonormal_pairs(self, grid100):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [100, 1600])
+    def test_rank_below_n_retained_completes_orthonormal_pairs(self, n):
         # a separable amplitude has one pair; the other reported pairs have
-        # lambda = 0 and complete both mode families orthonormally
-        jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(3.0, 3.0, 0.0), grid100)
+        # lambda = 0 and complete both mode families orthonormally.  At n = 1600
+        # the zero-padded factors take the long QR route, whose tau = 0
+        # reflectors are dropped
+        grid = pf.build_frequency_grid(n, -10.0, 10.0)
+        jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(3.0, 3.0, 0.0), grid)
         schmidt = pf.schmidt_decompose(jsa, 5)
         assert schmidt.n_modes == 5 and schmidt.n_excited == 1
         assert schmidt.lambdas[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(schmidt.lambdas[1:]) < 1e-14
-        dw = grid100.d_omega
+        dw = grid.d_omega
         for modes in (schmidt.signal_modes, schmidt.idler_modes):
             assert np.max(np.abs(dw * modes @ modes.conj().T - np.eye(5))) < 1e-12
 
@@ -467,6 +472,59 @@ class TestSchmidtDecompose:
             pf.schmidt_decompose(jsa, 0)
         with pytest.raises(ConfigurationError):
             pf.schmidt_decompose(jsa, 101)
+
+
+class TestThinQr:
+    """The long route of ``_thin_qr``: one Householder QR, its Q applied in compact WY form."""
+
+    @staticmethod
+    def _assert_matches_numpy_qr(a):
+        # R and Q @ y against numpy's reduced QR of the whole factor, to 1e-13
+        # relative; the lazy form takes the same R and gives the same Q @ y
+        assert len(a) > spectral._QR_ROWS
+        q, expected = np.linalg.qr(a)
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal((q.shape[1], 12))
+        if np.iscomplexobj(a):
+            y = y + 1j * rng.standard_normal(y.shape)
+        r, q_times = spectral._thin_qr(a)
+        assert np.max(np.abs(r - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert np.max(np.abs(q_times(y) - q @ y)) <= 1e-13 * np.max(np.abs(q @ y))
+        lazy, lazy_times = spectral._thin_qr(a, lazy=True)
+        assert np.array_equal(lazy, r)
+        assert np.array_equal(lazy_times(y), q_times(y))
+
+    def test_mehler_tables(self):
+        grid = pf.build_frequency_grid(1600, -10.0, 10.0)
+        for table in pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid).skeleton:
+            self._assert_matches_numpy_qr(table.T)
+
+    def test_complex_factor(self):
+        # the chirped amplitude's cross-approximation factors are complex, so
+        # V^H needs its conjugate
+        ut, v = chirped_jsa(pf.build_frequency_grid(1200, -10.0, 10.0), 0.05).skeleton
+        assert np.iscomplexobj(ut) and np.iscomplexobj(v)
+        self._assert_matches_numpy_qr(ut.T)
+        self._assert_matches_numpy_qr(v.T)
+
+    def test_wide_factor(self):
+        # 800 < rows < K: Q is square, R trapezoidal
+        self._assert_matches_numpy_qr(np.random.default_rng(3).standard_normal((900, 1000)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_padded_factor(self):
+        # a skeleton padded to n_retained rows has zero columns, whose
+        # reflectors have tau = 0 and are dropped, not divided by
+        grid = pf.build_frequency_grid(1600, -10.0, 10.0)
+        ut, _ = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 2.0, -np.pi / 4), grid).skeleton
+        for extra in ((0, 20), (20, 0)):
+            a = np.pad(ut, (extra, (0, 0))).T
+            assert np.count_nonzero(np.linalg.qr(a, mode="raw")[1] == 0) == 20
+            self._assert_matches_numpy_qr(a)
+
+    def test_more_terms_than_qr_rows(self):
+        # K = 900 > _QR_ROWS on a factor of 1700 rows
+        self._assert_matches_numpy_qr(np.random.default_rng(4).standard_normal((1700, 900)))
 
 
 class TestMehlerSkeleton:
@@ -599,8 +657,8 @@ class TestMehlerSkeleton:
     def test_peak_memory_of_build_and_decompose(self):
         # the widest benchmark state, K = 74 terms (the cross approximation read
         # 34 rows): the sampled build and its decomposition peaked at 3.53 MB, this
-        # route at 4.15 MB, of which the two 74 x 1600 tables are 1.9 MB.  One
-        # QR of each whole table, not a block at a time, peaked at 5.6 MB
+        # route at 3.89 MB, of which the two 74 x 1600 tables are 1.9 MB.  Holding
+        # both tables' Householder reflectors at once peaked at 4.51 MB
         grid = pf.build_frequency_grid(1600, -10.0, 10.0)
         tracemalloc.start()
         try:
