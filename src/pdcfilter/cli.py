@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -87,6 +88,8 @@ _FILTERS = {
 # about 8 s at a low rank to minutes at a rank in the hundreds; validate's audit
 # of such a skeleton reads n^2 more at the same cost a sample
 _MAX_SAMPLES = 2**30
+# a float table's cell, by its code in _write_csv: formatted, +0.0 and -0.0
+_CELL_TEMPLATES = ("%.17g", "0", "-0")
 
 
 @dataclass(frozen=True)
@@ -166,13 +169,16 @@ class RunConfig:
         return GaParams(**{f.name: getattr(self, f.name) for f in fields(GaParams)})
 
 
+# each RunConfig field's type, which parses its value in a configuration file
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
+
+
 def parse_config_file(path) -> dict:
     """Read ``key = value`` lines; '#' starts a comment, unknown and repeated keys error.
 
     Each value is parsed as the type of its ``RunConfig`` field: a
     ``tuple[float, ...]`` as a comma-separated list, ``float | None`` as a float.
     """
-    types = typing.get_type_hints(RunConfig)
     values: dict = {}
     first_line: dict = {}  # key -> the line that set it
     try:
@@ -187,11 +193,11 @@ def parse_config_file(path) -> dict:
             raise ConfigurationError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in types:
+        if key not in _FIELD_TYPES:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
         if first_line.setdefault(key, lineno) != lineno:
             raise ConfigurationError(f"{path}:{lineno}: {key} set twice, on lines {first_line[key]} and {lineno}")
-        kind = types[key]
+        kind = _FIELD_TYPES[key]
         try:
             if kind == tuple[float, ...]:
                 values[key] = tuple(float(item) for item in value.split(",") if item.strip())
@@ -354,20 +360,22 @@ def _write_csv(path, header, rows) -> None:
     Every other cell is written as it is; ``header=None`` writes no header row.
     A float array is written with one format call and one write: ``"%.17g" % x``
     is ``format(x, ".17g")``, and such a cell never needs quoting, so the
-    bytes are those ``csv.writer`` writes.  An exact +0.0, which it writes as
-    ``0``, is that literal in its row's template; -0.0 is formatted.  A
-    template is built once per pattern of such cells.
+    bytes are those ``csv.writer`` writes.  An exact zero, which it writes as
+    ``0`` or ``-0``, is that literal in its row's template.  A template is
+    built once per pattern of such cells.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if header is not None:
             writer.writerow(header)
         if isinstance(rows, np.ndarray) and rows.dtype == float:
-            zero = (rows == 0) & ~np.signbit(rows)
-            flags, width = zero.tobytes(), rows.shape[1]
+            zero = rows == 0
+            # 0 for a formatted cell, 1 for +0.0, 2 for -0.0
+            codes = zero.view(np.uint8) + (zero & np.signbit(rows)).view(np.uint8)
+            flags, width = codes.tobytes(), rows.shape[1]
             patterns = [flags[i * width : (i + 1) * width] for i in range(len(rows))]
             lines = {
-                pattern: ",".join("0" if cell else "%.17g" for cell in pattern) + writer.dialect.lineterminator
+                pattern: ",".join(_CELL_TEMPLATES[cell] for cell in pattern) + writer.dialect.lineterminator
                 for pattern in set(patterns)
             }
             fh.write("".join(map(lines.__getitem__, patterns)) % tuple(rows[~zero].tolist()))
@@ -522,7 +530,9 @@ def validate(config: RunConfig, stream=None) -> bool:
     return all_passed
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser of ``main``, built once."""
     parser = argparse.ArgumentParser(
         prog="pdcfilter",
         description="Gaussian model of spectrally filtered two-mode squeezing",
@@ -538,8 +548,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override rng_seed")
         p.add_argument("--basis", choices=_BASIS_CHOICES, default=None, help="override basis method")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     with calling_thread():
         return _dispatch(args)
 

@@ -509,7 +509,7 @@ def _embed(vectors: np.ndarray, support, n: int, k: int) -> np.ndarray:
     return out
 
 
-def _thin_qr(a: np.ndarray, lazy: bool = False):
+def _thin_qr(a: np.ndarray):
     """R of a tall factor ``a`` and a function that multiplies its Q into a matrix y: Q @ y.
 
     A factor of at most _QR_ROWS rows takes one QR and keeps its Q.  A longer one
@@ -517,15 +517,13 @@ def _thin_qr(a: np.ndarray, lazy: bool = False):
     as long as ``a``) and tau: Q @ y = [y; 0] - V T V[:k]^H y in compact WY form
     (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 53 (1989)), with
     T^-1 = striu(V^H V) + diag(1 / tau) (Joffrain et al., ACM TOMS 32, 169 (2006)),
-    two products and one solve.  A reflector with tau = 0, as a zero-padded
-    column gives, is the identity and is dropped.  ``lazy`` holds no reflectors
-    of a longer factor: it takes R alone, and factors ``a`` again for Q @ y.
+    two products and one solve.  T^-1 is formed inside the call, which is made
+    once an arm, so no K x K matrix is held beside the reflectors.  A reflector
+    with tau = 0, as a zero-padded column gives, is the identity and is dropped.
     """
     if len(a) <= _QR_ROWS:
         q, r = np.linalg.qr(a)
         return r, q.__matmul__
-    if lazy:
-        return np.linalg.qr(a, mode="r"), lambda y: _thin_qr(a)[1](y)
     h, tau = np.linalg.qr(a, mode="raw")
     k = len(tau)
     r, v = np.triu(h.T[:k]), h.T[:, :k]
@@ -533,10 +531,9 @@ def _thin_qr(a: np.ndarray, lazy: bool = False):
     keep = tau != 0
     if not keep.all():
         v, tau = v[:, keep], tau[keep]
-    t_inv = np.triu(v.conj().T @ v, 1) + np.diag(1 / tau)
 
     def q_times(y: np.ndarray) -> np.ndarray:
-        out = v @ -np.linalg.solve(t_inv, v[:k].conj().T @ y)
+        out = v @ -np.linalg.solve(np.triu(v.conj().T @ v, 1) + np.diag(1 / tau), v[:k].conj().T @ y)
         out[:k] += y
         return out
 
@@ -555,33 +552,37 @@ def _decompose(
 
     ``left`` (m x |rows|) and ``right`` (m x |cols|) factor K on the grid
     samples ``rows`` and ``cols`` (all samples by default); K is zero
-    elsewhere.  Both are zero-padded to ``n_retained`` rows, and a QR of each
-    (:func:`_thin_qr`: past _QR_ROWS samples Q is applied from the
-    reflectors, and the idler's are formed once the signal's are freed) and
-    one SVD of the product of their triangles give the triples, never forming
-    K; the QRs complete factors of rank below ``n_retained`` with
-    orthonormal vectors of amplitude 0.  The reported and excited pairs,
-    max(n_retained, #{lambda_k > 1e-14 lambda_1}), are embedded on the grid:
-    past min(|rows|, |cols|, m) triples each arm fills them first with its
-    unused singular vectors on its support, then with unit vectors at its
-    off-support samples in grid order, at lambda = 0.  ``tail_weight`` sums
-    lambda_k^2 past ``n_retained`` over every triple, and the phase
-    convention of :func:`_fix_phases` is applied.
+    elsewhere.  Both are zero-padded to ``n_retained`` rows, and one QR of
+    each (:func:`_thin_qr`: past _QR_ROWS samples Q is applied from the
+    reflectors) and one SVD of the product of their triangles give the
+    triples, never forming K; the QRs complete factors of rank below
+    ``n_retained`` with orthonormal vectors of amplitude 0.  Both arms'
+    reflectors are held through the SVD; the signal's Q is applied and its
+    reflectors freed before the idler's Q is applied.  The reported and
+    excited pairs, max(n_retained, #{lambda_k > 1e-14 lambda_1}), are
+    embedded on the grid: past min(|rows|, |cols|, m) triples each arm fills
+    them first with its unused singular vectors on its support, then with
+    unit vectors at its off-support samples in grid order, at lambda = 0.
+    ``tail_weight`` sums lambda_k^2 past ``n_retained`` over every triple,
+    and the phase convention of :func:`_fix_phases` is applied.
     """
     n = grid.n_points
     if not 1 <= n_retained <= n:
         raise ConfigurationError(f"n_retained must lie in [1, {n}], got {n_retained}")
     left, right = (f if len(f) >= n_retained else np.pad(f, ((0, n_retained - len(f)), (0, 0))) for f in (left, right))
     try:
-        # a long factor's reflectors are as large as the factor: only the signal's
-        # are held with the tables, and the idler's are formed once those are freed
-        rv, qv_times = _thin_qr(right.T, lazy=True)
         ru, qu_times = _thin_qr(left.T)
+        rv, qv_times = _thin_qr(right.T)
         w, s, zh = np.linalg.svd(ru @ rv.T)
+        del ru, rv
         k = max(int(n_retained), _excited_count(s))
-        signal = qu_times(w[:, :k])
+        # copies in the views' memory order, so each product reads the same bits
+        w, zh = w[:, :k].copy(), zh[:k].copy()
+        signal = qu_times(w)
+        # each arm's reflectors are freed once its Q is applied
         del qu_times
-        idler = qv_times(zh[:k].T)
+        idler = qv_times(zh.T)
+        del qv_times
     except np.linalg.LinAlgError as exc:
         raise _svd_failure(np.concatenate([left, right], axis=1)) from exc
     s = np.concatenate([s, np.zeros(max(0, k - len(s)))])

@@ -560,6 +560,7 @@ def _float_tables(draw):
 @example(table=np.zeros((1, 1)), headed=False)
 @example(table=np.array([[0.0, -0.0, 5e-324, 1e16, 1e17, 3.0]]), headed=True)
 @example(table=np.array([[1e300], [0.0], [-0.0], [1e-300], [-2.0]]), headed=False)
+@example(table=np.array([[-0.0, -0.0, -0.0]]), headed=False)
 @settings(max_examples=200, deadline=None)
 def test_float_table_bytes_equal_csv_writer_cell_by_cell(tmp_path_factory, table, headed):
     # the one-call writer against csv.writer with format(x, ".17g") per cell
