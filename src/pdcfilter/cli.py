@@ -77,9 +77,11 @@ _FILTERS = {
     "flat": lambda config, grid: make_flat_filter(config.filter_amplitude, grid),
 }
 # amplitude samples one pass over the amplitude may read: validate reads all
-# n_points^2 once against the skeleton, about 10 ns a sample with the residual
-# at up to 64 Mehler terms (one BLAS thread): some 11 s at this size, and
-# build_gaussian_jsa keeps a Mehler skeleton's audit within it.  A Gaussian that
+# n_points^2 once against the skeleton.  On the default state (55 Mehler terms,
+# one BLAS thread, 2 vCPU) that audit took 8 to 11 ns a sample at n = 1600,
+# 12 to 13 ns at 8192 and 27 to 30 ns at this size, 29 to 33 s and nearly all of
+# validate's time: the cost a sample grows with n, since each row block of
+# 65536 / n rows is checked against the whole K x n idler table.  A Gaussian that
 # takes the cross approximation reads more in its build: 1.06 n^2 samples on the
 # reference state forced through it and 1.93 n^2 on sigma_a 30 / sigma_b 0.5 at
 # n = 1600, 3.0 n^2 on the latter at n = 400, where the rank reaches n.  Each
@@ -93,8 +95,8 @@ _CELL_TEMPLATES = ("%.17g", "0", "-0")
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Complete, validated description of one run or sweep."""
+class RunConfig(GaParams):
+    """Complete, validated description of one run or sweep; the GA keys are inherited."""
 
     n_points: int = 100
     omega_min: float = -10.0
@@ -113,15 +115,7 @@ class RunConfig:
     sweep_widths: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 20.0)
     sweep_target_dbs: tuple[float, ...] = (2.0, 4.0, 6.0)
     ga_modes: int = 5
-    population: int = 256
-    mutation_prob: float = 0.02
-    mutation_sigma: float = 0.1
-    convergence_tol: float = 1e-4
-    convergence_window: int = 50
-    max_generations: int = 10_000
-    parent_fraction: float = 0.5
     mass_tolerance: float = 1e-2
-    rng_seed: int = 0
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -151,7 +145,7 @@ class RunConfig:
                 raise ConfigurationError(f"{name} must be strictly increasing")
         if self.n_retained < 1 or self.ga_modes < 1:
             raise ConfigurationError("n_retained and ga_modes must be >= 1")
-        self.ga_params()  # the GA keys are checked whichever basis runs
+        super().__post_init__()  # the GA keys are checked whichever basis runs
         need = ga_working_set_bytes(self.population, self.n_points)
         if need > GA_MEMORY_LIMIT:
             raise ConfigurationError(
@@ -164,9 +158,6 @@ class RunConfig:
                 f"n_points {self.n_points} gives {float(self.n_points) ** 2:.3g} amplitude samples, above the "
                 f"{_MAX_SAMPLES} one pass over the amplitude may read (n_points <= {math.isqrt(_MAX_SAMPLES)})"
             )
-
-    def ga_params(self) -> GaParams:
-        return GaParams(**{f.name: getattr(self, f.name) for f in fields(GaParams)})
 
 
 # each RunConfig field's type, which parses its value in a configuration file
@@ -263,7 +254,7 @@ def _select_basis(
     if config.basis == "svd":
         return MeasurementBasis.from_schmidt(svd_effective_basis(jsa, filt, filt, n_retained=n), n), None
     ctx = make_state_context(schmidt, filt, filt)
-    ga_result = ga_optimize_basis(ctx, config.ga_modes, config.ga_params())
+    ga_result = ga_optimize_basis(ctx, config.ga_modes, config)
     return MeasurementBasis.from_shared(ga_result.modes, jsa.grid), ga_result
 
 

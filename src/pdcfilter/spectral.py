@@ -78,15 +78,11 @@ _MEHLER_TAIL = 1e-16
 # [2, 22], at 1.1e-7 of the peak, read 1.1e-9 of it, on its 2-point grid, at
 # 1.2e-4, 2.3e-14, and a window whose largest sample was 0.020 of the peak read 1.6e-14)
 _MEHLER_LARGEST = 0.05
-# the most terms K a series may hold, and the most multiply-adds K n^2 of
-# validate's audit of it; past either the cross approximation is taken.  The
-# series' round-off grows with K: on resolved grids it read 6.7e-15 of the
+# the most terms K a series may hold; past it the cross approximation is taken.
+# The series' round-off grows with K: on resolved grids it read 6.7e-15 of the
 # largest sample at K = 1568, 1.1e-14 at 1831 and 1.8e-14 at 3164, against the
-# 1e-14 floor.  The audit takes about 4 ns a sample plus 0.1 ns a sample and
-# term (one BLAS thread, 2 vCPU), so at most some 11 s (K <= 64 at n = 32768);
-# the cross approximation's own build costs its rank k times the 1.06 to 3.0 n^2
-# samples it reads
-_MAX_TERMS, _MAX_AUDIT = 1 << 10, 1 << 36
+# 1e-14 floor
+_MAX_TERMS = 1 << 10
 # h_0 = pi^(-1/4) e^(-x^2/2) underflows past |x| = 38.6 while high-order h_k need
 # not be small there: such a column starts from e^(-_CARRY) and carries the rest
 # of its exponent aside, taking it back _CARRY_STEP at a time as the recurrence
@@ -285,7 +281,7 @@ def _mehler_skeleton(
 
     None, before any table is built, where the series does not hold the grid
     to round-off: its largest sample is below _MEHLER_LARGEST of the peak, or
-    K exceeds _MAX_TERMS or _MAX_AUDIT / n^2 (as rho -> 1 K grows without bound).
+    K exceeds _MAX_TERMS (as rho -> 1 K grows without bound).
     """
     if not largest >= _MEHLER_LARGEST:
         return None
@@ -304,7 +300,7 @@ def _mehler_skeleton(
         # the quotient overflows to inf as 1 - |t| reaches the smallest normal float
         log_bound = math.log(_MEHLER_TAIL * largest / _CRAMER) + 0.5 * (math.log(gap) - math.log1p(mag))
         terms = max(1.0, log_bound / (math.log(mag) if mag < 0.5 else math.log1p(-gap)))
-    if not terms <= min(_MAX_TERMS, _MAX_AUDIT // grid.n_points**2):
+    if not terms <= _MAX_TERMS:
         return None
     terms = math.ceil(terms)
     t = -math.copysign(mag, cross) if mag else 0.0

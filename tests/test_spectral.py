@@ -622,10 +622,10 @@ class TestMehlerSkeleton:
         jsa, _ = self._assert_route(self._count_samples(monkeypatch), params, grid, mehler)
         assert (len(jsa.skeleton[0]) == 974) == mehler
 
-    def test_cross_approximation_past_the_audit_budget(self, monkeypatch):
-        # validate's audit of K terms costs K n^2: one multiply-add past the
-        # budget the cross approximation is taken, whose build checks as much.
-        # At n = 1600 the reference state reads 1.06 n^2 samples, one check of
+    def test_cross_approximation_one_term_past_the_cap(self, monkeypatch):
+        # with the cap at the K terms a state needs the series is taken, one
+        # below it the cross approximation, whose build checks as much.  At
+        # n = 1600 the reference state reads 1.06 n^2 samples, one check of
         # every row.  The high-rank state restarts, and reads 1.39 n^2 because a
         # check re-reads only the rows whose bound crosses the floor: re-reading
         # every row at every check read 2.31 n^2
@@ -638,11 +638,21 @@ class TestMehlerSkeleton:
         ]
         terms = [len(pf.build_gaussian_jsa(params, grid).skeleton[0]) for params, grid, _ in cases]
         for (params, grid, most), k in zip(cases, terms):
-            budget = k * grid.n_points**2
-            for limit, mehler in ((budget, True), (budget - 1, False)):
-                monkeypatch.setattr(spectral, "_MAX_AUDIT", limit)
+            for limit, mehler in ((k, True), (k - 1, False)):
+                monkeypatch.setattr(spectral, "_MAX_TERMS", limit)
                 _, reads = self._assert_route(evaluated, params, grid, mehler)
             assert reads <= most * grid.n_points**2
+
+    def test_series_on_the_largest_grid(self, monkeypatch):
+        # the most points the command line accepts: the series' 74 terms are
+        # two 74 x 32768 tables, built without reading a sample (about 0.1 s, a
+        # 60 MB tracemalloc peak).  The cross approximation would read more than
+        # n^2 samples here, in some 35 s.  Not audited: that pass takes about 30 s
+        evaluated = self._count_samples(monkeypatch)
+        grid = pf.build_frequency_grid(32768, -10.0, 10.0)
+        jsa = pf.build_gaussian_jsa(pf.GaussianJsaParams(6.0, 1.5, -np.pi / 4), grid)
+        assert len(jsa.skeleton[0]) == 74
+        assert sum(evaluated) == 0
 
     def test_runs_a_state_past_the_term_cap(self, tmp_path):
         # the sigma_a 30 state above, through the command line, to the end
